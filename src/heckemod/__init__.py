@@ -10,7 +10,7 @@ evaluations, and golden-table emission.
 
 __version__ = "0.1.0"
 
-from .algebra import GroupRingElem, RationalElem, exact_div, grsum, specialize_q, weyl_act
+from .algebra import GroupRingElem, exact_div, grsum, specialize_q, weyl_act
 from .characters import HeckeCharacter, character_by_name, characters, rho_eps
 from .errors import (
     HeckemodError,
@@ -40,7 +40,6 @@ from .formulas import (
     weyl_character,
 )
 from .operators import (
-    WeylOperator,
     alternator,
     demazure,
     demazure_word,
@@ -48,7 +47,6 @@ from .operators import (
     fraktur_word,
     intertwiner_op,
     omega_apply,
-    omega_operator,
     sum_fraktur,
     t_act,
     t_word,

@@ -291,13 +291,11 @@ class GroupRingElem:
         return f"GroupRingElem({self.to_str()})"
 
 
-def weyl_act(w: WeylElement, f):
-    """Apply a Weyl element to a ring or rational element; fixes q.
+def weyl_act(w: WeylElement, f: GroupRingElem) -> GroupRingElem:
+    """Apply a Weyl element to a ring element; fixes q.
 
     This is the ring automorphism with pi^mu -> pi^(w mu).
     """
-    if isinstance(f, RationalElem):
-        return RationalElem(weyl_act(w, f.num), weyl_act(w, f.den))
     return GroupRingElem(f.rank, {w.apply(k): v for k, v in f.coeffs.items()})
 
 
@@ -380,6 +378,8 @@ class RationalElem:
 
     No canonical form is maintained (no gcd); any value reported outside the
     fraction field must first be cleared to a GroupRingElem via :meth:`clear`.
+    No computation in the package uses it; it stays while the benchmark's
+    tracing (``perfbench/tracing.py``) still wraps :meth:`clear`.
     """
 
     __slots__ = ("num", "den")

@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .algebra import GroupRingElem, qd_str
@@ -36,6 +37,7 @@ from .formulas import (
     casselman_shalika,
     demazure_character,
     dominant_coweights_up_to_height,
+    in_family_b,
     iwahori_image,
     macdonald,
     shalika,
@@ -48,26 +50,81 @@ from .verify import (
     BOX_CAP_DEFAULT,
     BOX_RADIUS_DEFAULT,
     DEFAULT_TYPES,
-    MUTATION_SUITE,
+    MUTATION_SUITES,
     SUITES,
     run_suite,
+    suite_tasks,
 )
 
 OUTPUT_DIR_ENV = "HECKEMOD_OUTPUT_DIR"
 
 PARSE_ERROR, DOMAIN_ERROR, IO_ERROR = 2, 3, 4
 
-#: formula name -> (needs_character, needs_lambda, implied_character)
-FORMULAS = {
-    "theorem-lhs": (True, True, None),
-    "theorem-rhs": (True, True, None),
-    "weyl-char": (False, True, None),
-    "demazure-char": (False, True, None),
-    "casselman-shalika": (False, True, "sign"),
-    "macdonald": (False, True, "triv"),
-    "shalika": (False, True, "neg-short"),
-    "bessel-value": (False, False, "neg-long"),
-    "iwahori-image": (True, True, None),
+
+def _any_type(rs) -> bool:
+    return True
+
+
+def _casselman_shalika(rs, eps, lam, word):
+    pair = casselman_shalika(rs, lam)
+    return pair.closed_form, {"theorem_form": pair.theorem_form.to_json_obj()}
+
+
+def _shalika(rs, eps, lam, word):
+    forms = shalika(rs, lam)
+    return forms.theorem_form, {
+        "rewritten_form": forms.rewritten_form.to_json_obj(),
+        "forms_agree": forms.theorem_form == forms.rewritten_form,
+    }
+
+
+def _bessel_value(rs, eps, lam, word):
+    report = bessel_value(rs)
+    ratio = report.unit_ratio
+    return report.theorem_value, {
+        "quoted_product": report.quoted_product.to_json_obj(),
+        "quoted_product_str": report.quoted_product.to_str(),
+        "unit_ratio_to_quoted": list(ratio[:2]) + [list(ratio[2])] if ratio is not None else None,
+        "q_form_cofactor": report.q_form_cofactor.to_str(),
+    }
+
+
+def _iwahori_image(rs, eps, lam, word):
+    image = iwahori_image(eps, element_of_word(rs, _parse_word(word or "", rs.rank)), lam)
+    return image.value, {"measure": qd_str(image.measure)}
+
+
+class Formula(NamedTuple):
+    """One evaluable formula.
+
+    ``evaluate(rs, eps, lam, word)`` returns ``(value, extra row fields)``;
+    ``eps`` is the named character when ``needs_character``, else None, and
+    ``word`` is the raw ``--word`` text. ``applies`` says which types a table
+    includes the formula for. Formulas are looked up by name on each call.
+    """
+
+    needs_character: bool
+    needs_lambda: bool
+    implied_character: str | None
+    applies: Callable
+    evaluate: Callable
+
+
+FORMULAS: dict[str, Formula] = {
+    "theorem-lhs": Formula(True, True, None, _any_type,
+                           lambda rs, eps, lam, word: (theorem_lhs(eps, lam), {})),
+    "theorem-rhs": Formula(True, True, None, _any_type,
+                           lambda rs, eps, lam, word: (theorem_rhs(eps, lam), {})),
+    "weyl-char": Formula(False, True, None, _any_type,
+                         lambda rs, eps, lam, word: (weyl_character(rs, lam), {})),
+    "demazure-char": Formula(False, True, None, _any_type,
+                             lambda rs, eps, lam, word: (demazure_character(rs, lam), {})),
+    "casselman-shalika": Formula(False, True, "sign", _any_type, _casselman_shalika),
+    "macdonald": Formula(False, True, "triv", _any_type,
+                         lambda rs, eps, lam, word: (macdonald(rs, lam), {})),
+    "shalika": Formula(False, True, "neg-short", in_family_b, _shalika),
+    "bessel-value": Formula(False, False, "neg-long", in_family_b, _bessel_value),
+    "iwahori-image": Formula(True, True, None, _any_type, _iwahori_image),
 }
 
 
@@ -103,7 +160,7 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
                       lam_text: str | None, word_text: str | None) -> dict:
     """One formula evaluation; returns the row dict used by eval and table."""
     rs = build_root_system(type_name)
-    needs_char, needs_lam, implied = FORMULAS[formula]
+    needs_char, needs_lam, implied = FORMULAS[formula][:3]
     char_name = character if needs_char else (implied or "-")
     if needs_char and character is None:
         raise DomainExit(PARSE_ERROR, f"formula {formula} requires --character")
@@ -113,46 +170,8 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
             raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
         lam = _parse_lambda(lam_text, rs.rank)
 
-    extra: dict = {}
-    if formula == "theorem-lhs":
-        value = theorem_lhs(character_by_name(rs, character), lam)
-    elif formula == "theorem-rhs":
-        value = theorem_rhs(character_by_name(rs, character), lam)
-    elif formula == "weyl-char":
-        value = weyl_character(rs, lam)
-    elif formula == "demazure-char":
-        value = demazure_character(rs, lam)
-    elif formula == "casselman-shalika":
-        pair = casselman_shalika(rs, lam)
-        value = pair.closed_form
-        extra["theorem_form"] = pair.theorem_form.to_json_obj()
-    elif formula == "macdonald":
-        value = macdonald(rs, lam)
-    elif formula == "shalika":
-        forms = shalika(rs, lam)
-        value = forms.theorem_form
-        extra["rewritten_form"] = forms.rewritten_form.to_json_obj()
-        extra["forms_agree"] = forms.theorem_form == forms.rewritten_form
-    elif formula == "bessel-value":
-        report = bessel_value(rs)
-        value = report.theorem_value
-        extra["quoted_product"] = report.quoted_product.to_json_obj()
-        extra["quoted_product_str"] = report.quoted_product.to_str()
-        extra["unit_ratio_to_quoted"] = (
-            list(report.unit_ratio[:2]) + [list(report.unit_ratio[2])]
-            if report.unit_ratio is not None
-            else None
-        )
-        extra["q_form_cofactor"] = report.q_form_cofactor.to_str()
-    elif formula == "iwahori-image":
-        eps = character_by_name(rs, character)
-        w = element_of_word(rs, _parse_word(word_text or "", rs.rank))
-        image = iwahori_image(eps, w, lam)
-        value = image.value
-        extra["measure"] = qd_str(image.measure)
-    else:
-        raise DomainExit(PARSE_ERROR, f"unknown formula {formula!r}")
-
+    eps = character_by_name(rs, character) if needs_char else None
+    value, extra = FORMULAS[formula].evaluate(rs, eps, lam, word_text)
     row = {
         "type": type_name,
         "character": char_name,
@@ -186,37 +205,40 @@ def _suite_task(args):
     return [r.to_json_obj() for r in run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate)]
 
 
+def _require_at_least(args, minimums: dict[str, int]) -> None:
+    for flag, low in minimums.items():
+        value = getattr(args, flag)
+        if value < low:
+            raise DomainExit(PARSE_ERROR, f"--{flag} must be at least {low}, got {value}")
+
+
+def _run_tasks(fn, tasks: list, jobs: int) -> list:
+    """fn over tasks in order, on at most one worker process per task and per CPU."""
+    workers = min(jobs, os.cpu_count() or 1, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def cmd_verify(args) -> int:
+    _require_at_least(args, {"box": 0, "cap": 1, "jobs": 1})
     types = args.type or list(DEFAULT_TYPES)
     for t in types:
         _translate_errors(build_root_system, t)
-    if args.mutate is not None:
-        if args.mutate not in MUTATION_SUITE:
-            raise DomainExit(PARSE_ERROR, f"unknown mutation {args.mutate!r}; known: {sorted(MUTATION_SUITE)}")
-        suites = [MUTATION_SUITE[args.mutate]]
-    elif args.suite:
-        for s in args.suite:
-            if s not in SUITES:
-                raise DomainExit(PARSE_ERROR, f"unknown suite {s!r}; known: {sorted(SUITES)}")
-        suites = args.suite
-    else:
-        suites = list(SUITES)
+    if args.mutate is not None and args.mutate not in MUTATION_SUITES:
+        raise DomainExit(PARSE_ERROR, f"unknown mutation {args.mutate!r}; known: {sorted(MUTATION_SUITES)}")
+    for s in args.suite or ():
+        if s not in SUITES:
+            raise DomainExit(PARSE_ERROR, f"unknown suite {s!r}; known: {sorted(SUITES)}")
 
-    tasks = []
-    for t in types:
-        rs = build_root_system(t)
-        if args.max_rank is not None and rs.rank > args.max_rank:
-            continue
-        for s in suites:
-            tasks.append((s, t, args.box, args.cap, args.mutate))
-
-    def run_all():
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                return list(pool.map(_suite_task, tasks))
-        return [_suite_task(t) for t in tasks]
-
-    chunks = _translate_errors(run_all)
+    tasks = [
+        (s, t, args.box, args.cap, args.mutate)
+        for s, t in suite_tasks(types, args.suite, args.mutate, args.max_rank)
+    ]
+    if not tasks:
+        raise DomainExit(PARSE_ERROR, "nothing to verify: no selected suite applies to the selected types")
+    chunks = _translate_errors(_run_tasks, _suite_task, tasks, args.jobs)
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r["identity"], r["type"], r["character"] or ""))
 
@@ -274,7 +296,7 @@ def cmd_eval(args) -> int:
 
 def _table_row(args):
     type_name, char_name, lam, formula = args
-    needs_char = FORMULAS[formula][0]
+    needs_char = FORMULAS[formula].needs_character
     return _evaluate_formula(
         type_name, formula,
         char_name if needs_char else None,
@@ -297,6 +319,7 @@ def _atomic_write(path: str, data: str) -> None:
 
 
 def cmd_table(args) -> int:
+    _require_at_least(args, {"height": 0, "jobs": 1})
     rs = _translate_errors(build_root_system, args.type)
     if args.characters == "all":
         char_names = [eps.name for eps in characters(rs)]
@@ -314,9 +337,8 @@ def cmd_table(args) -> int:
     lambdas = dominant_coweights_up_to_height(rs, args.height)
     tasks = []
     for formula in formulas:
-        needs_char, needs_lam, implied = FORMULAS[formula]
-        fam_guarded = formula in ("shalika", "bessel-value")
-        if fam_guarded and rs.cartan_type.family != "B":
+        needs_char, needs_lam, implied, applies, _ = FORMULAS[formula]
+        if not applies(rs):
             continue
         per_chars = char_names if needs_char else [implied or "-"]
         per_lams = lambdas if needs_lam else [None]
@@ -324,13 +346,7 @@ def cmd_table(args) -> int:
             for lam in per_lams:
                 tasks.append((args.type, char_name, lam, formula))
 
-    def run_all():
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                return list(pool.map(_table_row, tasks))
-        return [_table_row(t) for t in tasks]
-
-    rows = _translate_errors(run_all)
+    rows = _translate_errors(_run_tasks, _table_row, tasks, args.jobs)
     rows.sort(key=lambda r: (r["type"], r["character"], r["lambda"], r["formula"]))
 
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."

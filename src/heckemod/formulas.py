@@ -4,13 +4,15 @@ The two sides of the character-sum identity are exposed as
 
 * :func:`theorem_lhs` -- the operator sum pi^{-rho_eps} sum_w frak_t_w pi^{lambda+2 rho_eps},
   equal to sum_w T_w (pi^{lambda+rho_eps}) computed in the induced module;
-* :func:`theorem_rhs` -- the alternator expression
+* :func:`theorem_rhs` -- the identity's right side written as it stands,
 
-      (-1)^{l(w0)} * pi^{-rho_eps} prod_{Phi+_{-1}} (1-q pi^{a^vee})
-        * A(pi^{lambda+2rho_eps-rho} prod_{Phi+_q} (1-q pi^{a^vee})) / A(pi^{rho}),
+      pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)),
+      D_(c) = prod_{Phi+_c} (1 - q pi^{a^vee}),
 
-  where products over empty subsets are 1 and the division by the Weyl
-  denominator is exact because the alternator image is skew.
+  with Omega = :func:`heckemod.operators.omega_apply`, i.e.
+  (-1)^{l(w0)} A(pi^{-rho} f) / A(pi^{rho}). Products over empty subsets are
+  1 and the division by the Weyl denominator is exact because the alternator
+  image is skew.
 
 The global (-1)^{l(w0)} makes lhs and rhs agree on the nose; with that
 convention the sign-character value also equals the classical Whittaker
@@ -27,16 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GroupRingElem, QDict, RationalElem, exact_div, weyl_act
+from .algebra import GroupRingElem, QDict, exact_div, grsum, weyl_act
 from .characters import HeckeCharacter, character_by_name
 from .errors import NonDominant, NotDivisible, RatioNotMonomial, WrongFamily
-from .operators import (
-    alternator,
-    demazure_word,
-    divide_by_weyl_denominator,
-    sum_fraktur,
-    t_word,
-)
+from .operators import demazure_word, omega_apply, sum_fraktur, t_word
 from .root_system import (
     Coweight,
     RootSystem,
@@ -52,6 +48,11 @@ from .root_system import (
 def _require_dominant(lam: Coweight, what: str) -> None:
     if not is_dominant(lam):
         raise NonDominant(f"{what} requires a dominant coweight, got {lam}")
+
+
+def in_family_b(rs: RootSystem) -> bool:
+    """Whether rs is of type B_n, the family the Shalika and Bessel forms are defined on."""
+    return rs.cartan_type.family == "B"
 
 
 def multiply_binomials(rs: RootSystem, f: GroupRingElem, roots, q_exp: int, pi_sign: int) -> GroupRingElem:
@@ -72,27 +73,22 @@ def theorem_lhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
 
 
 def theorem_rhs(eps: HeckeCharacter, lam: Coweight, sign_corrected: bool = True) -> GroupRingElem:
-    """Alternator side of the identity, cleared to the group ring exactly.
+    """Alternator side of the identity, pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)).
 
-    ``sign_corrected=False`` drops the global (-1)^{l(w0)} factor and exists
-    only as a negative control; with it the identity fails on A1 already.
+    ``sign_corrected=False`` drops the global (-1)^{l(w0)} factor of Omega and
+    exists only as a negative control; with it the identity fails on A1 already.
     """
     rs = eps.root_system
     shift = eps.rho_eps
-    inner_exp = add_coweights(add_coweights(lam, add_coweights(shift, shift)), negate_coweight(rho(rs)))
-    inner = multiply_binomials(rs, GroupRingElem.monomial(inner_exp), eps.phi_q, 1, +1)
-    h = divide_by_weyl_denominator(rs, alternator(rs, inner))
-    out = multiply_binomials(rs, h, eps.phi_minus, 1, +1).translated(negate_coweight(shift))
-    if sign_corrected and weyl_group(rs).longest.length % 2:
-        out = -out
-    return out
+    start = GroupRingElem.monomial(add_coweights(lam, add_coweights(shift, shift)))
+    h = omega_apply(rs, multiply_binomials(rs, start, eps.phi_q, 1, +1), sign_corrected)
+    return multiply_binomials(rs, h, eps.phi_minus, 1, +1).translated(negate_coweight(shift))
 
 
 def weyl_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
-    """Highest-weight character chi_lambda = A(pi^{lambda+rho}) / A(pi^{rho})."""
+    """Highest-weight character chi_lambda = Omega(pi^{w0 lambda}) = A(pi^{lambda+rho}) / A(pi^{rho})."""
     _require_dominant(lam, "weyl_character")
-    skew = alternator(rs, GroupRingElem.monomial(add_coweights(lam, rho(rs))))
-    return divide_by_weyl_denominator(rs, skew)
+    return omega_apply(rs, GroupRingElem.monomial(weyl_group(rs).longest.apply(lam)))
 
 
 def demazure_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
@@ -125,9 +121,9 @@ def casselman_shalika(rs: RootSystem, lam: Coweight) -> CasselmanShalikaValue:
 def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     """Symmetrized spherical sum sum_w w(pi^lambda prod (1-q pi^{a^vee})/(1-pi^{a^vee})).
 
-    Summed as rational elements over the W-invariant common denominator
-    prod_{a in Phi} (1 - pi^{a^vee}), then cleared exactly. At lambda = 0 this
-    is the Poincare polynomial sum_w q^{l(w)}.
+    The numerators over the W-invariant common denominator
+    prod_{a in Phi} (1 - pi^{a^vee}) are summed, then divided once, exactly.
+    At lambda = 0 this is the Poincare polynomial sum_w q^{l(w)}.
     """
     _require_dominant(lam, "macdonald")
     g = weyl_group(rs)
@@ -141,10 +137,7 @@ def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
         0,
         -1,
     )
-    total = RationalElem(GroupRingElem.zero(rs.rank), den_full)
-    for w in g.elements:
-        total = total + RationalElem(weyl_act(w, num_bar), den_full)
-    return total.clear()
+    return exact_div(grsum(rs.rank, (weyl_act(w, num_bar) for w in g.elements)), den_full)
 
 
 @dataclass
@@ -160,21 +153,18 @@ def shalika(rs: RootSystem, lam: Coweight) -> ShalikaForms:
     """Both closed forms; they agree exactly because over the long positive
     roots 1 - q pi^{a^vee} = -q pi^{a^vee} (1 - q^-1 pi^{-a^vee}) and the number
     of long positive roots n(n-1) is even."""
-    if rs.cartan_type.family != "B":
+    if not in_family_b(rs):
         raise WrongFamily(f"shalika forms are defined for family B, got {rs.cartan_type}")
     _require_dominant(lam, "shalika")
     eps = character_by_name(rs, "neg-short")
     long_roots = eps.phi_q  # q-class = long roots for this character
     first = theorem_rhs(eps, lam)
 
-    inner = multiply_binomials(
-        rs, GroupRingElem.monomial(add_coweights(lam, rho(rs))), long_roots, -1, -1
-    )
-    h = divide_by_weyl_denominator(rs, alternator(rs, inner))
+    # q^{|long|} pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho} prod_long (1 - q^-1 pi^{-a^vee}))
+    start = GroupRingElem.monomial(add_coweights(lam, add_coweights(rho(rs), rho(rs))))
+    h = omega_apply(rs, multiply_binomials(rs, start, long_roots, -1, -1))
     out = multiply_binomials(rs, h, eps.phi_minus, 1, +1)
     out = out.translated(negate_coweight(eps.rho_eps)).scale_q({len(long_roots): 1})
-    if weyl_group(rs).longest.length % 2:
-        out = -out
     return ShalikaForms(theorem_form=first, rewritten_form=out)
 
 
@@ -236,7 +226,7 @@ def bessel_value(rs: RootSystem, strict: bool = False) -> BesselValue:
     non-strict report always carries the exact cofactor against the q-side
     product, which does exist in the ring.
     """
-    if rs.cartan_type.family != "B":
+    if not in_family_b(rs):
         raise WrongFamily(f"bessel value is defined for family B, got {rs.cartan_type}")
     eps = character_by_name(rs, "neg-long")
     value = theorem_lhs(eps, (0,) * rs.rank)

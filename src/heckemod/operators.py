@@ -23,27 +23,20 @@ with A = sum_w (-1)^{l(w)} w the signed symmetrization. The skew image is
 always divisible by the denominator A(pi^{rho}) = pi^{rho} prod (1 - pi^{-a^vee}),
 so Omega maps the group ring to itself. ``sign_corrected=False`` drops the
 global (-1)^{l(w0)} factor and exists only as a negative control.
+:func:`omega_apply` is the one place that runs the alternator and divides by
+the Weyl denominator; the alternator-side formulas are all built on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .algebra import (
-    GroupRingElem,
-    QDict,
-    RationalElem,
-    exact_div,
-    grsum,
-    weyl_act,
-)
+from .algebra import GroupRingElem, QDict, exact_div, grsum, weyl_act
 from .characters import HeckeCharacter
 from .errors import NonReducedWord
 from .root_system import (
     Coweight,
     RootSystem,
-    WeylElement,
     _matmul,
+    element_of_word,
     negate_coweight,
     reflect,
     rho,
@@ -73,6 +66,14 @@ def t_act(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
     return fs.scale_q(eps.eigenvalue_at(i)) + quot.scale_q(_ONE_MINUS_Q)
 
 
+def _require_reduced(rs: RootSystem, word) -> tuple[int, ...]:
+    """The word as a tuple; :class:`NonReducedWord` unless it is reduced."""
+    word = tuple(word)
+    if element_of_word(rs, word).length != len(word):
+        raise NonReducedWord(f"word {word} is not reduced")
+    return word
+
+
 def t_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
     """Compose T along a reduced word, rightmost letter acting first.
 
@@ -80,15 +81,7 @@ def t_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
     well-definedness, verified separately); a non-reduced word raises
     :class:`NonReducedWord` rather than silently computing something else.
     """
-    rs = eps.root_system
-    word = tuple(word)
-    g = weyl_group(rs)
-    m = g.identity.action
-    for i in word:
-        m = _matmul(m, simple_reflection_matrix(rs, i))
-    if g.element_of_matrix(m).length != len(word):
-        raise NonReducedWord(f"word {word} is not reduced")
-    for i in reversed(word):
+    for i in reversed(_require_reduced(eps.root_system, word)):
         f = t_act(eps, i, f)
     return f
 
@@ -103,14 +96,7 @@ def demazure(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
 
 def demazure_word(rs: RootSystem, word, f: GroupRingElem) -> GroupRingElem:
     """Compose d along a reduced word (rightmost first)."""
-    word = tuple(word)
-    g = weyl_group(rs)
-    m = g.identity.action
-    for i in word:
-        m = _matmul(m, simple_reflection_matrix(rs, i))
-    if g.element_of_matrix(m).length != len(word):
-        raise NonReducedWord(f"word {word} is not reduced")
-    for i in reversed(word):
+    for i in reversed(_require_reduced(rs, word)):
         f = demazure(rs, i, f)
     return f
 
@@ -198,56 +184,3 @@ def omega_apply(rs: RootSystem, f: GroupRingElem, sign_corrected: bool = True) -
     if sign_corrected and w0.length % 2:
         out = -out
     return out
-
-
-@dataclass
-class WeylOperator:
-    """Finite sum of rational-function coefficients times Weyl elements.
-
-    Application is (sum f_w w)(g) = sum f_w * w(g); composition follows
-    (f w)(g v) = (f * w(g)) (w v), extended bilinearly.
-    """
-
-    rs: RootSystem
-    terms: dict[WeylElement, RationalElem]
-
-    def apply(self, f: GroupRingElem | RationalElem) -> RationalElem:
-        if isinstance(f, GroupRingElem):
-            f = RationalElem(f)
-        total: RationalElem | None = None
-        for w, coeff in self.terms.items():
-            part = coeff * weyl_act(w, f)
-            total = part if total is None else total + part
-        return total if total is not None else RationalElem(GroupRingElem.zero(self.rs.rank))
-
-    def compose(self, other: "WeylOperator") -> "WeylOperator":
-        g = weyl_group(self.rs)
-        out: dict[WeylElement, RationalElem] = {}
-        for w, fw in self.terms.items():
-            for v, gv in other.terms.items():
-                wv = g.element_of_matrix(_matmul(w.action, v.action))
-                term = fw * weyl_act(w, gv)
-                out[wv] = out[wv] + term if wv in out else term
-        return WeylOperator(self.rs, out)
-
-    def __add__(self, other: "WeylOperator") -> "WeylOperator":
-        out = dict(self.terms)
-        for w, coeff in other.terms.items():
-            out[w] = out[w] + coeff if w in out else coeff
-        return WeylOperator(self.rs, out)
-
-
-def omega_operator(rs: RootSystem, sign_corrected: bool = True) -> WeylOperator:
-    """Omega as a formal operator sum with rational coefficients."""
-    g = weyl_group(rs)
-    den = weyl_denominator(rs).translated(negate_coweight(rho(rs)))  # prod (1 - pi^{-a^vee})
-    neg_rho = negate_coweight(rho(rs))
-    global_sign = -1 if (sign_corrected and g.longest.length % 2) else 1
-    terms: dict[WeylElement, RationalElem] = {}
-    for w in g.elements:
-        sign = global_sign * (-1 if w.length % 2 else 1)
-        mono = GroupRingElem.monomial(
-            tuple(a + b for a, b in zip(neg_rho, w.apply(neg_rho))), sign
-        )
-        terms[w] = RationalElem(mono, den)
-    return WeylOperator(rs, terms)

@@ -318,16 +318,18 @@ def weyl_group(rs: RootSystem, max_size: int | None = None) -> WeylGroup:
     reproducible. Raises :class:`WeylGroupTooLarge` when the group order
     exceeds ``max_size`` (default :data:`MAX_WEYL_DEFAULT`).
     """
-    key = (rs.cartan_type.family, rs.rank)
-    cached = _WEYL_CACHE.get(key)
-    if cached is not None:
-        return cached
+    # The cap is checked on every call, cached or not, so whether a call
+    # succeeds never depends on what ran before it.
     expected = weyl_order(rs.cartan_type)
     cap = MAX_WEYL_DEFAULT if max_size is None else max_size
     if expected > cap:
         raise WeylGroupTooLarge(
             f"|W({rs.cartan_type})| = {expected} exceeds the cap {cap}; pass max_size to allow"
         )
+    key = (rs.cartan_type.family, rs.rank)
+    cached = _WEYL_CACHE.get(key)
+    if cached is not None:
+        return cached
 
     n = rs.rank
     gens = [simple_reflection_matrix(rs, i) for i in range(n)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from typing import Callable, NamedTuple
 
 from .algebra import GroupRingElem, exact_div, specialize_q
 from .characters import HeckeCharacter, character_by_name, characters
@@ -22,6 +23,7 @@ from .formulas import (
     casselman_shalika,
     demazure_character,
     dominant_coweights_up_to_height,
+    in_family_b,
     macdonald,
     multiply_binomials,
     poincare_polynomial,
@@ -95,7 +97,10 @@ class VerifyResult:
 
 
 def _result(identity, eps_or_rs, character, checked, witness=None) -> VerifyResult:
+    """A pass when nothing failed, unless nothing was checked at all."""
     rs = eps_or_rs.root_system if isinstance(eps_or_rs, HeckeCharacter) else eps_or_rs
+    if checked == 0 and witness is None:
+        witness = {"error": "nothing was checked"}
     return VerifyResult(
         identity=identity,
         cartan=str(rs.cartan_type),
@@ -306,15 +311,17 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
     Left (s_i-invariance): D_{-1} * s_i(Theta pi^mu) = s_i(D_{-1}) * Theta pi^mu.
     Right: Theta(g pi^{s_i mu}) = -Theta(g pi^{mu + a_i^vee}), with g = 1 on the
     -1 classes and g = 1 - q pi^{-a_i^vee} on the q classes.
+    ``mutate="drop-right-sign"`` drops the minus sign of the right symmetry.
     """
     rs = eps.root_system
+    right_sign = 1 if mutate == "drop-right-sign" else -1
     d_minus = multiply_binomials(rs, GroupRingElem.one(rs.rank), eps.phi_minus, 1, +1)
     checked = 0
     for mu in monomials:
         theta = sum_fraktur(eps, GroupRingElem.monomial(mu))
         for i in range(rs.rank):
-            lhs = d_minus * weyl_act_simple(rs, i, theta)
-            rhs = weyl_act_simple(rs, i, d_minus) * theta
+            lhs = d_minus * s_image(rs, i, theta)
+            rhs = s_image(rs, i, d_minus) * theta
             checked += 1
             if lhs != rhs:
                 return _result(
@@ -330,7 +337,7 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
         for mu in monomials:
             smu = reflect(rs, i, mu)
             lhs = sum_fraktur(eps, g.translated(smu))
-            rhs = -sum_fraktur(eps, g.translated(tuple(a + b for a, b in zip(mu, av))))
+            rhs = sum_fraktur(eps, g.translated(tuple(a + b for a, b in zip(mu, av)))).scale(right_sign)
             checked += 1
             if lhs != rhs:
                 return _result(
@@ -338,10 +345,6 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
                     {"side": "right", "i": i + 1, "mu": list(mu)},
                 )
     return _result("omega-symmetry", eps, eps.name, checked)
-
-
-def weyl_act_simple(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
-    return s_image(rs, i, f)
 
 
 # --- cross identities from the formula layer --------------------------------
@@ -482,27 +485,71 @@ def verify_shalika(rs: RootSystem, height: int = 2, mutate: str | None = None) -
 
 # --- suite registry ----------------------------------------------------------
 
-#: suite name -> (per_character, family_filter, mutations)
-SUITES = {
-    "quadratic": (True, None, ("q-squared",)),
-    "braid": (True, None, ("mismatched-character",)),
-    "bernstein": (True, None, ("flip-correction-sign",)),
-    "deformed-demazure": (True, None, ("swap-cases",)),
-    "rho-pairing": (True, None, ("shift-rho",)),
-    "operator-identity": (True, None, ("drop-sign-correction",)),
-    "intertwiner": (True, None, ("swap-cases",)),
-    "omega-symmetry": (True, None, ()),
-    "q-zero-degeneration": (True, None, ()),
-    "character-formulas": (False, None, ("drop-rho-shift",)),
-    "casselman-shalika": (False, None, ("drop-q-power",)),
-    "macdonald": (False, None, ("shift-poincare",)),
-    "bessel-intertwiner": (False, "B", ()),
-    "bessel-value": (False, "B", ("drop-cofactor",)),
-    "shalika": (False, "B", ("drop-long-q-power",)),
+
+class Suite(NamedTuple):
+    """One registered suite.
+
+    ``run(subject, box, small, mutate)`` runs the verifier on one character
+    (``per_character``) or on the root system, with the suite's own slices of
+    the main box and of the fixed radius-1 box ``small``. The verifier is
+    looked up by name on each call, so a wrapper installed on the module
+    attribute sees every run. ``mutations`` are the suite's negative
+    controls; the benchmark runs the first one.
+    """
+
+    per_character: bool
+    applies: Callable[[RootSystem], bool]
+    mutations: tuple[str, ...]
+    run: Callable[..., VerifyResult]
+
+
+def _any_type(rs: RootSystem) -> bool:
+    return True
+
+
+def _rank_two_up(rs: RootSystem) -> bool:
+    # In rank one no element has two reduced words, so braid has nothing to check.
+    return rs.rank >= 2
+
+
+SUITES: dict[str, Suite] = {
+    "quadratic": Suite(True, _any_type, ("q-squared",),
+                       lambda eps, box, small, m: verify_quadratic(eps, box, mutate=m)),
+    "braid": Suite(True, _rank_two_up, ("mismatched-character",),
+                   lambda eps, box, small, m: verify_braid(eps, small[:2], mutate=m)),
+    "bernstein": Suite(True, _any_type, ("flip-correction-sign",),
+                       lambda eps, box, small, m: verify_bernstein(eps, box[:40], small[:9], mutate=m)),
+    "deformed-demazure": Suite(True, _any_type, ("swap-cases",),
+                               lambda eps, box, small, m: verify_deformed_demazure(eps, box, mutate=m)),
+    "rho-pairing": Suite(True, _any_type, ("shift-rho",),
+                         lambda eps, box, small, m: verify_rho_pairing(eps, mutate=m)),
+    "operator-identity": Suite(True, _any_type, ("drop-sign-correction",),
+                               lambda eps, box, small, m: verify_operator_identity(eps, box, mutate=m)),
+    "intertwiner": Suite(True, _any_type, ("swap-cases",),
+                         lambda eps, box, small, m: verify_intertwiner(eps, box, mutate=m)),
+    "omega-symmetry": Suite(True, _any_type, ("drop-right-sign",),
+                            lambda eps, box, small, m: verify_omega_symmetry(eps, small, mutate=m)),
+    "q-zero-degeneration": Suite(True, _any_type, ("wrong-specialization",),
+                                 lambda eps, box, small, m: verify_q_zero_degeneration(eps, box, mutate=m)),
+    "character-formulas": Suite(False, _any_type, ("drop-rho-shift",),
+                                lambda rs, box, small, m: verify_character_formulas(rs, mutate=m)),
+    "casselman-shalika": Suite(False, _any_type, ("drop-q-power",),
+                               lambda rs, box, small, m: verify_casselman_shalika(rs, mutate=m)),
+    "macdonald": Suite(False, _any_type, ("shift-poincare",),
+                       lambda rs, box, small, m: verify_macdonald(rs, mutate=m)),
+    "bessel-intertwiner": Suite(False, in_family_b, ("swap-cases",),
+                                lambda rs, box, small, m: verify_bessel_intertwiner(rs, box, mutate=m)),
+    "bessel-value": Suite(False, in_family_b, ("drop-cofactor",),
+                          lambda rs, box, small, m: verify_bessel_value(rs, mutate=m)),
+    "shalika": Suite(False, in_family_b, ("drop-long-q-power",),
+                     lambda rs, box, small, m: verify_shalika(rs, mutate=m)),
 }
 
-MUTATION_SUITE = {
-    mutation: name for name, (_, _, mutations) in SUITES.items() for mutation in mutations
+#: mutation -> every suite that registers it, in registry order.
+MUTATION_SUITES: dict[str, tuple[str, ...]] = {
+    mutation: tuple(name for name, suite in SUITES.items() if mutation in suite.mutations)
+    for suite in SUITES.values()
+    for mutation in suite.mutations
 }
 
 
@@ -514,48 +561,32 @@ def run_suite(
     mutate: str | None = None,
 ) -> list[VerifyResult]:
     """Run one named suite on one type; returns one result per character when
-    the suite is character-indexed."""
+    the suite is character-indexed, and none when it does not apply."""
     rs = build_root_system(type_name)
-    per_character, family, _ = SUITES[suite]
-    if family is not None and rs.cartan_type.family != family:
+    entry = SUITES[suite]
+    if not entry.applies(rs):
         return []
     box = monomial_box(rs.rank, radius, cap)
     small = monomial_box(rs.rank, 1, 30)
-    results: list[VerifyResult] = []
-    if per_character:
-        for eps in characters(rs):
-            if suite == "quadratic":
-                results.append(verify_quadratic(eps, box, mutate=mutate))
-            elif suite == "braid":
-                results.append(verify_braid(eps, small[:2], mutate=mutate))
-            elif suite == "bernstein":
-                results.append(verify_bernstein(eps, box[: min(len(box), 40)], small[:9], mutate=mutate))
-            elif suite == "deformed-demazure":
-                results.append(verify_deformed_demazure(eps, box, mutate=mutate))
-            elif suite == "rho-pairing":
-                results.append(verify_rho_pairing(eps, mutate=mutate))
-            elif suite == "operator-identity":
-                results.append(verify_operator_identity(eps, box, mutate=mutate))
-            elif suite == "intertwiner":
-                results.append(verify_intertwiner(eps, box, mutate=mutate))
-            elif suite == "omega-symmetry":
-                results.append(verify_omega_symmetry(eps, small, mutate=mutate))
-            elif suite == "q-zero-degeneration":
-                results.append(verify_q_zero_degeneration(eps, box, mutate=mutate))
-    else:
-        if suite == "character-formulas":
-            results.append(verify_character_formulas(rs, mutate=mutate))
-        elif suite == "casselman-shalika":
-            results.append(verify_casselman_shalika(rs, mutate=mutate))
-        elif suite == "macdonald":
-            results.append(verify_macdonald(rs, mutate=mutate))
-        elif suite == "bessel-intertwiner":
-            results.append(verify_bessel_intertwiner(rs, box, mutate=mutate))
-        elif suite == "bessel-value":
-            results.append(verify_bessel_value(rs, mutate=mutate))
-        elif suite == "shalika":
-            results.append(verify_shalika(rs, mutate=mutate))
-    return results
+    subjects = characters(rs) if entry.per_character else [rs]
+    return [entry.run(subject, box, small, mutate) for subject in subjects]
+
+
+def suite_tasks(types, suites=None, mutate: str | None = None, max_rank: int | None = None) -> list[tuple[str, str]]:
+    """(suite, type) pairs to run, types outermost, each suite only on the types
+    it applies to. A mutation selects every suite that owns it; otherwise
+    ``suites`` defaults to all of them."""
+    if mutate is not None:
+        suites = MUTATION_SUITES[mutate]
+    elif suites is None:
+        suites = list(SUITES)
+    tasks = []
+    for type_name in types:
+        rs = build_root_system(type_name)
+        if max_rank is not None and rs.rank > max_rank:
+            continue
+        tasks.extend((suite, type_name) for suite in suites if SUITES[suite].applies(rs))
+    return tasks
 
 
 def run_verification(
@@ -566,17 +597,9 @@ def run_verification(
     mutate: str | None = None,
     max_rank: int | None = None,
 ) -> list[VerifyResult]:
-    """Run suites over types; with a mutation, only its owning suite runs."""
-    if mutate is not None:
-        suites = [MUTATION_SUITE[mutate]]
-    elif suites is None:
-        suites = list(SUITES)
+    """Run suites over types; with a mutation, only the suites owning it run."""
     results: list[VerifyResult] = []
-    for type_name in types:
-        rs = build_root_system(type_name)
-        if max_rank is not None and rs.rank > max_rank:
-            continue
-        for suite in suites:
-            results.extend(run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate))
+    for suite, type_name in suite_tasks(types, suites, mutate, max_rank):
+        results.extend(run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate))
     results.sort(key=lambda r: (r.identity, r.cartan, r.character or ""))
     return results

@@ -152,3 +152,63 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(q + 1)"
+
+
+def test_out_of_range_numbers_exit_2(capsys, tmp_path):
+    for argv in (
+        ("verify", "--type", "A1", "--box", "-1"),
+        ("verify", "--type", "A1", "--cap", "0"),
+        ("verify", "--type", "A1", "--jobs", "0"),
+        ("table", "--type", "A1", "--height", "-1", "--out", str(tmp_path)),
+        ("table", "--type", "A1", "--jobs", "0", "--out", str(tmp_path)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == "" and "must be at least" in err, argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_braid_skips_rank_one(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--type", "A1", "--type", "A2", "--suite", "braid", "--box", "0")
+    assert code == 0
+    assert " A1 " not in out
+    assert "OK: 2/2" in out
+    code, out, err = run_cli(capsys, "verify", "--type", "A1", "--suite", "braid")
+    assert code == 2 and out == "" and "nothing to verify" in err
+
+
+class _RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records max_workers."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        _RecordingPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
+    import heckemod.cli as cli
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+    code, _, _ = run_cli(capsys, "verify", "--type", "A1", "--suite", "rho-pairing",
+                         "--suite", "quadratic", "--box", "0", "--jobs", "64")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "table", "--type", "A1", "--height", "2", "--formulas", "weyl-char",
+                         "--out", str(tmp_path), "--jobs", "64")
+    assert code == 0
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    run_cli(capsys, "table", "--type", "A1", "--height", "2", "--formulas", "weyl-char",
+            "--out", str(tmp_path), "--jobs", "64")
+    # 2 verify tasks, 3 table rows, then 3 rows on 2 CPUs.
+    assert _RecordingPool.sizes == [2, 3, 2]

@@ -3,18 +3,16 @@ conjugated-generator case formula, and the operator-algebra laws."""
 
 import pytest
 
-from heckemod.algebra import GroupRingElem, RationalElem, exact_div, grsum
+from heckemod.algebra import GroupRingElem, exact_div, grsum
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.operators import (
-    WeylOperator,
     alternator,
     demazure,
     fraktur_t,
     fraktur_word,
     intertwiner_op,
     omega_apply,
-    omega_operator,
     s_image,
     sum_fraktur,
     t_act,
@@ -161,38 +159,20 @@ def test_omega_small_values():
 
 @pytest.mark.parametrize("name", ["A2", "B2"])
 def test_omega_reproduces_characters(name):
-    from heckemod.formulas import dominant_coweights_up_to_height, weyl_character
+    # weyl_character is omega_apply(pi^{w0 lambda}); the Demazure composition is
+    # the independent side.
+    from heckemod.formulas import demazure_character, dominant_coweights_up_to_height, weyl_character
 
     rs = build_root_system(name)
     w0 = weyl_group(rs).longest
     for lam in dominant_coweights_up_to_height(rs, 3):
-        assert omega_apply(rs, GroupRingElem.monomial(w0.apply(lam))) == weyl_character(rs, lam)
-
-
-def test_omega_operator_matches_direct_application():
-    rs = build_root_system("A2")
-    op = omega_operator(rs)
-    for mu in monomial_box(2, 1, 9):
-        f = GroupRingElem.monomial(mu)
-        assert op.apply(f).clear() == omega_apply(rs, f)
+        chi = omega_apply(rs, GroupRingElem.monomial(w0.apply(lam)))
+        assert chi == weyl_character(rs, lam) == demazure_character(rs, lam)
 
 
 def test_omega_uncorrected_flips_sign_in_odd_rank():
     rs = build_root_system("A1")
     assert omega_apply(rs, ONE1, sign_corrected=False) == -ONE1
-
-
-def test_weyl_operator_composition_law():
-    rs = build_root_system("A2")
-    g = weyl_group(rs)
-    f1 = RationalElem(GroupRingElem.monomial((1, 0)), GroupRingElem.one(2) - GroupRingElem.monomial((0, -1)))
-    f2 = RationalElem(GroupRingElem.monomial((0, 1)) + GroupRingElem.one(2))
-    a = WeylOperator(rs, {g.elements[1]: f1, g.elements[0]: f2})
-    b = WeylOperator(rs, {g.elements[2]: f2, g.elements[3]: f1})
-    composed = a.compose(b)
-    for mu in [(1, 0), (-1, 2)]:
-        f = GroupRingElem.monomial(mu)
-        assert composed.apply(f) == a.apply(b.apply(f))
 
 
 def test_weyl_denominator_product_form():

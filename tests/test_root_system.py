@@ -223,7 +223,16 @@ def test_f4_behind_size_guard():
         enumerate_weyl(rs)
     elements = enumerate_weyl(rs, max_size=1152)
     assert len(elements) == 1152
-    assert longest_element(rs).length == 24
+    assert longest_element(rs, max_size=1152).length == 24
+
+
+def test_f4_guard_holds_after_a_raised_cap_call():
+    rs = build_root_system("F4")
+    assert len(weyl_group(rs, max_size=1152)) == 1152
+    with pytest.raises(WeylGroupTooLarge):
+        weyl_group(rs)
+    with pytest.raises(WeylGroupTooLarge):
+        longest_element(rs)
 
 
 def test_element_of_word_handles_unreduced_spellings():

@@ -5,7 +5,7 @@ import pytest
 from heckemod.characters import character_by_name
 from heckemod.root_system import build_root_system
 from heckemod.verify import (
-    MUTATION_SUITE,
+    MUTATION_SUITES,
     SUITES,
     monomial_box,
     run_suite,
@@ -28,6 +28,16 @@ def test_suite_passes_on_small_types(suite):
 def test_family_guarded_suites_skip_other_types():
     assert run_suite("bessel-value", "A2") == []
     assert run_suite("shalika", "G2") == []
+    assert run_suite("braid", "A1") == []  # no A1 element has two reduced words
+
+
+def test_zero_checks_is_not_a_pass():
+    results = run_suite("quadratic", "A1", radius=-1)
+    assert results
+    for r in results:
+        assert r.checked == 0
+        assert not r.passed
+        assert r.witness == {"error": "nothing was checked"}
 
 
 def test_bessel_value_suite_holds_beyond_b3():
@@ -40,11 +50,30 @@ def test_bessel_value_suite_holds_beyond_b3():
     assert mutated.witness["expected"] == "1"
 
 
-@pytest.mark.parametrize("mutation", sorted(MUTATION_SUITE))
+@pytest.mark.parametrize("mutation", sorted(MUTATION_SUITES))
 def test_mutations_fail(mutation):
     results = run_verification(types=("A1", "B2"), radius=1, cap=30, mutate=mutation)
     assert results, mutation
     assert any(not r.passed for r in results), mutation
+
+
+@pytest.mark.parametrize(
+    "suite,mutation", [(suite, m) for suite in sorted(SUITES) for m in SUITES[suite].mutations]
+)
+def test_every_registered_control_fails(suite, mutation):
+    # Each owner of a mutation must fail on its own, not just one of them.
+    results = [r for t in ("A1", "B2") for r in run_suite(suite, t, radius=1, cap=30, mutate=mutation)]
+    assert any(not r.passed for r in results), (suite, mutation)
+
+
+def test_every_suite_registers_a_control():
+    assert all(entry.mutations for entry in SUITES.values())
+
+
+def test_shared_mutation_runs_every_owner():
+    assert MUTATION_SUITES["swap-cases"] == ("deformed-demazure", "intertwiner", "bessel-intertwiner")
+    results = run_verification(types=("B2",), radius=0, cap=1, mutate="swap-cases")
+    assert {r.identity for r in results} == set(MUTATION_SUITES["swap-cases"])
 
 
 def test_quadratic_mutation_witness():
