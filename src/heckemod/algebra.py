@@ -4,8 +4,14 @@ A group-ring element is a sparse map from coweights (integer tuples in the
 fundamental-coweight basis) to q-Laurent coefficients, themselves sparse maps
 from q-exponents to arbitrary-precision integers. Neither level stores zeros.
 
-The one non-obvious operation is :func:`exact_div`. Monomial exponents live in
-Z^n, where lexicographic order is total but not well-founded, so plain
+Every division the operators make is by a binomial 1 - pi^v, and
+:func:`divide_by_binomial` does it in one pass: the quotient g satisfies
+g(mu) = f(mu) + g(mu - v), so each v-string of the support is walked upward
+once, and a string whose running sum does not close to zero raises
+:class:`NotDivisible`.
+
+:func:`exact_div` is the generic fallback for any divisor. Monomial exponents
+live in Z^n, where lexicographic order is total but not well-founded, so plain
 leading-monomial elimination need not terminate on non-divisible input. Both
 supports are therefore translated into N^n first (exact, since monomials are
 units); on N^n lexicographic order is a well-order and elimination must halt,
@@ -338,6 +344,38 @@ def exact_div(f: GroupRingElem, g: GroupRingElem) -> GroupRingElem:
                 rem.pop(kk, None)
     shift = tuple(x - y for x, y in zip(fmin, gmin))
     return GroupRingElem(n, {tuple(x + y for x, y in zip(k, shift)): v for k, v in quot.items()})
+
+
+def divide_by_binomial(f: GroupRingElem, v: Coweight) -> GroupRingElem:
+    """Exact quotient f / (1 - pi^v) for v != 0; raises :class:`NotDivisible`
+    when none exists.
+
+    The support is grouped into v-strings mu + Z v, each keyed by its point
+    whose first nonzero v-coordinate is reduced modulo that coordinate. Along
+    a string the quotient obeys g(mu) = f(mu) + g(mu - v): a running sum from
+    the lowest point, which must be zero again after the highest.
+    """
+    j = next((k for k, c in enumerate(v) if c), None)
+    if j is None:
+        raise ZeroDivisionError("division by 1 - pi^0 = 0")
+    vj = v[j]
+    strings: dict[Coweight, dict[int, QDict]] = {}
+    for mu, qd in f.coeffs.items():
+        t = mu[j] // vj
+        base = tuple(m - t * c for m, c in zip(mu, v))
+        strings.setdefault(base, {})[t] = qd
+    out: dict[Coweight, QDict] = {}
+    for base, points in strings.items():
+        steps = sorted(points)
+        run: QDict = {}
+        for t, t_next in zip(steps, steps[1:]):
+            run = qd_add(run, points[t])
+            if run:
+                for s in range(t, t_next):
+                    out[tuple(b + s * c for b, c in zip(base, v))] = run
+        if qd_add(run, points[steps[-1]]):
+            raise NotDivisible(f"no exact quotient by 1 - pi^{list(v)}")
+    return GroupRingElem(f.rank, out)
 
 
 def grsum(rank: int, terms) -> GroupRingElem:

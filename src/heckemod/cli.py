@@ -410,9 +410,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_lambda(argv: list[str]) -> list[str]:
+    """Rewrite ``--lambda -1,2`` as ``--lambda=-1,2``.
+
+    argparse reads a value that starts with ``-`` and is not a plain negative
+    number as the next option, so a coweight whose first coordinate is
+    negative would otherwise need the ``=`` form.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--lambda" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--lambda={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_lambda(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except DomainExit as exc:

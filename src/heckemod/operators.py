@@ -15,9 +15,11 @@ satisfy 1 + frak_t_i = (1 - q pi^{alpha_i^vee}) d_i on the -1 classes and
 d_i (1 - q pi^{alpha_i^vee}) on the q classes; the verifiers in
 :mod:`heckemod.verify` machine-check these identities.
 
-The alternator-side operator is implemented in the sign-corrected form
+Every division here is by a binomial 1 - pi^v and goes through
+:func:`heckemod.algebra.divide_by_binomial`; the generic ``exact_div`` is not
+used. The alternator-side operator is implemented in the sign-corrected form
 
-    Omega(f) = (-1)^{l(w0)} * exact_div(A(pi^{-rho} f), A(pi^{rho})),
+    Omega(f) = (-1)^{l(w0)} * A(pi^{-rho} f) / A(pi^{rho}),
 
 with A = sum_w (-1)^{l(w)} w the signed symmetrization. The skew image is
 always divisible by the denominator A(pi^{rho}) = pi^{rho} prod (1 - pi^{-a^vee}),
@@ -29,18 +31,16 @@ the Weyl denominator; the alternator-side formulas are all built on it.
 
 from __future__ import annotations
 
-from .algebra import GroupRingElem, QDict, exact_div, grsum, weyl_act
+from .algebra import GroupRingElem, QDict, divide_by_binomial, grsum, weyl_act
 from .characters import HeckeCharacter
 from .errors import NonReducedWord
 from .root_system import (
     Coweight,
     RootSystem,
-    _matmul,
     element_of_word,
     negate_coweight,
     reflect,
     rho,
-    simple_reflection_matrix,
     weyl_group,
 )
 
@@ -61,8 +61,7 @@ def t_act(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
     """Left action of the generator T_{s_i} on f in the module of eps."""
     rs = eps.root_system
     fs = s_image(rs, i, f)
-    neg_av = negate_coweight(rs.simple_coroots[i])
-    quot = exact_div(fs - f, _one_minus_pi(rs.rank, neg_av))
+    quot = divide_by_binomial(fs - f, negate_coweight(rs.simple_coroots[i]))
     return fs.scale_q(eps.eigenvalue_at(i)) + quot.scale_q(_ONE_MINUS_Q)
 
 
@@ -89,9 +88,8 @@ def t_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
 def demazure(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
     """Demazure operator d_i; the division is exact for every input."""
     neg_av = negate_coweight(rs.simple_coroots[i])
-    num = f.translated(neg_av) - s_image(rs, i, f)
-    den = GroupRingElem.monomial(neg_av) - GroupRingElem.one(rs.rank)
-    return exact_div(num, den)
+    # (pi^{-a^vee} f - f^{s_i}) / (pi^{-a^vee} - 1), both signs flipped.
+    return divide_by_binomial(s_image(rs, i, f) - f.translated(neg_av), neg_av)
 
 
 def demazure_word(rs: RootSystem, word, f: GroupRingElem) -> GroupRingElem:
@@ -133,21 +131,22 @@ def intertwiner_op(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingEl
 def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
     """Sum of frak_t_w over the whole Weyl group, applied to f.
 
-    Computed by dynamic programming over left descents: the value at w is
-    frak_t_i of the value at s_i w, with i the first letter of the stored
-    reduced word. One generator application per group element.
+    The sum factors as the product of the sums over the parabolic levels of
+    :class:`heckemod.root_system.WeylGroup`, applied innermost level first.
+    Within a level, dynamic programming over left descents: the value at u is
+    frak_t_i of the value at s_i u, with i the first letter of the stored
+    reduced word, and s_i u stays in the level. One generator application per
+    non-identity element of each level: 9 on B3 instead of |W| - 1 = 47.
     """
     rs = eps.root_system
     g = weyl_group(rs)
-    values: list[GroupRingElem | None] = [None] * len(g.elements)
-    values[0] = f
-    for idx, w in enumerate(g.elements):
-        if w.length == 0:
-            continue
-        i = w.word[0]
-        parent = g.index_by_matrix[_matmul(simple_reflection_matrix(rs, i), w.action)]
-        values[idx] = fraktur_t(eps, i, values[parent])
-    return grsum(rs.rank, values)
+    for level in reversed(g.levels):
+        values = {0: f}
+        for idx in level[1:]:
+            i = g.elements[idx].word[0]
+            values[idx] = fraktur_t(eps, i, values[g.left[i][idx]])
+        f = grsum(rs.rank, values.values())
+    return f
 
 
 def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
@@ -168,11 +167,10 @@ def weyl_denominator(rs: RootSystem) -> GroupRingElem:
 
 
 def divide_by_weyl_denominator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
-    # Dividing factor by factor is exact whenever the full division is, and
-    # binomial divisors keep every elimination step cheap.
+    # Dividing factor by factor is exact whenever the full division is.
     out = f
     for root in rs.positive_roots:
-        out = exact_div(out, _one_minus_pi(rs.rank, negate_coweight(rs.coroot_of[root])))
+        out = divide_by_binomial(out, negate_coweight(rs.coroot_of[root]))
     return out.translated(negate_coweight(rho(rs)))
 
 

@@ -290,11 +290,24 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """Fully enumerated Weyl group with matrix lookup tables."""
+    """Fully enumerated Weyl group with its multiplication tables.
+
+    ``right[i][k]`` and ``left[i][k]`` are the indices of ``w s_i`` and
+    ``s_i w`` for ``w = elements[k]``. ``levels[k]`` lists, in element order,
+    the minimal coset representatives of W_{J_{k+1}} in W_{J_k}, where
+    J_k = {k, ..., n-1} and W_{J_n} is trivial; every w factors uniquely as
+    u_0 u_1 ... u_{n-1} with u_k in ``levels[k]`` and lengths adding, so a sum
+    over W is the product of the level sums (Bjorner-Brenti, Combinatorics of
+    Coxeter Groups, section 2.4). Each level is closed under removing a left
+    descent (Deodhar's lemma) and starts with the identity.
+    """
 
     elements: tuple[WeylElement, ...]
     index_by_matrix: dict[Matrix, int]
     longest: WeylElement
+    right: tuple[tuple[int, ...], ...]
+    left: tuple[tuple[int, ...], ...]
+    levels: tuple[tuple[int, ...], ...]
 
     @property
     def identity(self) -> WeylElement:
@@ -310,13 +323,28 @@ class WeylGroup:
 _WEYL_CACHE: dict[tuple[str, int], WeylGroup] = {}
 
 
+def _parabolic_levels(elements, right) -> tuple[tuple[int, ...], ...]:
+    """Level k: the elements of W_{J_k} with no right descent in J_{k+1}."""
+    n = len(right)
+    levels = []
+    for k in range(n):
+        levels.append(tuple(
+            idx for idx, w in enumerate(elements)
+            if min(w.word, default=k) >= k
+            and all(elements[right[j][idx]].length > w.length for j in range(k + 1, n))
+        ))
+    return tuple(levels)
+
+
 def weyl_group(rs: RootSystem, max_size: int | None = None) -> WeylGroup:
     """Enumerate the Weyl group by BFS over right multiplication by the s_i.
 
     BFS discovery order with generators tried in increasing index yields the
     ShortLex-minimal reduced word for every element, so the enumeration is
-    reproducible. Raises :class:`WeylGroupTooLarge` when the group order
-    exceeds ``max_size`` (default :data:`MAX_WEYL_DEFAULT`).
+    reproducible. The right multiplication table is recorded during the BFS;
+    the left one follows from s_i (v s_j) = (s_i v) s_j along each stored
+    word. Raises :class:`WeylGroupTooLarge` when the group order exceeds
+    ``max_size`` (default :data:`MAX_WEYL_DEFAULT`).
     """
     # The cap is checked on every call, cached or not, so whether a call
     # succeeds never depends on what ran before it.
@@ -336,6 +364,7 @@ def weyl_group(rs: RootSystem, max_size: int | None = None) -> WeylGroup:
     ident: Matrix = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     elements: list[WeylElement] = [WeylElement((), ident, 0)]
     index: dict[Matrix, int] = {ident: 0}
+    right: list[list[int]] = [[] for _ in range(n)]
     head = 0
     while head < len(elements):
         w = elements[head]
@@ -345,13 +374,26 @@ def weyl_group(rs: RootSystem, max_size: int | None = None) -> WeylGroup:
             if m not in index:
                 index[m] = len(elements)
                 elements.append(WeylElement(w.word + (i,), m, w.length + 1))
+            right[i].append(index[m])
     if len(elements) != expected:
         raise AssertionError(f"enumerated {len(elements)} elements, expected {expected}")
+
+    left: list[list[int]] = [[right[i][0]] for i in range(n)]
+    for idx in range(1, len(elements)):
+        j = elements[idx].word[-1]
+        parent = right[j][idx]
+        for i in range(n):
+            left[i].append(right[j][left[i][parent]])
 
     top = [w for w in elements if w.length == elements[-1].length]
     if len(top) != 1:
         raise AssertionError("longest element is not unique")
-    group = WeylGroup(tuple(elements), index, top[0])
+    group = WeylGroup(
+        tuple(elements), index, top[0],
+        right=tuple(map(tuple, right)),
+        left=tuple(map(tuple, left)),
+        levels=_parabolic_levels(elements, right),
+    )
     _WEYL_CACHE[key] = group
     return group
 
@@ -368,7 +410,7 @@ def longest_element(rs: RootSystem, max_size: int | None = None) -> WeylElement:
 def element_of_word(rs: RootSystem, word: tuple[int, ...] | list[int]) -> WeylElement:
     """The enumerated element spelled by an arbitrary word of simple reflections."""
     g = weyl_group(rs)
-    m = g.identity.action
+    k = 0
     for i in word:
-        m = _matmul(m, simple_reflection_matrix(rs, i))
-    return g.element_of_matrix(m)
+        k = g.right[i][k]
+    return g.elements[k]

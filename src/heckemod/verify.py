@@ -46,11 +46,9 @@ from .operators import (
 from .root_system import (
     Coweight,
     RootSystem,
-    _matmul,
     build_root_system,
     negate_coweight,
     reflect,
-    simple_reflection_matrix,
 )
 
 #: Types exercised by the default verification run.
@@ -62,7 +60,14 @@ BOX_CAP_DEFAULT = 200
 
 def monomial_box(rank: int, radius: int = BOX_RADIUS_DEFAULT, cap: int = BOX_CAP_DEFAULT) -> list[Coweight]:
     """Lex-ordered coweights in [-radius, radius]^rank, deterministically
-    subsampled by a fixed stride when the box exceeds ``cap``."""
+    subsampled by a fixed stride when the box exceeds ``cap``.
+
+    Raises ``ValueError`` for ``radius < 0`` or ``cap < 1``: neither gives a box.
+    """
+    if radius < 0:
+        raise ValueError(f"box radius must be at least 0, got {radius}")
+    if cap < 1:
+        raise ValueError(f"box cap must be at least 1, got {cap}")
     box = list(iproduct(range(-radius, radius + 1), repeat=rank))
     if len(box) <= cap:
         return box
@@ -147,20 +152,20 @@ def verify_quadratic(eps: HeckeCharacter, monomials, mutate: str | None = None) 
     return _result("quadratic", eps, eps.name, checked)
 
 
-def _reduced_words(rs: RootSystem, w, cache) -> list[tuple[int, ...]]:
-    got = cache.get(w.action)
+def _reduced_words(g, idx: int, cache) -> list[tuple[int, ...]]:
+    """Every reduced word of ``g.elements[idx]``, by its left descents."""
+    got = cache.get(idx)
     if got is not None:
         return got
-    if w.length == 0:
+    length = g.elements[idx].length
+    if length == 0:
         out = [()]
     else:
-        g = weyl_group(rs)
         out = []
-        for i in range(rs.rank):
-            v = g.element_of_matrix(_matmul(simple_reflection_matrix(rs, i), w.action))
-            if v.length == w.length - 1:
-                out.extend((i,) + rest for rest in _reduced_words(rs, v, cache))
-    cache[w.action] = out
+        for i, row in enumerate(g.left):
+            if g.elements[row[idx]].length == length - 1:
+                out.extend((i,) + rest for rest in _reduced_words(g, row[idx], cache))
+    cache[idx] = out
     return out
 
 
@@ -176,8 +181,8 @@ def verify_braid(eps: HeckeCharacter, monomials, mutate: str | None = None) -> V
     checked = 0
     for mu in monomials:
         f = GroupRingElem.monomial(mu)
-        for w in g.elements:
-            words = _reduced_words(rs, w, cache)
+        for idx, w in enumerate(g.elements):
+            words = _reduced_words(g, idx, cache)
             if len(words) < 2:
                 continue
             reference = t_word(eps, words[0], f)

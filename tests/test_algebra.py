@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from heckemod.algebra import (
     GroupRingElem,
     RationalElem,
+    divide_by_binomial,
     exact_div,
     grsum,
     qd_str,
@@ -100,6 +101,36 @@ def test_ring_axioms(f, g, h):
 @settings(max_examples=60, deadline=None)
 def test_exact_div_roundtrip(f, g):
     assert exact_div(f * g, g) == f
+
+
+nonzero_coords2 = coords2.filter(any)
+
+
+def one_minus_pi(v):
+    return GroupRingElem.one(len(v)) - GroupRingElem.monomial(v)
+
+
+@given(ring_elems(), nonzero_coords2)
+@settings(max_examples=60, deadline=None)
+def test_divide_by_binomial_roundtrip(g, v):
+    assert divide_by_binomial(g * one_minus_pi(v), v) == g
+
+
+@given(ring_elems(), nonzero_coords2)
+@settings(max_examples=100, deadline=None)
+def test_divide_by_binomial_agrees_with_exact_div(f, v):
+    try:
+        expected = exact_div(f, one_minus_pi(v))
+    except NotDivisible:
+        with pytest.raises(NotDivisible):
+            divide_by_binomial(f, v)
+    else:
+        assert divide_by_binomial(f, v) == expected
+
+
+def test_divide_by_binomial_rejects_zero_exponent():
+    with pytest.raises(ZeroDivisionError):
+        divide_by_binomial(GroupRingElem.one(2), (0, 0))
 
 
 @given(ring_elems())

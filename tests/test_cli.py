@@ -61,6 +61,14 @@ def test_eval_shalika_both_forms(capsys):
     assert "forms_agree: True" in out
 
 
+def test_eval_lambda_with_negative_first_coordinate(capsys):
+    base = ("eval", "--type", "B2", "--character", "triv", "--formula", "theorem-lhs")
+    code, out, err = run_cli(capsys, *base, "--lambda", "-1,2")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *base, "--lambda=-1,2") == (0, out, "")
+    assert run_cli(capsys, "eval", "--type", "A1", "--formula", "macdonald", "--lambda", "-1,2")[0] == 2
+
+
 def test_parse_errors_exit_2(capsys):
     assert run_cli(capsys, "eval", "--type", "Z1", "--formula", "macdonald", "--lambda", "0")[0] == 2
     assert run_cli(capsys, "eval", "--type", "A1", "--formula", "no-such", "--lambda", "0")[0] == 2

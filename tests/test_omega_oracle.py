@@ -1,4 +1,4 @@
-"""Independent oracle for Omega: the alternator quotient as a sympy rational function.
+"""Independent oracle for Omega and the operators below it, as sympy rational functions.
 
 Nothing here uses heckemod's Weyl groups, root data, ring arithmetic or exact
 division. The Weyl action, the positive coroots and the sign of each element
@@ -7,7 +7,12 @@ come from the literal Cartan matrix; sympy forms
     (-1)^{l(w0)} sum_w (-1)^{l(w)} w(x^{-rho} f) / (x^{rho} prod_{a>0} (1 - x^{-a^vee}))
 
 and cancels it, and the result must equal ``omega_apply`` on fixed random
-Laurent polynomials in q and pi.
+Laurent polynomials in q and pi. The same way, with the simple reflections
+read off the Cartan matrix, sympy checks the generator action ``t_act`` (the
+eigenvalue -1 or q of each character is the one input taken from heckemod),
+the Demazure operator and the binomial division ``divide_by_binomial``,
+which must raise ``NotDivisible`` exactly when the cancelled quotient keeps a
+denominator other than a monomial.
 """
 
 import random
@@ -16,8 +21,10 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from heckemod.algebra import GroupRingElem  # noqa: E402
-from heckemod.operators import omega_apply  # noqa: E402
+from heckemod.algebra import GroupRingElem, divide_by_binomial  # noqa: E402
+from heckemod.characters import characters  # noqa: E402
+from heckemod.errors import NotDivisible  # noqa: E402
+from heckemod.operators import demazure, omega_apply, t_act  # noqa: E402
 from heckemod.root_system import build_root_system  # noqa: E402
 
 # A[i][j] = <alpha_i, alpha_j^vee>: column j is the simple coroot alpha_j^vee
@@ -26,6 +33,7 @@ CARTAN = {
     "A1": [[2]],
     "A2": [[2, -1], [-1, 2]],
     "B2": [[2, -2], [-1, 2]],
+    "G2": [[2, -1], [-3, 2]],
 }
 
 
@@ -114,3 +122,83 @@ def test_omega_matches_sympy_alternator_quotient(name):
         got = omega_apply(rs, f)
         expected = sympy.cancel(oracle_omega(cartan, terms, xs, q))
         assert sympy.expand(expected - to_sympy(got, xs, q)) == 0, (name, terms)
+
+
+def element_of(terms, rank):
+    f = GroupRingElem.zero(rank)
+    for (mu, e), c in terms.items():
+        f = f + GroupRingElem.monomial(mu, {e: c})
+    return f
+
+
+def terms_to_sympy(terms, xs, q):
+    return sympy.Add(*(c * q**e * monomial(xs, mu) for (mu, e), c in terms.items()))
+
+
+def simple_coroot(cartan, i):
+    return [row[i] for row in cartan]
+
+
+def reflected(cartan, i, terms):
+    """f^{s_i}, with s_i(mu) = mu - mu[i] alpha_i^vee."""
+    col = simple_coroot(cartan, i)
+    return {(tuple(m - mu[i] * c for m, c in zip(mu, col)), e): c for (mu, e), c in terms.items()}
+
+
+def symbols_for(name):
+    return sympy.symbols(f"x1:{len(CARTAN[name]) + 1}"), sympy.Symbol("q")
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN))
+def test_t_act_and_demazure_match_sympy(name):
+    cartan = CARTAN[name]
+    rs = build_root_system(name)
+    xs, q = symbols_for(name)
+    rng = random.Random(f"rank-one-{name}")
+    inputs = [random_terms(rng, rs.rank) for _ in range(3)]
+    for i in range(rs.rank):
+        x_neg = monomial(xs, [-c for c in simple_coroot(cartan, i)])
+        for terms in inputs:
+            f, fs = terms_to_sympy(terms, xs, q), terms_to_sympy(reflected(cartan, i, terms), xs, q)
+            got = demazure(rs, i, element_of(terms, rs.rank))
+            expected = sympy.cancel((x_neg * f - fs) / (x_neg - 1))
+            assert sympy.expand(expected - to_sympy(got, xs, q)) == 0, ("demazure", name, i, terms)
+            for eps in characters(rs):
+                eigenvalue = to_sympy(GroupRingElem.monomial((0,) * rs.rank, eps.eigenvalue_at(i)), xs, q)
+                assert eigenvalue in (q, -1)
+                got = t_act(eps, i, element_of(terms, rs.rank))
+                expected = sympy.cancel(eigenvalue * fs + (1 - q) * (fs - f) / (1 - x_neg))
+                assert sympy.expand(expected - to_sympy(got, xs, q)) == 0, (eps.name, i, terms)
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN))
+def test_divide_by_binomial_matches_sympy(name):
+    cartan = CARTAN[name]
+    rank = len(cartan)
+    xs, q = symbols_for(name)
+    rng = random.Random(f"binomial-{name}")
+    columns = [simple_coroot(cartan, i) for i in range(rank)]
+    exponents = columns + [[-c for c in col] for col in columns] + [[sum(r) for r in cartan]]
+    seen = {"divisible": 0, "not divisible": 0}
+    for v in map(tuple, exponents):
+        binomial = 1 - monomial(xs, v)
+        for _ in range(3):
+            g = random_terms(rng, rank)
+            # f = g (1 - pi^v), multiplied out by hand
+            product = dict(g)
+            for (mu, e), c in g.items():
+                key = (tuple(m + d for m, d in zip(mu, v)), e)
+                product[key] = product.get(key, 0) - c
+            for terms in ({k: c for k, c in product.items() if c}, random_terms(rng, rank)):
+                quotient = sympy.cancel(terms_to_sympy(terms, xs, q) / binomial)
+                _, den = sympy.fraction(quotient)
+                f = element_of(terms, rank)
+                if sympy.Poly(den, *xs, q).is_monomial:
+                    seen["divisible"] += 1
+                    got = divide_by_binomial(f, v)
+                    assert sympy.expand(quotient - to_sympy(got, xs, q)) == 0, (name, v, terms)
+                else:
+                    seen["not divisible"] += 1
+                    with pytest.raises(NotDivisible):
+                        divide_by_binomial(f, v)
+    assert min(seen.values()) > 0, seen

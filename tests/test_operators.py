@@ -1,8 +1,11 @@
 """Operator-level tests: frozen small values, independent oracles for the
 conjugated-generator case formula, and the operator-algebra laws."""
 
+import random
+
 import pytest
 
+from heckemod import operators
 from heckemod.algebra import GroupRingElem, exact_div, grsum
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
@@ -139,15 +142,42 @@ def test_sum_fraktur_frozen_a1_sign():
     assert sum_fraktur(sgn, pi(3)) == pi(3, q=1) + pi(1, q=1) - pi(1) - pi(-1)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2"])
+def random_poly(rng, rank, terms=3):
+    f = GroupRingElem.zero(rank)
+    for _ in range(terms):
+        mu = tuple(rng.randint(-2, 2) for _ in range(rank))
+        f = f + GroupRingElem.monomial(mu, {rng.randint(-1, 1): rng.choice([-2, -1, 1, 3])})
+    return f
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
 def test_sum_fraktur_matches_per_element_composition(name):
-    # oracle: compose frak_t along each stored reduced word separately
+    # oracle: compose frak_t along each stored reduced word separately, with
+    # no parabolic factorization
     rs = build_root_system(name)
     g = weyl_group(rs)
+    rng = random.Random(f"sum-fraktur-{name}")
     for eps in characters(rs):
-        f = GroupRingElem.monomial((1, -1))
-        naive = grsum(rs.rank, (fraktur_word(eps, w.word, f) for w in g.elements))
-        assert sum_fraktur(eps, f) == naive
+        for f in (GroupRingElem.monomial((1, -1) + (0,) * (rs.rank - 2)), random_poly(rng, rs.rank)):
+            naive = grsum(rs.rank, (fraktur_word(eps, w.word, f) for w in g.elements))
+            assert sum_fraktur(eps, f) == naive
+
+
+@pytest.mark.parametrize("name, applications", [("B3", 9), ("A3", 6), ("G2", 6), ("A1", 1)])
+def test_sum_fraktur_applies_one_generator_per_level_element(name, applications, monkeypatch):
+    # sum over the levels of (level size - 1): B3 levels 6, 4, 2; A3 4, 3, 2; G2 6, 2
+    rs = build_root_system(name)
+    calls = []
+
+    def counted(eps, i, f):
+        calls.append(i)
+        return fraktur_t(eps, i, f)
+
+    monkeypatch.setattr(operators, "fraktur_t", counted)
+    for eps in characters(rs):
+        calls.clear()
+        sum_fraktur(eps, GroupRingElem.one(rs.rank))
+        assert len(calls) == applications
 
 
 def test_omega_small_values():

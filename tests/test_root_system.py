@@ -235,6 +235,30 @@ def test_f4_guard_holds_after_a_raised_cap_call():
         longest_element(rs)
 
 
+@pytest.mark.parametrize("name, sizes", [("A2", [3, 2]), ("B2", [4, 2]), ("G2", [6, 2]),
+                                         ("A3", [4, 3, 2]), ("B3", [6, 4, 2])])
+def test_tables_and_parabolic_levels(name, sizes):
+    from itertools import product
+
+    from heckemod.root_system import _matmul, simple_reflection_matrix
+
+    rs = build_root_system(name)
+    g = weyl_group(rs)
+    for i in range(rs.rank):
+        s = simple_reflection_matrix(rs, i)
+        for idx, w in enumerate(g.elements):
+            assert g.elements[g.right[i][idx]].action == _matmul(w.action, s)
+            assert g.elements[g.left[i][idx]].action == _matmul(s, w.action)
+    assert [len(level) for level in g.levels] == sizes
+    # every w is u_0 u_1 ... u_{n-1}, one u_k per level, lengths adding
+    seen = set()
+    for parts in product(*g.levels):
+        w = element_of_word(rs, sum((g.elements[u].word for u in parts), ()))
+        assert w.length == sum(g.elements[u].length for u in parts)
+        seen.add(w.action)
+    assert len(seen) == len(g)
+
+
 def test_element_of_word_handles_unreduced_spellings():
     rs = build_root_system("A2")
     assert element_of_word(rs, (0, 0)).length == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from heckemod.characters import character_by_name
+from heckemod.characters import character_by_name, characters
 from heckemod.root_system import build_root_system
 from heckemod.verify import (
     MUTATION_SUITES,
@@ -32,7 +32,8 @@ def test_family_guarded_suites_skip_other_types():
 
 
 def test_zero_checks_is_not_a_pass():
-    results = run_suite("quadratic", "A1", radius=-1)
+    # An empty box; run_suite no longer builds one (radius -1 is a ValueError).
+    results = [verify_quadratic(eps, []) for eps in characters(build_root_system("A1"))]
     assert results
     for r in results:
         assert r.checked == 0
@@ -115,6 +116,16 @@ def test_monomial_box_deterministic_subsampling():
     assert len(capped) <= 200
     assert capped == monomial_box(4, 2, cap=200)
     assert all(all(-2 <= c <= 2 for c in mu) for mu in capped)
+
+
+@pytest.mark.parametrize("radius, cap", [(2, 0), (2, -3), (-1, 200)])
+def test_monomial_box_rejects_bad_sizes(radius, cap):
+    # cap 0 used to divide by zero, cap -3 to return a reversed, thinned box,
+    # radius -1 to return an empty one.
+    with pytest.raises(ValueError):
+        monomial_box(2, radius, cap)
+    with pytest.raises(ValueError):
+        run_suite("quadratic", "A1", radius=radius, cap=cap)
 
 
 def test_run_verification_max_rank_filter():
