@@ -153,12 +153,13 @@ class GroupRingElem:
 
     @classmethod
     def monomial(cls, mu: Coweight, coeff: QDict | int = 1) -> "GroupRingElem":
-        """The term coeff * pi^mu."""
+        """The term coeff * pi^mu; zero entries of a q-coefficient are dropped."""
         if isinstance(coeff, int):
-            coeff = {0: coeff} if coeff else {}
+            coeff = {0: coeff}
+        coeff = {e: c for e, c in coeff.items() if c}
         if not coeff:
             return cls(len(mu), {})
-        return cls(len(mu), {tuple(mu): dict(coeff)})
+        return cls(len(mu), {tuple(mu): coeff})
 
     # -- ring operations ---------------------------------------------------
 

@@ -45,6 +45,7 @@ from .formulas import (
     theorem_rhs,
     weyl_character,
 )
+from .operators import require_reduced
 from .root_system import build_root_system, element_of_word
 from .verify import (
     BOX_CAP_DEFAULT,
@@ -90,7 +91,9 @@ def _bessel_value(rs, eps, lam, word):
 
 
 def _iwahori_image(rs, eps, lam, word):
-    image = iwahori_image(eps, element_of_word(rs, _parse_word(word or "", rs.rank)), lam)
+    # A non-reduced word would name a shorter element; refuse it as t_word does.
+    letters = require_reduced(rs, _parse_word(word or "", rs.rank))
+    image = iwahori_image(eps, element_of_word(rs, letters), lam)
     return image.value, {"measure": qd_str(image.measure)}
 
 

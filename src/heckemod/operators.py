@@ -17,27 +17,38 @@ d_i (1 - q pi^{alpha_i^vee}) on the q classes; the verifiers in
 
 Every division here is by a binomial 1 - pi^v and goes through
 :func:`heckemod.algebra.divide_by_binomial`; the generic ``exact_div`` is not
-used. The alternator-side operator is implemented in the sign-corrected form
+used. The alternator-side operator is
 
     Omega(f) = (-1)^{l(w0)} * A(pi^{-rho} f) / A(pi^{rho}),
 
-with A = sum_w (-1)^{l(w)} w the signed symmetrization. The skew image is
-always divisible by the denominator A(pi^{rho}) = pi^{rho} prod (1 - pi^{-a^vee}),
-so Omega maps the group ring to itself. ``sign_corrected=False`` drops the
-global (-1)^{l(w0)} factor and exists only as a negative control.
-:func:`omega_apply` is the one place that runs the alternator and divides by
-the Weyl denominator; the alternator-side formulas are all built on it.
+with A = sum_w (-1)^{l(w)} w the signed symmetrization. It is computed by
+straightening (Brauer-Klimyk / Racah-Speiser; Humphreys, Introduction to Lie
+Algebras and Representation Theory, section 24): A(pi^{w nu}) =
+(-1)^{l(w)} A(pi^nu), and A(pi^nu) = 0 when nu lies on a wall, so each
+monomial pi^mu of f contributes 0 or +-chi_lambda, where lambda + rho is the
+dominant conjugate of mu - rho and chi_lambda = A(pi^{lambda+rho}) / A(pi^rho)
+is the Weyl character. The coefficients are gathered per lambda and each
+character is expanded once. The dominant part of chi_lambda is memoized per
+(root system, lambda) and filled from the single-monomial quotient
+``divide_by_weyl_denominator(alternator(pi^{lambda+rho}))``, the only place
+that runs the alternator; the memo holds plain integers, so no result depends
+on whether it is cold or warm. ``sign_corrected=False`` drops the global
+(-1)^{l(w0)} factor and exists only as a negative control. The alternator-side
+formulas are all built on :func:`omega_apply`.
 """
 
 from __future__ import annotations
 
-from .algebra import GroupRingElem, QDict, divide_by_binomial, grsum, weyl_act
+from functools import lru_cache
+
+from .algebra import GroupRingElem, QDict, divide_by_binomial, grsum, qd_add, qd_neg, weyl_act
 from .characters import HeckeCharacter
 from .errors import NonReducedWord
 from .root_system import (
     Coweight,
     RootSystem,
     element_of_word,
+    is_dominant,
     negate_coweight,
     reflect,
     rho,
@@ -65,11 +76,14 @@ def t_act(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
     return fs.scale_q(eps.eigenvalue_at(i)) + quot.scale_q(_ONE_MINUS_Q)
 
 
-def _require_reduced(rs: RootSystem, word) -> tuple[int, ...]:
-    """The word as a tuple; :class:`NonReducedWord` unless it is reduced."""
+def require_reduced(rs: RootSystem, word) -> tuple[int, ...]:
+    """The word as a tuple; :class:`NonReducedWord` unless it is reduced.
+
+    The message numbers the letters from 1, as the CLI and the witnesses do.
+    """
     word = tuple(word)
     if element_of_word(rs, word).length != len(word):
-        raise NonReducedWord(f"word {word} is not reduced")
+        raise NonReducedWord(f"word {[i + 1 for i in word]} is not reduced")
     return word
 
 
@@ -80,7 +94,7 @@ def t_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
     well-definedness, verified separately); a non-reduced word raises
     :class:`NonReducedWord` rather than silently computing something else.
     """
-    for i in reversed(_require_reduced(eps.root_system, word)):
+    for i in reversed(require_reduced(eps.root_system, word)):
         f = t_act(eps, i, f)
     return f
 
@@ -94,7 +108,7 @@ def demazure(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
 
 def demazure_word(rs: RootSystem, word, f: GroupRingElem) -> GroupRingElem:
     """Compose d along a reduced word (rightmost first)."""
-    for i in reversed(_require_reduced(rs, word)):
+    for i in reversed(require_reduced(rs, word)):
         f = demazure(rs, i, f)
     return f
 
@@ -174,11 +188,68 @@ def divide_by_weyl_denominator(rs: RootSystem, f: GroupRingElem) -> GroupRingEle
     return out.translated(negate_coweight(rho(rs)))
 
 
-def omega_apply(rs: RootSystem, f: GroupRingElem, sign_corrected: bool = True) -> GroupRingElem:
-    """Apply the alternator-quotient operator Omega to f (module docstring)."""
-    skew = alternator(rs, f.translated(negate_coweight(rho(rs))))
-    out = divide_by_weyl_denominator(rs, skew)
-    w0 = weyl_group(rs).longest
-    if sign_corrected and w0.length % 2:
-        out = -out
+def _straighten(rs: RootSystem, mu: Coweight) -> tuple[int, Coweight] | None:
+    """(sign, lambda) with A(pi^{mu-rho}) = sign * A(pi^{lambda+rho}) and lambda
+    dominant, or None when mu - rho lies on a wall and A(pi^{mu-rho}) = 0."""
+    nu = tuple(c - 1 for c in mu)  # rho = (1, ..., 1)
+    sign = 1
+    while True:
+        i = next((k for k, c in enumerate(nu) if c <= 0), None)
+        if i is None:
+            return sign, tuple(c - 1 for c in nu)
+        if nu[i] == 0:
+            return None
+        nu = reflect(rs, i, nu)
+        sign = -sign
+
+
+@lru_cache(maxsize=None)
+def _dominant_character(rs: RootSystem, lam: Coweight) -> tuple[tuple[Coweight, int], ...]:
+    """The dominant weights of chi_lambda with their multiplicities, from the
+    alternator quotient of the single monomial pi^{lambda+rho}."""
+    top = GroupRingElem.monomial(tuple(c + 1 for c in lam))
+    chi = divide_by_weyl_denominator(rs, alternator(rs, top))
+    return tuple(sorted((nu, qd[0]) for nu, qd in chi.coeffs.items() if is_dominant(nu)))
+
+
+def _orbit(rs: RootSystem, nu: Coweight) -> list[Coweight]:
+    """The W-orbit of a dominant coweight: breadth first, reflecting only on
+    positive coordinates, which reaches every point once."""
+    seen = {nu}
+    out = [nu]
+    for mu in out:
+        for i, c in enumerate(mu):
+            if c > 0:
+                image = reflect(rs, i, mu)
+                if image not in seen:
+                    seen.add(image)
+                    out.append(image)
     return out
+
+
+def omega_apply(rs: RootSystem, f: GroupRingElem, sign_corrected: bool = True) -> GroupRingElem:
+    """Apply the alternator-quotient operator Omega to f by straightening
+    (module docstring); equal to the full alternator divided by A(pi^rho)."""
+    # l(w0) is the number of positive roots.
+    flip = sign_corrected and len(rs.positive_roots) % 2
+    by_lambda: dict[Coweight, QDict] = {}
+    for mu, qd in f.coeffs.items():
+        straight = _straighten(rs, mu)
+        if straight is None:
+            continue
+        sign, lam = straight
+        if flip:
+            sign = -sign
+        by_lambda[lam] = qd_add(by_lambda.get(lam, {}), qd if sign > 0 else qd_neg(qd))
+    dominant: dict[Coweight, QDict] = {}
+    for lam, c in by_lambda.items():
+        if not c:
+            continue
+        for nu, m in _dominant_character(rs, lam):
+            dominant[nu] = qd_add(dominant.get(nu, {}), {e: m * v for e, v in c.items()})
+    out: dict[Coweight, QDict] = {}
+    for nu, c in dominant.items():
+        if c:
+            for mu in _orbit(rs, nu):
+                out[mu] = c
+    return GroupRingElem(rs.rank, out)

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heckemod.algebra import (
@@ -44,6 +44,14 @@ def test_q_laurent_expansion():
     assert lhs == expected
 
 
+def test_monomial_drops_zero_coefficients():
+    zero = GroupRingElem.zero(1)
+    for coeff in (0, {0: 0}, {0: 0, 2: 0}):
+        got = GroupRingElem.monomial((0,), coeff)
+        assert got == zero and not got and got.coeffs == {}
+    assert GroupRingElem.monomial((1,), {0: 0, 2: 3}).coeffs == {(1,): {2: 3}}
+
+
 def test_exact_div_geometric():
     one = GroupRingElem.one(1)
     quotient = exact_div(one - mono(-4), one - mono(-2))
@@ -79,10 +87,13 @@ coords2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 @st.composite
 def ring_elems(draw, min_terms=0):
+    """Sums of up to 4 terms; with ``min_terms >= 1`` the sum is nonzero, since
+    callers divide by it (drawn terms can cancel, and such draws are rejected)."""
     terms = draw(st.lists(st.tuples(coords2, qexp, coeff), min_size=min_terms, max_size=4))
     total = GroupRingElem.zero(2)
     for mu, e, c in terms:
         total = total + GroupRingElem.monomial(mu, {e: c})
+    assume(total or not min_terms)
     return total
 
 

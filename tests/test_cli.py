@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from heckemod.cli import main
 
 
@@ -53,6 +55,17 @@ def test_eval_iwahori_image(capsys):
     assert code == 0
     assert out.splitlines()[0] == "q"
     assert "measure: 1" in out
+
+
+@pytest.mark.parametrize("word", ["1,1", "1,2,1,2"])
+def test_eval_iwahori_image_rejects_non_reduced_word(capsys, word):
+    # element_of_word would collapse the word to a shorter element (1,1 to T_e)
+    code, out, err = run_cli(
+        capsys, "eval", "--type", "A2", "--character", "sign", "--lambda", "1,1",
+        "--formula", "iwahori-image", "--word", word,
+    )
+    assert (code, out) == (3, "")
+    assert "NonReducedWord" in err
 
 
 def test_eval_shalika_both_forms(capsys):

@@ -7,7 +7,10 @@ come from the literal Cartan matrix; sympy forms
     (-1)^{l(w0)} sum_w (-1)^{l(w)} w(x^{-rho} f) / (x^{rho} prod_{a>0} (1 - x^{-a^vee}))
 
 and cancels it, and the result must equal ``omega_apply`` on fixed random
-Laurent polynomials in q and pi. The same way, with the simple reflections
+Laurent polynomials in q and pi. Since ``omega_apply`` straightens each
+exponent into the dominant chamber, the inputs also include exponents far
+outside it, exponents on walls (which contribute 0) and conjugate monomials
+whose signs cancel or add. The same way, with the simple reflections
 read off the Cartan matrix, sympy checks the generator action ``t_act`` (the
 eigenvalue -1 or q of each character is the one input taken from heckemod),
 the Demazure operator and the binomial division ``divide_by_binomial``,
@@ -98,30 +101,86 @@ def oracle_omega(cartan, terms, xs, q):
     return (-1) ** len(pos) * total / den
 
 
-def random_terms(rng, rank):
+def random_terms(rng, rank, spread=2):
     terms = {}
     for _ in range(3):
-        key = (tuple(rng.randint(-2, 2) for _ in range(rank)), rng.randint(-1, 1))
+        key = (tuple(rng.randint(-spread, spread) for _ in range(rank)), rng.randint(-1, 1))
         terms[key] = rng.choice([-3, -2, -1, 1, 2, 3])
     return terms
 
 
-@pytest.mark.parametrize("name", sorted(CARTAN))
-def test_omega_matches_sympy_alternator_quotient(name):
+def assert_omega_matches_oracle(name, terms):
+    """omega_apply on the element of ``terms`` equals the cancelled sympy quotient."""
     cartan = CARTAN[name]
     rs = build_root_system(name)
     assert [list(row) for row in rs.cartan_matrix] == cartan
-    xs = sympy.symbols(f"x1:{rs.rank + 1}")
-    q = sympy.Symbol("q")
+    xs, q = symbols_for(name)
+    got = omega_apply(rs, element_of(terms, rs.rank))
+    expected = sympy.cancel(oracle_omega(cartan, terms, xs, q))
+    assert sympy.expand(expected - to_sympy(got, xs, q)) == 0, (name, terms)
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN))
+def test_omega_matches_sympy_alternator_quotient(name):
+    # Spread 6 puts exponents far outside the dominant chamber, which
+    # straightening reflects many times.
     rng = random.Random(f"omega-{name}")
-    for _ in range(4):
-        terms = random_terms(rng, rs.rank)
-        f = GroupRingElem.zero(rs.rank)
-        for (mu, e), c in terms.items():
-            f = f + GroupRingElem.monomial(mu, {e: c})
-        got = omega_apply(rs, f)
-        expected = sympy.cancel(oracle_omega(cartan, terms, xs, q))
-        assert sympy.expand(expected - to_sympy(got, xs, q)) == 0, (name, terms)
+    for spread in [2] * 4 + [6] * 4:
+        assert_omega_matches_oracle(name, random_terms(rng, len(CARTAN[name]), spread))
+
+
+def orbit_with_signs(cartan, nu):
+    """{w nu: det w} over the Weyl group; for regular nu each point has one w."""
+    out = {}
+    for w in weyl_matrices(cartan):
+        out.setdefault(tuple(int(c) for c in w * sympy.Matrix(nu)), int(w.det()))
+    return out
+
+
+def plus_rho(nu):
+    return tuple(c + 1 for c in nu)
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN))
+def test_omega_vanishes_on_walls(name):
+    # mu - rho = w x with x dominant and on a wall, so A(pi^{mu - rho}) = 0:
+    # exponents on a wall and their conjugates off the dominant chamber.
+    cartan = CARTAN[name]
+    rank = len(cartan)
+    rng = random.Random(f"omega-walls-{name}")
+    for _ in range(3):
+        x = [rng.randint(0, 3) for _ in range(rank)]
+        x[rng.randrange(rank)] = 0
+        orbit = sorted(orbit_with_signs(cartan, x))
+        picks = rng.sample(orbit, min(3, len(orbit)))
+        terms = {(plus_rho(nu), rng.randint(-1, 1)): rng.choice([-2, 1, 3]) for nu in picks}
+        assert assert_omega_matches_oracle(name, terms).is_zero(), terms
+        # Beside one regular monomial the wall terms add nothing.
+        terms[(plus_rho(tuple(rng.randint(1, 3) for _ in range(rank))), 0)] = 1
+        assert not assert_omega_matches_oracle(name, terms).is_zero(), terms
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN))
+def test_omega_conjugate_monomials_cancel_or_add(name):
+    # pi^{w x + rho} and pi^{v x + rho}, x regular dominant, both straighten to
+    # lambda = x - rho, with signs det w and det v.
+    cartan = CARTAN[name]
+    rank = len(cartan)
+    rng = random.Random(f"omega-cancel-{name}")
+    for _ in range(3):
+        x = tuple(rng.randint(1, 3) for _ in range(rank))
+        orbit = orbit_with_signs(cartan, x)
+        odd = sorted(nu for nu, sign in orbit.items() if sign < 0)
+        even = sorted(nu for nu, sign in orbit.items() if sign > 0)
+        a, b = rng.choice(odd), rng.choice(even)
+        e = rng.randint(-1, 1)
+        cancelling = {(plus_rho(a), e): 2, (plus_rho(b), e): 2}
+        assert assert_omega_matches_oracle(name, cancelling).is_zero(), cancelling
+        partial = {(plus_rho(a), e): 2, (plus_rho(b), e): 3, (plus_rho(b), e + 1): -1}
+        assert not assert_omega_matches_oracle(name, partial).is_zero(), partial
+        adding = {(plus_rho(b), e): 1, (plus_rho(rng.choice(even)), e + 1): 1}
+        assert not assert_omega_matches_oracle(name, adding).is_zero(), adding
 
 
 def element_of(terms, rank):

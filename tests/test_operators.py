@@ -4,11 +4,18 @@ conjugated-generator case formula, and the operator-algebra laws."""
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from heckemod import operators
 from heckemod.algebra import GroupRingElem, exact_div, grsum
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
+from heckemod.formulas import (
+    demazure_character,
+    dominant_coweights_up_to_height,
+    theorem_rhs,
+    weyl_character,
+)
 from heckemod.operators import (
     alternator,
     demazure,
@@ -24,6 +31,7 @@ from heckemod.operators import (
 )
 from heckemod.root_system import build_root_system, negate_coweight, rho, weyl_group
 from heckemod.verify import monomial_box
+from test_algebra import one_minus_pi, ring_elems
 
 
 def pi(*coords, q=0, c=1):
@@ -191,13 +199,40 @@ def test_omega_small_values():
 def test_omega_reproduces_characters(name):
     # weyl_character is omega_apply(pi^{w0 lambda}); the Demazure composition is
     # the independent side.
-    from heckemod.formulas import demazure_character, dominant_coweights_up_to_height, weyl_character
-
     rs = build_root_system(name)
     w0 = weyl_group(rs).longest
     for lam in dominant_coweights_up_to_height(rs, 3):
         chi = omega_apply(rs, GroupRingElem.monomial(w0.apply(lam)))
         assert chi == weyl_character(rs, lam) == demazure_character(rs, lam)
+
+
+@pytest.mark.parametrize("name", ["B2", "G2"])
+def test_omega_memo_cold_and_warm_agree(name):
+    # No output may depend on whether the dominant-character memo is cold or
+    # warm, nor on what a caller did with an earlier result.
+    rs = build_root_system(name)
+    lams = [(0, 0), (1, 0), (0, 2)]
+
+    def values():
+        return ([theorem_rhs(eps, lam).to_str() for eps in characters(rs) for lam in lams]
+                + [weyl_character(rs, lam).to_str() for lam in lams])
+
+    operators._dominant_character.cache_clear()
+    cold = values()
+    operators._dominant_character.cache_clear()
+    for lam in [(2, 1), (1, 1), (0, 3), (3, 0)]:
+        weyl_character(rs, lam)
+        for eps in characters(rs):
+            theorem_rhs(eps, lam)
+    assert values() == cold
+
+    chi = weyl_character(rs, lams[-1])
+    assert grsum(rs.rank, [chi, chi, -chi]) == chi == -(-chi)
+    assert values() == cold
+    # Even a caller that writes into a result cannot reach the memo.
+    for qd in chi.coeffs.values():
+        qd[0] = 99
+    assert values() == cold
 
 
 def test_omega_uncorrected_flips_sign_in_odd_rank():
@@ -227,3 +262,46 @@ def test_intertwiner_spec_cases():
         else:
             c = GroupRingElem.monomial(av) - GroupRingElem.monomial((0, 0), {-1: 1})
         assert got == c * fs
+
+
+RANK_TWO = ["A2", "B2", "G2"]
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+@given(f=ring_elems())
+@settings(max_examples=25, deadline=None)
+def test_quadratic_relation_on_polynomials(name, f):
+    rs = build_root_system(name)
+    for eps in characters(rs):
+        for i in range(rs.rank):
+            tf = t_act(eps, i, f)
+            # (T_i - q)(T_i + 1) f = T_i T_i f + (1 - q) T_i f - q f
+            assert t_act(eps, i, tf) + tf.scale_q({0: 1, 1: -1}) - f.scale_q({1: 1}) == GroupRingElem.zero(2)
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+@given(f=ring_elems())
+@settings(max_examples=25, deadline=None)
+def test_braid_agreement_on_polynomials(name, f):
+    # In rank two the longest element is the only one with two reduced words,
+    # the alternating words of length m_12.
+    rs = build_root_system(name)
+    m = rs.braid_order[(0, 1)]
+    first, second = tuple((0, 1) * m)[:m], tuple((1, 0) * m)[:m]
+    for eps in characters(rs):
+        assert t_word(eps, first, f) == t_word(eps, second, f)
+
+
+@pytest.mark.parametrize("name", RANK_TWO)
+@given(h=ring_elems(min_terms=1), g=ring_elems())
+@settings(max_examples=25, deadline=None)
+def test_bernstein_relation_on_polynomials(name, h, g):
+    # T_i (h g) = h^{s_i} T_i g + (1 - q) (h^{s_i} - h) / (1 - pi^{-a_i^vee}) g,
+    # with the division by the generic exact_div.
+    rs = build_root_system(name)
+    for eps in characters(rs):
+        for i in range(rs.rank):
+            hs = s_image(rs, i, h)
+            denom = one_minus_pi(negate_coweight(rs.simple_coroots[i]))
+            correction = exact_div(hs - h, denom).scale_q({0: 1, 1: -1})
+            assert t_act(eps, i, h * g) == hs * t_act(eps, i, g) + correction * g
