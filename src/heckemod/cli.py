@@ -240,7 +240,8 @@ def cmd_verify(args) -> int:
         for s, t in suite_tasks(types, args.suite, args.mutate, args.max_rank)
     ]
     if not tasks:
-        raise DomainExit(PARSE_ERROR, "nothing to verify: no selected suite applies to the selected types")
+        owning = f" and registers mutation {args.mutate!r}" if args.mutate is not None else ""
+        raise DomainExit(PARSE_ERROR, f"nothing to verify: no selected suite applies to the selected types{owning}")
     chunks = _translate_errors(_run_tasks, _suite_task, tasks, args.jobs)
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r["identity"], r["type"], r["character"] or ""))
@@ -327,10 +328,11 @@ def cmd_table(args) -> int:
     if args.characters == "all":
         char_names = [eps.name for eps in characters(rs)]
     else:
-        char_names = [c.strip() for c in args.characters.split(",")]
+        # A name given twice still makes one set of rows.
+        char_names = list(dict.fromkeys(c.strip() for c in args.characters.split(",")))
         for c in char_names:
             _translate_errors(character_by_name, rs, c)
-    formulas = [f.strip() for f in args.formulas.split(",")]
+    formulas = list(dict.fromkeys(f.strip() for f in args.formulas.split(",")))
     for f in formulas:
         if f not in FORMULAS:
             raise DomainExit(PARSE_ERROR, f"unknown formula {f!r}; known: {sorted(FORMULAS)}")
@@ -348,6 +350,8 @@ def cmd_table(args) -> int:
         for char_name in per_chars:
             for lam in per_lams:
                 tasks.append((args.type, char_name, lam, formula))
+    if not tasks:
+        raise DomainExit(PARSE_ERROR, f"nothing to tabulate: no selected formula applies to {args.type}")
 
     rows = _translate_errors(_run_tasks, _table_row, tasks, args.jobs)
     rows.sort(key=lambda r: (r["type"], r["character"], r["lambda"], r["formula"]))

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GroupRingElem, QDict, divide_by_binomial, exact_div, grsum, weyl_act
+from .algebra import GroupRingElem, QDict, divide_by_binomial, exact_div
 from .characters import HeckeCharacter, character_by_name
 from .errors import NonDominant, NotDivisible, RatioNotMonomial, WrongFamily
-from .operators import demazure_word, omega_apply, sum_fraktur, t_word
+from .operators import demazure_word, omega_apply, sum_fraktur, symmetrize, t_word
 from .root_system import (
     Coweight,
     RootSystem,
@@ -122,16 +122,18 @@ def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     """Symmetrized spherical sum sum_w w(pi^lambda prod (1-q pi^{a^vee})/(1-pi^{a^vee})).
 
     The numerators over the W-invariant common denominator
-    prod_{a in Phi} (1 - pi^{a^vee}) are summed, then divided exactly by its
-    2 |Phi+| binomial factors one at a time. At lambda = 0 this is the
-    Poincare polynomial sum_w q^{l(w)}.
+    prod_{a in Phi} (1 - pi^{a^vee}) are summed over W by
+    :func:`heckemod.operators.symmetrize` (orbit sums of the dominant
+    conjugates, times their stabilizer orders), then divided exactly by its
+    2 |Phi+| binomial factors one at a time. It uses neither ``omega_apply``
+    nor ``alternator``, so it stays an independent side of the macdonald
+    suite. At lambda = 0 this is the Poincare polynomial sum_w q^{l(w)}.
     """
     _require_dominant(lam, "macdonald")
-    g = weyl_group(rs)
     num = multiply_binomials(rs, GroupRingElem.monomial(lam), rs.positive_roots, 1, +1)
     # w(num/den) = w(num * den_bar) / den_full with den_full W-invariant.
     num_bar = multiply_binomials(rs, num, rs.positive_roots, 0, -1)
-    out = grsum(rs.rank, (weyl_act(w, num_bar) for w in g.elements))
+    out = symmetrize(rs, num_bar)
     for root in rs.positive_roots:
         av = rs.coroot_of[root]
         out = divide_by_binomial(divide_by_binomial(out, av), negate_coweight(av))

@@ -1,4 +1,5 @@
-"""Hecke generator actions, Demazure operators, and the alternator operator.
+"""Hecke generator actions, Demazure operators, the alternator operator and
+the unsigned symmetrization.
 
 Everything here acts on exact group-ring elements. The generator action on the
 module induced from a linear character eps is
@@ -35,6 +36,14 @@ that runs the alternator; the memo holds plain integers, so no result depends
 on whether it is cold or warm. ``sign_corrected=False`` drops the global
 (-1)^{l(w0)} factor and exists only as a negative control. The alternator-side
 formulas are all built on :func:`omega_apply`.
+
+:func:`alternator` is the signed sum over W, written out element by element.
+Its unsigned partner :func:`symmetrize`, sum_w w(f), uses orbit sums instead:
+sum_w pi^{w mu} = |Stab_W(nu)| * sum_{nu' in W nu} pi^{nu'}, with nu the
+dominant conjugate of mu. The coefficients are gathered per nu and each orbit
+is written once, times |W| / |W nu|. Both walks, to the dominant conjugate
+and over the orbit, are the ones in :mod:`heckemod.root_system` that
+straightening uses.
 """
 
 from __future__ import annotations
@@ -47,9 +56,11 @@ from .errors import NonReducedWord
 from .root_system import (
     Coweight,
     RootSystem,
+    dominant_conjugate,
     element_of_word,
     is_dominant,
     negate_coweight,
+    orbit,
     reflect,
     rho,
     weyl_group,
@@ -172,6 +183,26 @@ def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
     )
 
 
+def symmetrize(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
+    """Unsigned symmetrization sum_w w(f), by orbit sums (module docstring)."""
+    # |W| from the enumerated group, so the size guard holds as for every W-sum.
+    order = len(weyl_group(rs))
+    by_nu: dict[Coweight, QDict] = {}
+    for mu, qd in f.coeffs.items():
+        nu, _ = dominant_conjugate(rs, mu)
+        by_nu[nu] = qd_add(by_nu.get(nu, {}), qd)
+    out: dict[Coweight, QDict] = {}
+    for nu, c in by_nu.items():
+        if c:
+            points = orbit(rs, nu)
+            # |Stab_W(nu)| = |W| / |W nu| elements send each monomial to each point.
+            stabilizer = order // len(points)
+            c = {e: stabilizer * v for e, v in c.items()}
+            for mu in points:
+                out[mu] = c
+    return GroupRingElem(rs.rank, out)
+
+
 def weyl_denominator(rs: RootSystem) -> GroupRingElem:
     """pi^{rho} prod_{a > 0} (1 - pi^{-a^vee}); equals alternator(pi^{rho})."""
     out = GroupRingElem.monomial(rho(rs))
@@ -191,16 +222,10 @@ def divide_by_weyl_denominator(rs: RootSystem, f: GroupRingElem) -> GroupRingEle
 def _straighten(rs: RootSystem, mu: Coweight) -> tuple[int, Coweight] | None:
     """(sign, lambda) with A(pi^{mu-rho}) = sign * A(pi^{lambda+rho}) and lambda
     dominant, or None when mu - rho lies on a wall and A(pi^{mu-rho}) = 0."""
-    nu = tuple(c - 1 for c in mu)  # rho = (1, ..., 1)
-    sign = 1
-    while True:
-        i = next((k for k, c in enumerate(nu) if c <= 0), None)
-        if i is None:
-            return sign, tuple(c - 1 for c in nu)
-        if nu[i] == 0:
-            return None
-        nu = reflect(rs, i, nu)
-        sign = -sign
+    nu, steps = dominant_conjugate(rs, tuple(c - 1 for c in mu))  # rho = (1, ..., 1)
+    if 0 in nu:
+        return None
+    return -1 if steps % 2 else 1, tuple(c - 1 for c in nu)
 
 
 @lru_cache(maxsize=None)
@@ -210,21 +235,6 @@ def _dominant_character(rs: RootSystem, lam: Coweight) -> tuple[tuple[Coweight, 
     top = GroupRingElem.monomial(tuple(c + 1 for c in lam))
     chi = divide_by_weyl_denominator(rs, alternator(rs, top))
     return tuple(sorted((nu, qd[0]) for nu, qd in chi.coeffs.items() if is_dominant(nu)))
-
-
-def _orbit(rs: RootSystem, nu: Coweight) -> list[Coweight]:
-    """The W-orbit of a dominant coweight: breadth first, reflecting only on
-    positive coordinates, which reaches every point once."""
-    seen = {nu}
-    out = [nu]
-    for mu in out:
-        for i, c in enumerate(mu):
-            if c > 0:
-                image = reflect(rs, i, mu)
-                if image not in seen:
-                    seen.add(image)
-                    out.append(image)
-    return out
 
 
 def omega_apply(rs: RootSystem, f: GroupRingElem, sign_corrected: bool = True) -> GroupRingElem:
@@ -250,6 +260,6 @@ def omega_apply(rs: RootSystem, f: GroupRingElem, sign_corrected: bool = True) -
     out: dict[Coweight, QDict] = {}
     for nu, c in dominant.items():
         if c:
-            for mu in _orbit(rs, nu):
+            for mu in orbit(rs, nu):
                 out[mu] = c
     return GroupRingElem(rs.rank, out)

@@ -243,6 +243,37 @@ def is_dominant(mu: Coweight) -> bool:
     return all(c >= 0 for c in mu)
 
 
+def dominant_conjugate(rs: RootSystem, mu: Coweight) -> tuple[Coweight, int]:
+    """(nu, steps): the dominant W-conjugate nu of mu, reached by reflecting on
+    the first negative coordinate ``steps`` times, so nu = w mu with
+    det w = (-1)^steps. Each step lowers the length of the element still to
+    undo by one, so the walk ends."""
+    steps = 0
+    while min(mu) < 0:
+        for i, p in enumerate(mu):
+            if p < 0:
+                break
+        # reflect(rs, i, mu), inlined: this walk runs once per monomial.
+        mu = tuple(m - p * c for m, c in zip(mu, rs.simple_coroots[i]))
+        steps += 1
+    return mu, steps
+
+
+def orbit(rs: RootSystem, nu: Coweight) -> list[Coweight]:
+    """The W-orbit of a dominant coweight, nu first: breadth first, reflecting
+    only on positive coordinates, which reaches every point once."""
+    seen = {nu}
+    out = [nu]
+    for mu in out:
+        for i, c in enumerate(mu):
+            if c > 0:
+                image = reflect(rs, i, mu)
+                if image not in seen:
+                    seen.add(image)
+                    out.append(image)
+    return out
+
+
 def add_coweights(a: Coweight, b: Coweight) -> Coweight:
     return tuple(x + y for x, y in zip(a, b))
 

@@ -579,17 +579,19 @@ def run_suite(
 
 def suite_tasks(types, suites=None, mutate: str | None = None, max_rank: int | None = None) -> list[tuple[str, str]]:
     """(suite, type) pairs to run, types outermost, each suite only on the types
-    it applies to. A mutation selects every suite that owns it; otherwise
-    ``suites`` defaults to all of them."""
+    it applies to. ``suites`` defaults to all of them; a mutation keeps only
+    the selected suites that own it. Repeated types (``A1`` and ``a1`` are
+    the same) and suites count once, in first-seen order."""
+    suites = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     if mutate is not None:
-        suites = MUTATION_SUITES[mutate]
-    elif suites is None:
-        suites = list(SUITES)
+        suites = [s for s in suites if s in MUTATION_SUITES[mutate]]
     tasks = []
+    seen = set()
     for type_name in types:
         rs = build_root_system(type_name)
-        if max_rank is not None and rs.rank > max_rank:
+        if rs.cartan_type in seen or (max_rank is not None and rs.rank > max_rank):
             continue
+        seen.add(rs.cartan_type)
         tasks.extend((suite, type_name) for suite in suites if SUITES[suite].applies(rs))
     return tasks
 
@@ -602,7 +604,7 @@ def run_verification(
     mutate: str | None = None,
     max_rank: int | None = None,
 ) -> list[VerifyResult]:
-    """Run suites over types; with a mutation, only the suites owning it run."""
+    """Run suites over types; with a mutation, only the selected suites owning it run."""
     results: list[VerifyResult] = []
     for suite, type_name in suite_tasks(types, suites, mutate, max_rank):
         results.extend(run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate))

@@ -86,11 +86,12 @@ coords2 = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
 
 
 @st.composite
-def ring_elems(draw, min_terms=0):
+def ring_elems(draw, min_terms=0, rank=2):
     """Sums of up to 4 terms; with ``min_terms >= 1`` the sum is nonzero, since
     callers divide by it (drawn terms can cancel, and such draws are rejected)."""
-    terms = draw(st.lists(st.tuples(coords2, qexp, coeff), min_size=min_terms, max_size=4))
-    total = GroupRingElem.zero(2)
+    coords = coords2 if rank == 2 else st.tuples(*(st.integers(-3, 3),) * rank)
+    terms = draw(st.lists(st.tuples(coords, qexp, coeff), min_size=min_terms, max_size=4))
+    total = GroupRingElem.zero(rank)
     for mu, e, c in terms:
         total = total + GroupRingElem.monomial(mu, {e: c})
     assume(total or not min_terms)

@@ -198,6 +198,55 @@ def test_verify_braid_skips_rank_one(capsys):
     assert code == 2 and out == "" and "nothing to verify" in err
 
 
+def test_verify_mutation_keeps_selected_suites(capsys):
+    # A mutation narrows --suite to the suites that register it; it never
+    # swaps in other owners.
+    code, out, err = run_cli(capsys, "verify", "--type", "A1", "--suite", "quadratic",
+                             "--mutate", "shift-poincare")
+    assert (code, out) == (2, "")
+    assert "nothing to verify" in err
+    code, out, _ = run_cli(capsys, "verify", "--type", "B2", "--suite", "intertwiner",
+                           "--suite", "quadratic", "--mutate", "swap-cases", "--box", "0",
+                           "--output", "json")
+    assert code == 1
+    assert {r["identity"] for r in json.loads(out)["results"]} == {"intertwiner"}
+
+
+def test_verify_mutation_alone_runs_every_owner(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--type", "B2", "--mutate", "swap-cases",
+                           "--box", "0", "--output", "json")
+    assert code == 1
+    identities = {r["identity"] for r in json.loads(out)["results"]}
+    assert identities == {"deformed-demazure", "intertwiner", "bessel-intertwiner"}
+
+
+def test_verify_repeated_types_and_suites_run_once(capsys):
+    once = run_cli(capsys, "verify", "--type", "A1", "--suite", "rho-pairing")
+    twice = run_cli(capsys, "verify", "--type", "A1", "--type", "a1",
+                    "--suite", "rho-pairing", "--suite", "rho-pairing")
+    assert twice == once
+    assert "OK: 2/2" in once[1]
+
+
+def test_table_repeated_formulas_and_characters_write_each_row_once(tmp_path, capsys):
+    for name, formulas, chars in (("once", "weyl-char,theorem-lhs", "triv"),
+                                  ("twice", "weyl-char,theorem-lhs,weyl-char", "triv,triv")):
+        code, out, _ = run_cli(capsys, "table", "--type", "A1", "--height", "2", "--formulas", formulas,
+                               "--characters", chars, "--out", str(tmp_path / name))
+        assert code == 0 and "(6 rows)" in out
+    for suffix in (".csv", ".json"):
+        once = (tmp_path / "once" / f"table_A1{suffix}").read_bytes()
+        assert (tmp_path / "twice" / f"table_A1{suffix}").read_bytes() == once
+
+
+def test_table_without_applicable_formula_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "table", "--type", "A2", "--formulas", "shalika",
+                             "--out", str(tmp_path / "tables"))
+    assert (code, out) == (2, "")
+    assert "nothing to tabulate" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 class _RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records max_workers."""
 

@@ -1,6 +1,7 @@
 import pytest
 
-from heckemod.algebra import GroupRingElem, grsum
+from heckemod import formulas, operators
+from heckemod.algebra import GroupRingElem, grsum, weyl_act
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonDominant, RatioNotMonomial, WrongFamily
 from heckemod.formulas import (
@@ -18,7 +19,7 @@ from heckemod.formulas import (
     weyl_character,
 )
 from heckemod.operators import sum_fraktur
-from heckemod.root_system import build_root_system, rho, weyl_group
+from heckemod.root_system import WeylElement, build_root_system, rho, weyl_group
 
 
 def pi(*coords, q=0, c=1):
@@ -139,6 +140,32 @@ def test_macdonald_matches_theorem(name):
     trv = character_by_name(rs, "triv")
     for lam in dominant_coweights_up_to_height(rs, 3):
         assert macdonald(rs, lam) == theorem_lhs(trv, lam)
+
+
+def test_macdonald_sums_over_orbits_not_elements(monkeypatch):
+    # The W-sum goes through symmetrize: no WeylElement.apply, and neither
+    # Omega nor the alternator, which would tie the macdonald suite to the
+    # operator-identity side it is checked against.
+    rs = build_root_system("B3")
+    g = weyl_group(rs)
+    calls = []
+    apply = WeylElement.apply
+
+    def counted(self, mu):
+        calls.append(mu)
+        return apply(self, mu)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("macdonald must not use Omega or the alternator")
+
+    monkeypatch.setattr(WeylElement, "apply", counted)
+    monkeypatch.setattr(formulas, "omega_apply", forbidden)
+    monkeypatch.setattr(operators, "alternator", forbidden)
+    for lam in [(0, 0, 0), (1, 0, 1), (0, 2, 0)]:
+        macdonald(rs, lam)
+    assert calls == []
+    weyl_act(g.longest, pi(1, 0, 0) + pi(0, 1, 0))  # the patch does count
+    assert len(calls) == 2
 
 
 def test_shalika_forms_agree():

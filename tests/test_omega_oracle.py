@@ -15,7 +15,8 @@ read off the Cartan matrix, sympy checks the generator action ``t_act`` (the
 eigenvalue -1 or q of each character is the one input taken from heckemod),
 the Demazure operator and the binomial division ``divide_by_binomial``,
 which must raise ``NotDivisible`` exactly when the cancelled quotient keeps a
-denominator other than a monomial.
+denominator other than a monomial, and the unsigned symmetrization
+``symmetrize``, against orbit sums taken with the same Weyl matrices.
 """
 
 import random
@@ -27,7 +28,7 @@ sympy = pytest.importorskip("sympy")
 from heckemod.algebra import GroupRingElem, divide_by_binomial  # noqa: E402
 from heckemod.characters import characters  # noqa: E402
 from heckemod.errors import NotDivisible  # noqa: E402
-from heckemod.operators import demazure, omega_apply, t_act  # noqa: E402
+from heckemod.operators import demazure, omega_apply, symmetrize, t_act  # noqa: E402
 from heckemod.root_system import build_root_system  # noqa: E402
 
 # A[i][j] = <alpha_i, alpha_j^vee>: column j is the simple coroot alpha_j^vee
@@ -261,3 +262,43 @@ def test_divide_by_binomial_matches_sympy(name):
                     with pytest.raises(NotDivisible):
                         divide_by_binomial(f, v)
     assert min(seen.values()) > 0, seen
+
+
+def oracle_symmetrize(cartan, terms, xs, q):
+    """sum_w w(f) as |W| / |W mu| times the orbit sum of each exponent mu,
+    checked against the literal sum over the Weyl matrices."""
+    group = weyl_matrices(cartan)
+    literal = 0
+    by_orbits = 0
+    for (mu, e), c in terms.items():
+        images = [tuple(w * sympy.Matrix(mu)) for w in group]
+        literal += c * q**e * sympy.Add(*(monomial(xs, nu) for nu in images))
+        points = set(images)
+        by_orbits += c * q**e * sympy.Rational(len(group), len(points)) * sympy.Add(
+            *(monomial(xs, nu) for nu in points))
+    assert sympy.expand(literal - by_orbits) == 0
+    return by_orbits
+
+
+@pytest.mark.parametrize("name", sorted(CARTAN))
+def test_symmetrize_matches_sympy_orbit_sums(name):
+    cartan = CARTAN[name]
+    rank = len(cartan)
+    rs = build_root_system(name)
+    xs, q = symbols_for(name)
+    rng = random.Random(f"symmetrize-{name}")
+    inputs = [random_terms(rng, rank, spread) for spread in (2, 2, 6, 6)]
+    for _ in range(2):
+        # A conjugate pair that cancels, and a wall weight with its conjugates.
+        x = tuple(rng.randint(-3, 3) for _ in range(rank))
+        image = rng.choice(sorted(orbit_with_signs(cartan, x)))
+        e = rng.randint(-1, 1)
+        inputs.append({(x, e): 2, (image, e): -2} if image != x else {(x, e): 2})
+        wall = [rng.randint(0, 3) for _ in range(rank)]
+        wall[rng.randrange(rank)] = 0
+        nu = rng.choice(sorted(orbit_with_signs(cartan, wall)))
+        inputs.append({(nu, rng.randint(-1, 1)): rng.choice([-2, 1, 3])})
+    for terms in inputs:
+        got = symmetrize(rs, element_of(terms, rank))
+        expected = oracle_symmetrize(cartan, terms, xs, q)
+        assert sympy.expand(expected - to_sympy(got, xs, q)) == 0, (name, terms)

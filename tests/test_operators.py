@@ -5,9 +5,10 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckemod import operators
-from heckemod.algebra import GroupRingElem, exact_div, grsum
+from heckemod.algebra import GroupRingElem, exact_div, grsum, weyl_act
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.formulas import (
@@ -25,13 +26,14 @@ from heckemod.operators import (
     omega_apply,
     s_image,
     sum_fraktur,
+    symmetrize,
     t_act,
     t_word,
     weyl_denominator,
 )
 from heckemod.root_system import build_root_system, negate_coweight, rho, weyl_group
 from heckemod.verify import monomial_box
-from test_algebra import one_minus_pi, ring_elems
+from test_algebra import coeff, one_minus_pi, qexp, ring_elems
 
 
 def pi(*coords, q=0, c=1):
@@ -305,3 +307,26 @@ def test_bernstein_relation_on_polynomials(name, h, g):
             denom = one_minus_pi(negate_coweight(rs.simple_coroots[i]))
             correction = exact_div(hs - h, denom).scale_q({0: 1, 1: -1})
             assert t_act(eps, i, h * g) == hs * t_act(eps, i, g) + correction * g
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "B3"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_symmetrize_matches_sum_over_w(name, data):
+    # Oracle: sum_w w(f), one weyl_act per element. Beside random terms, a
+    # pair c pi^mu - c pi^{w mu} cancels, and a conjugate of a dominant
+    # weight on a wall has a stabilizer larger than {e}.
+    rs = build_root_system(name)
+    g = weyl_group(rs)
+    coords = st.tuples(*(st.integers(-3, 3),) * rs.rank)
+    f = data.draw(ring_elems(rank=rs.rank))
+    mu, e, c = data.draw(coords), data.draw(qexp), data.draw(coeff)
+    w = g.elements[data.draw(st.integers(0, len(g) - 1))]
+    cancelling = GroupRingElem.monomial(mu, {e: c}) - GroupRingElem.monomial(w.apply(mu), {e: c})
+    wall = list(data.draw(st.tuples(*(st.integers(0, 3),) * rs.rank)))
+    wall[data.draw(st.integers(0, rs.rank - 1))] = 0
+    v = g.elements[data.draw(st.integers(0, len(g) - 1))]
+    on_wall = GroupRingElem.monomial(v.apply(tuple(wall)), {data.draw(qexp): data.draw(coeff)})
+    assert symmetrize(rs, cancelling).is_zero()
+    for h in (f, on_wall, f + cancelling + on_wall):
+        assert symmetrize(rs, h) == grsum(rs.rank, (weyl_act(u, h) for u in g.elements))

@@ -4,10 +4,12 @@ from heckemod.errors import InvalidCartanType, WeylGroupTooLarge
 from heckemod.root_system import (
     CartanType,
     build_root_system,
+    dominant_conjugate,
     element_of_word,
     enumerate_weyl,
     longest_element,
     negate_coweight,
+    orbit,
     reflect,
     reflect_root,
     rho,
@@ -269,3 +271,21 @@ def test_rho_is_all_ones():
     for name in ("A1", "B2", "A3"):
         rs = build_root_system(name)
         assert rho(rs) == (1,) * rs.rank
+
+
+@pytest.mark.parametrize("name", ["A1", "A3", "B2", "G2", "B3"])
+def test_dominant_conjugate_and_orbit(name):
+    # Oracle: the images of mu under every enumerated element.
+    rs = build_root_system(name)
+    g = weyl_group(rs)
+    for mu in [(0,) * rs.rank, (1,) + (-2,) * (rs.rank - 1), (-3,) + (0,) * (rs.rank - 1),
+               tuple(range(-rs.rank, 0)), tuple((-1) ** k * (k + 1) for k in range(rs.rank))]:
+        nu, steps = dominant_conjugate(rs, mu)
+        images = [w.apply(mu) for w in g.elements]
+        assert min(nu) >= 0 and nu in images
+        points = orbit(rs, nu)
+        assert points[0] == nu and len(points) == len(set(points))
+        assert sorted(points) == sorted(set(images))
+        if 0 not in nu:  # regular: one element sends mu to nu, of length = parity of steps
+            (w,) = [w for w, image in zip(g.elements, images) if image == nu]
+            assert w.length % 2 == steps % 2
