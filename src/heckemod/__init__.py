@@ -60,9 +60,7 @@ from .root_system import (
     WeylElement,
     WeylGroup,
     build_root_system,
-    enumerate_weyl,
     is_dominant,
-    longest_element,
     reflect,
     reflect_root,
     rho,

@@ -284,16 +284,6 @@ class GroupRingElem:
             for k in sorted(self.coeffs)
         ]
 
-    @classmethod
-    def from_json_obj(cls, rank: int, records: list[dict]) -> "GroupRingElem":
-        coeffs: dict[Coweight, QDict] = {}
-        for rec in records:
-            mu = tuple(int(c) for c in rec["coweight"])
-            qd = {int(e): int(c) for e, c in rec["coeff"] if int(c) != 0}
-            if qd:
-                coeffs[mu] = qd
-        return cls(rank, coeffs)
-
     def __repr__(self) -> str:
         return f"GroupRingElem({self.to_str()})"
 

@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .algebra import GroupRingElem, qd_str
+from .algebra import qd_str
 from .characters import character_by_name, characters
 from .errors import (
     HeckemodError,
@@ -68,40 +68,49 @@ def _any_type(rs) -> bool:
 
 def _casselman_shalika(rs, eps, lam, word):
     pair = casselman_shalika(rs, lam)
-    return pair.closed_form, {"theorem_form": pair.theorem_form.to_json_obj()}
+    theorem = pair.theorem_form
+    return pair.closed_form, {"theorem_form": theorem.to_json_obj()}, [f"theorem_form: {theorem.to_str()}"]
 
 
 def _shalika(rs, eps, lam, word):
     forms = shalika(rs, lam)
-    return forms.theorem_form, {
-        "rewritten_form": forms.rewritten_form.to_json_obj(),
-        "forms_agree": forms.theorem_form == forms.rewritten_form,
-    }
+    rewritten = forms.rewritten_form
+    agree = forms.theorem_form == rewritten
+    fields = {"rewritten_form": rewritten.to_json_obj(), "forms_agree": agree}
+    return forms.theorem_form, fields, [f"rewritten_form: {rewritten.to_str()}", f"forms_agree: {agree}"]
 
 
 def _bessel_value(rs, eps, lam, word):
     report = bessel_value(rs)
     ratio = report.unit_ratio
-    return report.theorem_value, {
+    fields = {
         "quoted_product": report.quoted_product.to_json_obj(),
         "quoted_product_str": report.quoted_product.to_str(),
         "unit_ratio_to_quoted": list(ratio[:2]) + [list(ratio[2])] if ratio is not None else None,
         "q_form_cofactor": report.q_form_cofactor.to_str(),
     }
+    lines = [
+        f"quoted_product: {fields['quoted_product_str']}",
+        f"unit_ratio_to_quoted: {fields['unit_ratio_to_quoted']}",
+        f"q_form_cofactor: {fields['q_form_cofactor']}",
+    ]
+    return report.theorem_value, fields, lines
 
 
 def _iwahori_image(rs, eps, lam, word):
     # A non-reduced word would name a shorter element; refuse it as t_word does.
     letters = require_reduced(rs, _parse_word(word or "", rs.rank))
     image = iwahori_image(eps, element_of_word(rs, letters), lam)
-    return image.value, {"measure": qd_str(image.measure)}
+    measure = qd_str(image.measure)
+    return image.value, {"measure": measure}, [f"measure: {measure}"]
 
 
 class Formula(NamedTuple):
     """One evaluable formula.
 
-    ``evaluate(rs, eps, lam, word)`` returns ``(value, extra row fields)``;
-    ``eps`` is the named character when ``needs_character``, else None, and
+    ``evaluate(rs, eps, lam, word)`` returns ``(value, extra row fields,
+    extra text lines)``, the lines printed under the value by ``eval``;
+    ``eps`` is the named character, or None when none is named, and
     ``word`` is the raw ``--word`` text. ``applies`` says which types a table
     includes the formula for. Formulas are looked up by name on each call.
     """
@@ -115,16 +124,16 @@ class Formula(NamedTuple):
 
 FORMULAS: dict[str, Formula] = {
     "theorem-lhs": Formula(True, True, None, _any_type,
-                           lambda rs, eps, lam, word: (theorem_lhs(eps, lam), {})),
+                           lambda rs, eps, lam, word: (theorem_lhs(eps, lam), {}, [])),
     "theorem-rhs": Formula(True, True, None, _any_type,
-                           lambda rs, eps, lam, word: (theorem_rhs(eps, lam), {})),
+                           lambda rs, eps, lam, word: (theorem_rhs(eps, lam), {}, [])),
     "weyl-char": Formula(False, True, None, _any_type,
-                         lambda rs, eps, lam, word: (weyl_character(rs, lam), {})),
+                         lambda rs, eps, lam, word: (weyl_character(rs, lam), {}, [])),
     "demazure-char": Formula(False, True, None, _any_type,
-                             lambda rs, eps, lam, word: (demazure_character(rs, lam), {})),
+                             lambda rs, eps, lam, word: (demazure_character(rs, lam), {}, [])),
     "casselman-shalika": Formula(False, True, "sign", _any_type, _casselman_shalika),
     "macdonald": Formula(False, True, "triv", _any_type,
-                         lambda rs, eps, lam, word: (macdonald(rs, lam), {})),
+                         lambda rs, eps, lam, word: (macdonald(rs, lam), {}, [])),
     "shalika": Formula(False, True, "neg-short", in_family_b, _shalika),
     "bessel-value": Formula(False, False, "neg-long", in_family_b, _bessel_value),
     "iwahori-image": Formula(True, True, None, _any_type, _iwahori_image),
@@ -160,8 +169,9 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _evaluate_formula(type_name: str, formula: str, character: str | None,
-                      lam_text: str | None, word_text: str | None) -> dict:
-    """One formula evaluation; returns the row dict used by eval and table."""
+                      lam_text: str | None, word_text: str | None) -> tuple[dict, list[str]]:
+    """One formula evaluation; returns the row dict used by eval and table,
+    and the formula's extra text lines."""
     rs = build_root_system(type_name)
     needs_char, needs_lam, implied = FORMULAS[formula][:3]
     char_name = character if needs_char else (implied or "-")
@@ -173,8 +183,9 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
             raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
         lam = _parse_lambda(lam_text, rs.rank)
 
-    eps = character_by_name(rs, character) if needs_char else None
-    value, extra = FORMULAS[formula].evaluate(rs, eps, lam, word_text)
+    # A named character must exist for the type even where the formula takes none.
+    eps = character_by_name(rs, character) if character is not None else None
+    value, extra, lines = FORMULAS[formula].evaluate(rs, eps, lam, word_text)
     row = {
         "type": type_name,
         "character": char_name,
@@ -184,7 +195,7 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
         "value_records": value.to_json_obj(),
     }
     row.update(extra)
-    return row
+    return row, lines
 
 
 def _translate_errors(fn, *args, **kwargs):
@@ -268,7 +279,7 @@ def cmd_verify(args) -> int:
 def cmd_eval(args) -> int:
     if args.formula not in FORMULAS:
         raise DomainExit(PARSE_ERROR, f"unknown formula {args.formula!r}; known: {sorted(FORMULAS)}")
-    row = _translate_errors(
+    row, lines = _translate_errors(
         _evaluate_formula, args.type, args.formula, args.character, getattr(args, "lam", None), args.word
     )
     if args.output == "json":
@@ -280,18 +291,7 @@ def cmd_eval(args) -> int:
         writer.writerow([row["type"], row["character"], ",".join(map(str, row["lambda"])), row["formula"], row["value"]])
         sys.stdout.write(buf.getvalue())
     else:
-        print(row["value"])
-        for key in ("rewritten_form", "theorem_form"):
-            if key in row:
-                print(f"{key}: {GroupRingElem.from_json_obj(len(row['lambda']) or 1, row[key]).to_str()}")
-        if "quoted_product_str" in row:
-            print(f"quoted_product: {row['quoted_product_str']}")
-            print(f"unit_ratio_to_quoted: {row['unit_ratio_to_quoted']}")
-            print(f"q_form_cofactor: {row['q_form_cofactor']}")
-        if "measure" in row:
-            print(f"measure: {row['measure']}")
-        if "forms_agree" in row:
-            print(f"forms_agree: {row['forms_agree']}")
+        print("\n".join([row["value"], *lines]))
     return 0
 
 
@@ -301,12 +301,13 @@ def cmd_eval(args) -> int:
 def _table_row(args):
     type_name, char_name, lam, formula = args
     needs_char = FORMULAS[formula].needs_character
-    return _evaluate_formula(
+    row, _ = _evaluate_formula(
         type_name, formula,
         char_name if needs_char else None,
         ",".join(map(str, lam)) if lam is not None else None,
         "",
     )
+    return row
 
 
 def _atomic_write(path: str, data: str) -> None:

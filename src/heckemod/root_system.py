@@ -429,15 +429,6 @@ def weyl_group(rs: RootSystem, max_size: int | None = None) -> WeylGroup:
     return group
 
 
-def enumerate_weyl(rs: RootSystem, max_size: int | None = None) -> tuple[WeylElement, ...]:
-    """All Weyl elements in BFS (length-increasing, ShortLex) order."""
-    return weyl_group(rs, max_size=max_size).elements
-
-
-def longest_element(rs: RootSystem, max_size: int | None = None) -> WeylElement:
-    return weyl_group(rs, max_size=max_size).longest
-
-
 def element_of_word(rs: RootSystem, word: tuple[int, ...] | list[int]) -> WeylElement:
     """The enumerated element spelled by an arbitrary word of simple reflections."""
     g = weyl_group(rs)

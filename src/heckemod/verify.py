@@ -1,9 +1,12 @@
 """Machine verification of the operator identities, with negative controls.
 
 Every verifier checks an exact identity on a deterministic box of test
-monomials and returns a :class:`VerifyResult` carrying the first witness on
-failure. Operator equalities on the box extend to the whole module span by
-linearity, since both sides are operators with bounded monomial spread there.
+monomials. It yields its checks into one loop, :func:`_checks`, one
+``(holds, witness)`` pair per check. The loop counts them, stops at the first
+that does not hold and only then calls ``witness()`` for the failure witness
+of the :class:`VerifyResult`; a run with zero checks is a fail. Operator
+equalities on the box extend to the whole module span by linearity, since
+both sides are operators with bounded monomial spread there.
 
 Each structural identity also accepts a named mutation that deliberately
 breaks one ingredient; mutated runs must fail, and the test suite pins that
@@ -12,7 +15,8 @@ they do. Mutations are test-only controls, never part of normal evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache
 from itertools import product as iproduct
 from typing import Callable, NamedTuple
 
@@ -101,21 +105,6 @@ class VerifyResult:
         return out
 
 
-def _result(identity, eps_or_rs, character, checked, witness=None) -> VerifyResult:
-    """A pass when nothing failed, unless nothing was checked at all."""
-    rs = eps_or_rs.root_system if isinstance(eps_or_rs, HeckeCharacter) else eps_or_rs
-    if checked == 0 and witness is None:
-        witness = {"error": "nothing was checked"}
-    return VerifyResult(
-        identity=identity,
-        cartan=str(rs.cartan_type),
-        character=character,
-        status="pass" if witness is None else "fail",
-        checked=checked,
-        witness=witness,
-    )
-
-
 class _QSquaredCharacter(HeckeCharacter):
     """Negative control: the q eigenvalue replaced by q^2."""
 
@@ -124,10 +113,19 @@ class _QSquaredCharacter(HeckeCharacter):
         return {2: 1} if v == {1: 1} else v
 
 
-def _maybe_mutate_character(eps: HeckeCharacter, mutate: str | None) -> HeckeCharacter:
-    if mutate == "q-squared":
-        return _QSquaredCharacter(eps.root_system, eps.name, eps.neg_classes)
-    return eps
+def _checks(identity: str, rs: RootSystem, character: str | None, cases) -> VerifyResult:
+    """The result of one identity from its ``(holds, witness)`` checks, as in the module docstring."""
+    checked = 0
+    witness = None
+    for holds, explain in cases:
+        checked += 1
+        if not holds:
+            witness = explain()
+            break
+    if checked == 0:
+        witness = {"error": "nothing was checked"}
+    status = "pass" if witness is None else "fail"
+    return VerifyResult(identity, str(rs.cartan_type), character, status, checked, witness)
 
 
 # --- structural identities -------------------------------------------------
@@ -136,66 +134,51 @@ def _maybe_mutate_character(eps: HeckeCharacter, mutate: str | None) -> HeckeCha
 def verify_quadratic(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """(T_{s_i} - q)(T_{s_i} + 1) = 0 on every test monomial and every i."""
     rs = eps.root_system
-    acting = _maybe_mutate_character(eps, mutate)
-    checked = 0
-    for i in range(rs.rank):
-        for mu in monomials:
-            f = GroupRingElem.monomial(mu)
-            tf = t_act(acting, i, f)
-            lhs = t_act(acting, i, tf) + tf.scale_q({0: 1, 1: -1}) - f.scale_q({1: 1})
-            checked += 1
-            if not lhs.is_zero():
-                return _result(
-                    "quadratic", eps, eps.name, checked,
-                    {"i": i + 1, "mu": list(mu), "residual": lhs.to_str()},
-                )
-    return _result("quadratic", eps, eps.name, checked)
+    acting = eps
+    if mutate == "q-squared":
+        acting = _QSquaredCharacter(rs, eps.name, eps.neg_classes)
 
+    def cases():
+        for i in range(rs.rank):
+            for mu in monomials:
+                f = GroupRingElem.monomial(mu)
+                tf = t_act(acting, i, f)
+                lhs = t_act(acting, i, tf) + tf.scale_q({0: 1, 1: -1}) - f.scale_q({1: 1})
+                yield lhs.is_zero(), lambda: {"i": i + 1, "mu": list(mu), "residual": lhs.to_str()}
 
-def _reduced_words(g, idx: int, cache) -> list[tuple[int, ...]]:
-    """Every reduced word of ``g.elements[idx]``, by its left descents."""
-    got = cache.get(idx)
-    if got is not None:
-        return got
-    length = g.elements[idx].length
-    if length == 0:
-        out = [()]
-    else:
-        out = []
-        for i, row in enumerate(g.left):
-            if g.elements[row[idx]].length == length - 1:
-                out.extend((i,) + rest for rest in _reduced_words(g, row[idx], cache))
-    cache[idx] = out
-    return out
+    return _checks("quadratic", rs, eps.name, cases())
 
 
 def verify_braid(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """t_word agrees across all reduced words of every Weyl element."""
     rs = eps.root_system
     g = weyl_group(rs)
-    other = None
+    acting = eps
     if mutate == "mismatched-character":
-        pool = [c for c in characters(rs) if c.name != eps.name]
-        other = pool[0]
-    cache: dict = {}
-    checked = 0
-    for mu in monomials:
-        f = GroupRingElem.monomial(mu)
-        for idx, w in enumerate(g.elements):
-            words = _reduced_words(g, idx, cache)
-            if len(words) < 2:
-                continue
-            reference = t_word(eps, words[0], f)
-            for word in words[1:]:
-                value = t_word(other if other is not None else eps, word, f)
-                checked += 1
-                if value != reference:
-                    return _result(
-                        "braid", eps, eps.name, checked,
-                        {"w": [i + 1 for i in w.word], "word": [i + 1 for i in word],
-                         "mu": list(mu)},
-                    )
-    return _result("braid", eps, eps.name, checked)
+        acting = next(c for c in characters(rs) if c.name != eps.name)
+
+    @cache
+    def reduced_words(idx: int) -> list[tuple[int, ...]]:
+        """Every reduced word of ``g.elements[idx]``, by its left descents."""
+        length = g.elements[idx].length
+        if length == 0:
+            return [()]
+        return [(i,) + rest for i, row in enumerate(g.left) if g.elements[row[idx]].length == length - 1
+                for rest in reduced_words(row[idx])]
+
+    def cases():
+        for mu in monomials:
+            f = GroupRingElem.monomial(mu)
+            for idx, w in enumerate(g.elements):
+                words = reduced_words(idx)
+                if len(words) < 2:
+                    continue
+                reference = t_word(eps, words[0], f)
+                for word in words[1:]:
+                    yield t_word(acting, word, f) == reference, lambda: {
+                        "w": [i + 1 for i in w.word], "word": [i + 1 for i in word], "mu": list(mu)}
+
+    return _checks("braid", rs, eps.name, cases())
 
 
 def verify_bernstein(eps: HeckeCharacter, mus, nus, mutate: str | None = None) -> VerifyResult:
@@ -203,111 +186,94 @@ def verify_bernstein(eps: HeckeCharacter, mus, nus, mutate: str | None = None) -
     as operators on the module, checked on the monomial basis pi^nu."""
     rs = eps.root_system
     correction_scale = {0: -1, 1: 1} if mutate == "flip-correction-sign" else {0: 1, 1: -1}
-    checked = 0
-    for i in range(rs.rank):
-        neg_av = negate_coweight(rs.simple_coroots[i])
-        denom = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(neg_av)
-        for mu in mus:
-            smu = reflect(rs, i, mu)
-            correction = exact_div(
-                GroupRingElem.monomial(smu) - GroupRingElem.monomial(mu), denom
-            ).scale_q(correction_scale)
-            for nu in nus:
-                basis = GroupRingElem.monomial(nu)
-                lhs = t_act(eps, i, GroupRingElem.monomial(tuple(a + b for a, b in zip(mu, nu))))
-                rhs = t_act(eps, i, basis).translated(smu) + correction.translated(nu)
-                checked += 1
-                if lhs != rhs:
-                    return _result(
-                        "bernstein", eps, eps.name, checked,
-                        {"i": i + 1, "mu": list(mu), "nu": list(nu),
-                         "lhs": lhs.to_str(), "rhs": rhs.to_str()},
-                    )
-    return _result("bernstein", eps, eps.name, checked)
+
+    def cases():
+        for i in range(rs.rank):
+            neg_av = negate_coweight(rs.simple_coroots[i])
+            denom = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(neg_av)
+            for mu in mus:
+                smu = reflect(rs, i, mu)
+                difference = GroupRingElem.monomial(smu) - GroupRingElem.monomial(mu)
+                correction = exact_div(difference, denom).scale_q(correction_scale)
+                for nu in nus:
+                    lhs = t_act(eps, i, GroupRingElem.monomial(tuple(a + b for a, b in zip(mu, nu))))
+                    rhs = t_act(eps, i, GroupRingElem.monomial(nu)).translated(smu) + correction.translated(nu)
+                    yield lhs == rhs, lambda: {
+                        "i": i + 1, "mu": list(mu), "nu": list(nu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
+
+    return _checks("bernstein", rs, eps.name, cases())
 
 
 def verify_deformed_demazure(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """1 + frak_t_i equals (1 - q pi^{a^vee}) d_i on the -1 classes and
     d_i (1 - q pi^{a^vee}) on the q classes."""
     rs = eps.root_system
-    checked = 0
-    for i in range(rs.rank):
-        av = rs.simple_coroots[i]
-        neg_branch = eps.is_neg_at(i)
-        if mutate == "swap-cases":
-            neg_branch = not neg_branch
-        for mu in monomials:
-            f = GroupRingElem.monomial(mu)
-            lhs = f + fraktur_t(eps, i, f)
-            if neg_branch:
-                d = demazure(rs, i, f)
-                rhs = d - d.translated(av).scale_q({1: 1})
-            else:
-                rhs = demazure(rs, i, f - f.translated(av).scale_q({1: 1}))
-            checked += 1
-            if lhs != rhs:
-                return _result(
-                    "deformed-demazure", eps, eps.name, checked,
-                    {"i": i + 1, "mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()},
-                )
-    return _result("deformed-demazure", eps, eps.name, checked)
+    swap = mutate == "swap-cases"
+
+    def cases():
+        for i in range(rs.rank):
+            av = rs.simple_coroots[i]
+            neg_branch = eps.is_neg_at(i) != swap
+            for mu in monomials:
+                f = GroupRingElem.monomial(mu)
+                lhs = f + fraktur_t(eps, i, f)
+                if neg_branch:
+                    d = demazure(rs, i, f)
+                    rhs = d - d.translated(av).scale_q({1: 1})
+                else:
+                    rhs = demazure(rs, i, f - f.translated(av).scale_q({1: 1}))
+                yield lhs == rhs, lambda: {"i": i + 1, "mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
+
+    return _checks("deformed-demazure", rs, eps.name, cases())
 
 
 def verify_rho_pairing(eps: HeckeCharacter, mutate: str | None = None) -> VerifyResult:
-    """<alpha_i, rho_eps> is 1 exactly on the -1-class simple roots, else 0."""
+    """<alpha_i, rho_eps> is 1 exactly on the -1-class simple roots, else 0.
+
+    One check per simple root, from the last one down, so a ``shift-rho``
+    failure, which moves the first pairing, comes after all of them."""
     rs = eps.root_system
     shift = eps.rho_eps
     if mutate == "shift-rho":
         shift = tuple(c + (1 if k == 0 else 0) for k, c in enumerate(shift))
     expected = tuple(1 if eps.is_neg_at(i) else 0 for i in range(rs.rank))
-    if shift != expected:
-        return _result(
-            "rho-pairing", eps, eps.name, rs.rank,
-            {"rho_eps": list(shift), "expected": list(expected)},
-        )
-    return _result("rho-pairing", eps, eps.name, rs.rank)
+    cases = ((shift[i] == expected[i], lambda: {"rho_eps": list(shift), "expected": list(expected)})
+             for i in reversed(range(rs.rank)))
+    return _checks("rho-pairing", rs, eps.name, cases)
 
 
 def verify_operator_identity(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """theorem_lhs(eps, mu) = theorem_rhs(eps, mu) on the test box."""
-    checked = 0
-    for mu in monomials:
-        lhs = theorem_lhs(eps, mu)
-        rhs = theorem_rhs(eps, mu, sign_corrected=(mutate != "drop-sign-correction"))
-        checked += 1
-        if lhs != rhs:
-            return _result(
-                "operator-identity", eps, eps.name, checked,
-                {"lambda": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()},
-            )
-    return _result("operator-identity", eps, eps.name, checked)
+
+    def cases():
+        for mu in monomials:
+            lhs = theorem_lhs(eps, mu)
+            rhs = theorem_rhs(eps, mu, sign_corrected=(mutate != "drop-sign-correction"))
+            yield lhs == rhs, lambda: {"lambda": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
+
+    return _checks("operator-identity", eps.root_system, eps.name, cases())
 
 
 def verify_intertwiner(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """The normalized intertwiner acts as c * s_i with c decided by eps(T_{s_i}):
     1 - q^-1 pi^{a^vee} for eigenvalue q, pi^{a^vee} - q^-1 for eigenvalue -1."""
     rs = eps.root_system
-    checked = 0
-    for i in range(rs.rank):
-        av = rs.simple_coroots[i]
-        neg_branch = eps.is_neg_at(i)
-        if mutate == "swap-cases":
-            neg_branch = not neg_branch
-        if neg_branch:
-            c = GroupRingElem.monomial(av) - GroupRingElem.monomial((0,) * rs.rank, {-1: 1})
-        else:
-            c = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(av, {-1: 1})
-        for mu in monomials:
-            f = GroupRingElem.monomial(mu)
-            lhs = intertwiner_op(eps, i, f)
-            rhs = c * s_image(rs, i, f)
-            checked += 1
-            if lhs != rhs:
-                return _result(
-                    "intertwiner", eps, eps.name, checked,
-                    {"i": i + 1, "mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()},
-                )
-    return _result("intertwiner", eps, eps.name, checked)
+    swap = mutate == "swap-cases"
+
+    def cases():
+        for i in range(rs.rank):
+            av = rs.simple_coroots[i]
+            if eps.is_neg_at(i) != swap:
+                c = GroupRingElem.monomial(av) - GroupRingElem.monomial((0,) * rs.rank, {-1: 1})
+            else:
+                c = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(av, {-1: 1})
+            for mu in monomials:
+                f = GroupRingElem.monomial(mu)
+                lhs = intertwiner_op(eps, i, f)
+                rhs = c * s_image(rs, i, f)
+                yield lhs == rhs, lambda: {"i": i + 1, "mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
+
+    return _checks("intertwiner", rs, eps.name, cases())
 
 
 def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
@@ -321,35 +287,27 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
     rs = eps.root_system
     right_sign = 1 if mutate == "drop-right-sign" else -1
     d_minus = multiply_binomials(rs, GroupRingElem.one(rs.rank), eps.phi_minus, 1, +1)
-    checked = 0
-    for mu in monomials:
-        theta = sum_fraktur(eps, GroupRingElem.monomial(mu))
-        for i in range(rs.rank):
-            lhs = d_minus * s_image(rs, i, theta)
-            rhs = s_image(rs, i, d_minus) * theta
-            checked += 1
-            if lhs != rhs:
-                return _result(
-                    "omega-symmetry", eps, eps.name, checked,
-                    {"side": "left", "i": i + 1, "mu": list(mu)},
-                )
-    for i in range(rs.rank):
-        av = rs.simple_coroots[i]
-        if eps.is_neg_at(i):
-            g = GroupRingElem.one(rs.rank)
-        else:
-            g = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(negate_coweight(av), {1: 1})
+
+    def cases():
         for mu in monomials:
-            smu = reflect(rs, i, mu)
-            lhs = sum_fraktur(eps, g.translated(smu))
-            rhs = sum_fraktur(eps, g.translated(tuple(a + b for a, b in zip(mu, av)))).scale(right_sign)
-            checked += 1
-            if lhs != rhs:
-                return _result(
-                    "omega-symmetry", eps, eps.name, checked,
-                    {"side": "right", "i": i + 1, "mu": list(mu)},
-                )
-    return _result("omega-symmetry", eps, eps.name, checked)
+            theta = sum_fraktur(eps, GroupRingElem.monomial(mu))
+            for i in range(rs.rank):
+                lhs = d_minus * s_image(rs, i, theta)
+                rhs = s_image(rs, i, d_minus) * theta
+                yield lhs == rhs, lambda: {"side": "left", "i": i + 1, "mu": list(mu)}
+        for i in range(rs.rank):
+            av = rs.simple_coroots[i]
+            if eps.is_neg_at(i):
+                g = GroupRingElem.one(rs.rank)
+            else:
+                g = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(negate_coweight(av), {1: 1})
+            for mu in monomials:
+                smu = reflect(rs, i, mu)
+                lhs = sum_fraktur(eps, g.translated(smu))
+                rhs = sum_fraktur(eps, g.translated(tuple(a + b for a, b in zip(mu, av)))).scale(right_sign)
+                yield lhs == rhs, lambda: {"side": "right", "i": i + 1, "mu": list(mu)}
+
+    return _checks("omega-symmetry", rs, eps.name, cases())
 
 
 # --- cross identities from the formula layer --------------------------------
@@ -359,93 +317,70 @@ def verify_q_zero_degeneration(eps: HeckeCharacter, monomials, mutate: str | Non
     """At q = 0 the generator sum becomes the full divided-difference operator."""
     rs = eps.root_system
     w0 = weyl_group(rs).longest
-    checked = 0
-    for mu in monomials:
-        f = GroupRingElem.monomial(mu)
-        lhs = specialize_q(sum_fraktur(eps, f), 0)
-        rhs = demazure_word(rs, w0.word, f)
-        if mutate == "wrong-specialization":
-            lhs = specialize_q(sum_fraktur(eps, f), 1)
-        checked += 1
-        if lhs != rhs:
-            return _result(
-                "q-zero-degeneration", eps, eps.name, checked,
-                {"mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()},
-            )
-    return _result("q-zero-degeneration", eps, eps.name, checked)
+    q = 1 if mutate == "wrong-specialization" else 0
+
+    def cases():
+        for mu in monomials:
+            f = GroupRingElem.monomial(mu)
+            lhs = specialize_q(sum_fraktur(eps, f), q)
+            rhs = demazure_word(rs, w0.word, f)
+            yield lhs == rhs, lambda: {"mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
+
+    return _checks("q-zero-degeneration", rs, eps.name, cases())
 
 
 def verify_character_formulas(rs: RootSystem, height: int = 4, mutate: str | None = None) -> VerifyResult:
     """Weyl character equals the Demazure composition for dominant coweights."""
-    checked = 0
-    for lam in dominant_coweights_up_to_height(rs, height):
-        lhs = demazure_character(rs, lam)
-        rhs = _wrapped_weyl_character(rs, lam, mutate)
-        checked += 1
-        if lhs != rhs:
-            return _result(
-                "character-formulas", rs, None, checked,
-                {"lambda": list(lam), "lhs": lhs.to_str(), "rhs": rhs.to_str()},
-            )
-    return _result("character-formulas", rs, None, checked)
 
+    def cases():
+        for lam in dominant_coweights_up_to_height(rs, height):
+            lhs = demazure_character(rs, lam)
+            rhs = weyl_character(rs, lam)
+            if mutate == "drop-rho-shift":
+                rhs = rhs.translated(tuple(1 if k == 0 else 0 for k in range(rs.rank)))
+            yield lhs == rhs, lambda: {"lambda": list(lam), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
 
-def _wrapped_weyl_character(rs, lam, mutate):
-    chi = weyl_character(rs, lam)
-    if mutate == "drop-rho-shift":
-        chi = chi.translated(tuple(1 if k == 0 else 0 for k in range(rs.rank)))
-    return chi
+    return _checks("character-formulas", rs, None, cases())
 
 
 def verify_casselman_shalika(rs: RootSystem, height: int = 3, mutate: str | None = None) -> VerifyResult:
     """Closed Whittaker form equals the sign-character operator sum."""
-    checked = 0
-    for lam in dominant_coweights_up_to_height(rs, height):
-        cs = casselman_shalika(rs, lam)
-        closed = cs.closed_form
-        if mutate == "drop-q-power":
-            closed = closed.scale_q({-weyl_group(rs).longest.length: 1})
-        checked += 1
-        if closed != cs.theorem_form:
-            return _result(
-                "casselman-shalika", rs, "sign", checked,
-                {"lambda": list(lam), "closed": closed.to_str(), "theorem": cs.theorem_form.to_str()},
-            )
-    return _result("casselman-shalika", rs, "sign", checked)
+
+    def cases():
+        for lam in dominant_coweights_up_to_height(rs, height):
+            cs = casselman_shalika(rs, lam)
+            closed = cs.closed_form
+            if mutate == "drop-q-power":
+                closed = closed.scale_q({-weyl_group(rs).longest.length: 1})
+            yield closed == cs.theorem_form, lambda: {
+                "lambda": list(lam), "closed": closed.to_str(), "theorem": cs.theorem_form.to_str()}
+
+    return _checks("casselman-shalika", rs, "sign", cases())
 
 
 def verify_macdonald(rs: RootSystem, height: int = 3, mutate: str | None = None) -> VerifyResult:
     """Symmetrized sum equals the trivial-character operator sum; at lambda = 0
     both equal the Poincare polynomial."""
     trv = character_by_name(rs, "triv")
-    checked = 0
-    for lam in dominant_coweights_up_to_height(rs, height):
-        lhs = macdonald(rs, lam)
-        rhs = theorem_lhs(trv, lam)
-        checked += 1
-        if lhs != rhs:
-            return _result(
-                "macdonald", rs, "triv", checked,
-                {"lambda": list(lam), "lhs": lhs.to_str(), "rhs": rhs.to_str()},
-            )
-    poincare = poincare_polynomial(rs)
-    if mutate == "shift-poincare":
-        poincare = poincare.scale_q({1: 1})
-    checked += 1
-    if macdonald(rs, (0,) * rs.rank) != poincare:
-        return _result(
-            "macdonald", rs, "triv", checked,
-            {"lambda": [0] * rs.rank, "expected": poincare.to_str()},
-        )
-    return _result("macdonald", rs, "triv", checked)
+
+    def cases():
+        for lam in dominant_coweights_up_to_height(rs, height):
+            lhs = macdonald(rs, lam)
+            rhs = theorem_lhs(trv, lam)
+            yield lhs == rhs, lambda: {"lambda": list(lam), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
+        poincare = poincare_polynomial(rs)
+        if mutate == "shift-poincare":
+            poincare = poincare.scale_q({1: 1})
+        yield macdonald(rs, (0,) * rs.rank) == poincare, lambda: {
+            "lambda": [0] * rs.rank, "expected": poincare.to_str()}
+
+    return _checks("macdonald", rs, "triv", cases())
 
 
 def verify_bessel_intertwiner(rs: RootSystem, monomials, mutate: str | None = None) -> VerifyResult:
     """Short simple roots act spherically, long ones Whittaker-like, under neg-long."""
     eps = character_by_name(rs, "neg-long")
-    return VerifyResult(
-        **{**verify_intertwiner(eps, monomials, mutate=mutate).__dict__, "identity": "bessel-intertwiner"}
-    )
+    return replace(verify_intertwiner(eps, monomials, mutate=mutate), identity="bessel-intertwiner")
 
 
 def verify_bessel_value(rs: RootSystem, mutate: str | None = None) -> VerifyResult:
@@ -454,38 +389,29 @@ def verify_bessel_value(rs: RootSystem, mutate: str | None = None) -> VerifyResu
     alternator side in :class:`heckemod.formulas.BesselValue`. The witness
     also reports whether the quoted unit-monomial form holds."""
     report = bessel_value(rs)
-    checked = 1
     n = rs.rank
     expected = GroupRingElem.monomial((0,) * n, {n - 1: 1, n: 1})
     if mutate == "drop-cofactor":
         expected = GroupRingElem.one(n)
     actual = report.q_form_cofactor
-    if actual != expected:
-        return _result(
-            "bessel-value", rs, "neg-long", checked,
-            {"cofactor": actual.to_str(), "expected": expected.to_str(),
-             "unit_ratio_to_quoted": report.unit_ratio},
-        )
-    return _result("bessel-value", rs, "neg-long", checked)
+    return _checks("bessel-value", rs, "neg-long", [(actual == expected, lambda: {
+        "cofactor": actual.to_str(), "expected": expected.to_str(), "unit_ratio_to_quoted": report.unit_ratio})])
 
 
 def verify_shalika(rs: RootSystem, height: int = 2, mutate: str | None = None) -> VerifyResult:
     """The two displayed Shalika evaluations agree for dominant coweights."""
-    checked = 0
-    for lam in dominant_coweights_up_to_height(rs, height):
-        forms = shalika(rs, lam)
-        rewritten = forms.rewritten_form
-        if mutate == "drop-long-q-power":
-            eps = character_by_name(rs, "neg-short")
-            rewritten = rewritten.scale_q({-len(eps.phi_q): 1})
-        checked += 1
-        if forms.theorem_form != rewritten:
-            return _result(
-                "shalika", rs, "neg-short", checked,
-                {"lambda": list(lam), "theorem": forms.theorem_form.to_str(),
-                 "rewritten": rewritten.to_str()},
-            )
-    return _result("shalika", rs, "neg-short", checked)
+
+    def cases():
+        for lam in dominant_coweights_up_to_height(rs, height):
+            forms = shalika(rs, lam)
+            rewritten = forms.rewritten_form
+            if mutate == "drop-long-q-power":
+                eps = character_by_name(rs, "neg-short")
+                rewritten = rewritten.scale_q({-len(eps.phi_q): 1})
+            yield forms.theorem_form == rewritten, lambda: {
+                "lambda": list(lam), "theorem": forms.theorem_form.to_str(), "rewritten": rewritten.to_str()}
+
+    return _checks("shalika", rs, "neg-short", cases())
 
 
 # --- suite registry ----------------------------------------------------------
@@ -566,9 +492,12 @@ def run_suite(
     mutate: str | None = None,
 ) -> list[VerifyResult]:
     """Run one named suite on one type; returns one result per character when
-    the suite is character-indexed, and none when it does not apply."""
+    the suite is character-indexed, and none when it does not apply. A
+    mutation the suite does not register raises ``ValueError``."""
     rs = build_root_system(type_name)
     entry = SUITES[suite]
+    if mutate is not None and mutate not in entry.mutations:
+        raise ValueError(f"suite {suite!r} registers no mutation {mutate!r}; registered: {list(entry.mutations)}")
     if not entry.applies(rs):
         return []
     box = monomial_box(rs.rank, radius, cap)

@@ -90,6 +90,21 @@ def test_parse_errors_exit_2(capsys):
     assert run_cli(capsys, "eval", "--type", "A2", "--character", "neg-long", "--lambda", "0,0", "--formula", "theorem-lhs")[0] == 2
 
 
+@pytest.mark.parametrize("formula", ["weyl-char", "demazure-char", "casselman-shalika", "macdonald"])
+def test_eval_checks_the_character_of_every_formula(capsys, formula):
+    # A character the type does not have is refused even where the formula takes none.
+    code, out, err = run_cli(
+        capsys, "eval", "--type", "A2", "--formula", formula, "--character", "neg-long", "--lambda", "1,0"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: character 'neg-long' not defined for A2\n"
+    # A valid one it does not use changes nothing.
+    base = ("eval", "--type", "A2", "--formula", formula, "--lambda", "1,0")
+    code, out, err = run_cli(capsys, *base, "--character", "triv")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *base) == (0, out, "")
+
+
 def test_domain_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "eval", "--type", "A1", "--formula", "weyl-char", "--lambda", "-1")
     assert code == 3

@@ -6,8 +6,6 @@ from heckemod.root_system import (
     build_root_system,
     dominant_conjugate,
     element_of_word,
-    enumerate_weyl,
-    longest_element,
     negate_coweight,
     orbit,
     reflect,
@@ -125,17 +123,17 @@ def test_simple_reflection_permutes_other_positive_roots():
 
 def test_enumeration_basics():
     a1 = build_root_system("A1")
-    words = sorted(w.word for w in enumerate_weyl(a1))
+    words = sorted(w.word for w in weyl_group(a1).elements)
     assert words == [(), (0,)]
 
     a2 = build_root_system("A2")
-    lengths = sorted(w.length for w in enumerate_weyl(a2))
+    lengths = sorted(w.length for w in weyl_group(a2).elements)
     assert lengths == [0, 1, 1, 2, 2, 3]
 
     b2 = build_root_system("B2")
-    lengths = sorted(w.length for w in enumerate_weyl(b2))
+    lengths = sorted(w.length for w in weyl_group(b2).elements)
     assert lengths == [0, 1, 1, 2, 2, 3, 3, 4]
-    assert longest_element(b2).length == 4
+    assert weyl_group(b2).longest.length == 4
 
 
 def test_identity_and_longest():
@@ -176,7 +174,7 @@ def _all_reduced_words(rs, w):
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_stored_words_are_shortlex_minimal(name):
     rs = build_root_system(name)
-    for w in enumerate_weyl(rs):
+    for w in weyl_group(rs).elements:
         words = _all_reduced_words(rs, w)
         assert w.word == min(words)
         assert all(len(word) == w.length for word in words)
@@ -186,7 +184,7 @@ def test_stored_words_are_shortlex_minimal(name):
 def test_length_is_inversion_count(name):
     # l(w) = #{beta > 0 : w^{-1} beta < 0}, computed through root reflections
     rs = build_root_system(name)
-    for w in enumerate_weyl(rs):
+    for w in weyl_group(rs).elements:
         inversions = 0
         for beta in rs.positive_roots:
             image = beta
@@ -201,7 +199,7 @@ def test_length_is_inversion_count(name):
 def test_action_matrix_matches_reflect_composition(name):
     rs = build_root_system(name)
     probes = [(1, 0), (0, 1), (2, -3), (-1, 4)]
-    for w in enumerate_weyl(rs):
+    for w in weyl_group(rs).elements:
         for word in _all_reduced_words(rs, w):
             for mu in probes:
                 out = mu
@@ -222,10 +220,10 @@ def test_f4_behind_size_guard():
     rs = build_root_system("F4")
     assert len(rs.positive_roots) == 24
     with pytest.raises(WeylGroupTooLarge):
-        enumerate_weyl(rs)
-    elements = enumerate_weyl(rs, max_size=1152)
-    assert len(elements) == 1152
-    assert longest_element(rs, max_size=1152).length == 24
+        weyl_group(rs)
+    group = weyl_group(rs, max_size=1152)
+    assert len(group.elements) == 1152
+    assert group.longest.length == 24
 
 
 def test_f4_guard_holds_after_a_raised_cap_call():
@@ -233,8 +231,6 @@ def test_f4_guard_holds_after_a_raised_cap_call():
     assert len(weyl_group(rs, max_size=1152)) == 1152
     with pytest.raises(WeylGroupTooLarge):
         weyl_group(rs)
-    with pytest.raises(WeylGroupTooLarge):
-        longest_element(rs)
 
 
 @pytest.mark.parametrize("name, sizes", [("A2", [3, 2]), ("B2", [4, 2]), ("G2", [6, 2]),

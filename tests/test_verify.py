@@ -67,6 +67,46 @@ def test_every_registered_control_fails(suite, mutation):
     assert any(not r.passed for r in results), (suite, mutation)
 
 
+def test_run_suite_refuses_an_unregistered_mutation():
+    # A misspelled control used to run unmutated and pass.
+    with pytest.raises(ValueError, match="'q-squared'"):
+        run_suite("quadratic", "A1", mutate="no-such-thing")
+    with pytest.raises(ValueError, match="'mismatched-character'"):
+        run_suite("braid", "A1", mutate="q-squared")  # refused even where the suite does not apply
+
+
+WITNESS_KEYS = {
+    ("bernstein", "flip-correction-sign"): {"i", "mu", "nu", "lhs", "rhs"},
+    ("bessel-intertwiner", "swap-cases"): {"i", "mu", "lhs", "rhs"},
+    ("bessel-value", "drop-cofactor"): {"cofactor", "expected", "unit_ratio_to_quoted"},
+    ("braid", "mismatched-character"): {"mu", "w", "word"},
+    ("casselman-shalika", "drop-q-power"): {"closed", "lambda", "theorem"},
+    ("character-formulas", "drop-rho-shift"): {"lambda", "lhs", "rhs"},
+    ("deformed-demazure", "swap-cases"): {"i", "mu", "lhs", "rhs"},
+    ("intertwiner", "swap-cases"): {"i", "mu", "lhs", "rhs"},
+    ("macdonald", "shift-poincare"): {"expected", "lambda"},
+    ("omega-symmetry", "drop-right-sign"): {"i", "mu", "side"},
+    ("operator-identity", "drop-sign-correction"): {"lambda", "lhs", "rhs"},
+    ("q-zero-degeneration", "wrong-specialization"): {"lhs", "mu", "rhs"},
+    ("quadratic", "q-squared"): {"i", "mu", "residual"},
+    ("rho-pairing", "shift-rho"): {"expected", "rho_eps"},
+    ("shalika", "drop-long-q-power"): {"lambda", "rewritten", "theorem"},
+}
+
+
+def test_witness_keys_cover_every_control():
+    assert set(WITNESS_KEYS) == {(s, m) for s, entry in SUITES.items() for m in entry.mutations}
+
+
+@pytest.mark.parametrize("suite,mutation", sorted(WITNESS_KEYS))
+def test_failing_witness_keys(suite, mutation):
+    failures = [r for t in ("A1", "B2") for r in run_suite(suite, t, radius=1, cap=30, mutate=mutation)
+                if not r.passed]
+    assert failures
+    for r in failures:
+        assert set(r.witness) == WITNESS_KEYS[suite, mutation], r.witness
+
+
 def test_every_suite_registers_a_control():
     assert all(entry.mutations for entry in SUITES.values())
 
