@@ -4,8 +4,10 @@ A group-ring element is a sparse map from coweights (integer tuples in the
 fundamental-coweight basis) to q-Laurent coefficients, themselves sparse maps
 from q-exponents to arbitrary-precision integers. Neither level stores zeros.
 
-Every division the operators make is by a binomial 1 - pi^v, and
-:func:`divide_by_binomial` does it in one pass: the quotient g satisfies
+The rank-one operators do not divide (their closed form is a string sum, see
+:mod:`heckemod.operators`). Every other division the operators and formulas
+make is by a binomial 1 - pi^v, and :func:`divide_by_binomial` does it in one
+pass: the quotient g satisfies
 g(mu) = f(mu) + g(mu - v), so each v-string of the support is walked upward
 once, and a string whose running sum does not close to zero raises
 :class:`NotDivisible`.
@@ -63,6 +65,22 @@ def qd_mul(a: QDict, b: QDict) -> QDict:
             else:
                 del out[k]
     return out
+
+
+def add_term(acc: dict[Coweight, QDict], mu: Coweight, qd: QDict) -> None:
+    """acc[mu] += qd in place. A new entry gets a copy of qd, so acc never
+    shares a coefficient map with a caller; an entry that cancels is left
+    empty, and the caller drops it when it builds the element."""
+    tgt = acc.get(mu)
+    if tgt is None:
+        acc[mu] = dict(qd)
+        return
+    for e, c in qd.items():
+        s = tgt.get(e, 0) + c
+        if s:
+            tgt[e] = s
+        else:
+            del tgt[e]
 
 
 def qd_div_exact(a: QDict, b: QDict) -> QDict:
@@ -371,19 +389,10 @@ def divide_by_binomial(f: GroupRingElem, v: Coweight) -> GroupRingElem:
 
 def grsum(rank: int, terms) -> GroupRingElem:
     """Sum an iterable of GroupRingElem via one mutable accumulator."""
-    acc: dict[Coweight, dict[int, int]] = {}
+    acc: dict[Coweight, QDict] = {}
     for t in terms:
         for k, qd in t.coeffs.items():
-            tgt = acc.get(k)
-            if tgt is None:
-                acc[k] = dict(qd)
-                continue
-            for e, c in qd.items():
-                s = tgt.get(e, 0) + c
-                if s:
-                    tgt[e] = s
-                else:
-                    del tgt[e]
+            add_term(acc, k, qd)
     return GroupRingElem(rank, {k: v for k, v in acc.items() if v})
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GroupRingElem, QDict, divide_by_binomial, exact_div
+from .algebra import GroupRingElem, QDict, add_term, divide_by_binomial, exact_div
 from .characters import HeckeCharacter, character_by_name
 from .errors import NonDominant, NotDivisible, RatioNotMonomial, WrongFamily
 from .operators import demazure_word, omega_apply, sum_fraktur, symmetrize, t_word
@@ -56,12 +56,17 @@ def in_family_b(rs: RootSystem) -> bool:
 
 
 def multiply_binomials(rs: RootSystem, f: GroupRingElem, roots, q_exp: int, pi_sign: int) -> GroupRingElem:
-    """f * prod over roots of (1 - q^{q_exp} pi^{pi_sign * a^vee}), factor by factor."""
+    """f * prod over roots of (1 - q^{q_exp} pi^{pi_sign * a^vee}), one pass
+    over the monomials of f per factor."""
     for r in roots:
         av = rs.coroot_of[r]
         if pi_sign < 0:
             av = negate_coweight(av)
-        f = f - f.translated(av).scale_q({q_exp: 1})
+        out: dict[Coweight, QDict] = {}
+        for mu, qd in f.coeffs.items():
+            add_term(out, mu, qd)
+            add_term(out, add_coweights(mu, av), {e + q_exp: -c for e, c in qd.items()})
+        f = GroupRingElem(f.rank, {k: v for k, v in out.items() if v})
     return f
 
 

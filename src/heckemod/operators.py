@@ -4,7 +4,8 @@ the unsigned symmetrization.
 Everything here acts on exact group-ring elements. The generator action on the
 module induced from a linear character eps is
 
-    T_{s_i} f  =  eps(T_{s_i}) f^{s_i}  +  (1 - q) (f^{s_i} - f) / (1 - pi^{-alpha_i^vee}),
+    T_{s_i} f  =  eps(T_{s_i}) f^{s_i}  +  (1 - q) G_i(f),
+    G_i(f)     =  (f^{s_i} - f) / (1 - pi^{-alpha_i^vee}),
 
 where the division is exact because f - f^{s_i} is always divisible by
 1 - pi^{-alpha_i^vee}. The conjugated operator frak_t_i = pi^{rho_eps} T_{s_i}
@@ -16,9 +17,20 @@ satisfy 1 + frak_t_i = (1 - q pi^{alpha_i^vee}) d_i on the -1 classes and
 d_i (1 - q pi^{alpha_i^vee}) on the q classes; the verifiers in
 :mod:`heckemod.verify` machine-check these identities.
 
-Every division here is by a binomial 1 - pi^v and goes through
-:func:`heckemod.algebra.divide_by_binomial`; the generic ``exact_div`` is not
-used. The alternator-side operator is
+Neither rank-one operator divides. On one monomial G_i is a geometric sum
+along the alpha_i^vee-string from mu to s_i mu (Brubaker-Bump-Licata,
+arXiv:1111.4230): with a = alpha_i^vee and p = <alpha_i, mu> = mu[i],
+
+    G_i(pi^mu) = - sum_{j=0}^{p-1} pi^{mu - j a}   if p > 0,
+                 + sum_{j=1}^{-p}  pi^{mu + j a}   if p < 0,
+                   0                               if p = 0.
+
+One private kernel adds c * G_i(pi^mu) for a q-scalar c into an output map,
+and both operators make one pass over the monomials of f with it:
+T_{s_i} f = eps(T_{s_i}) f^{s_i} + (1 - q) G_i(f), and d_i f = f + G_i(f).
+The divisions left here, by the Weyl denominator's binomials 1 - pi^v, go
+through :func:`heckemod.algebra.divide_by_binomial`; the generic
+``exact_div`` is not used. The alternator-side operator is
 
     Omega(f) = (-1)^{l(w0)} * A(pi^{-rho} f) / A(pi^{rho}),
 
@@ -50,12 +62,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import GroupRingElem, QDict, divide_by_binomial, grsum, qd_add, qd_neg, weyl_act
+from .algebra import GroupRingElem, QDict, add_term, divide_by_binomial, grsum, qd_add, qd_mul, qd_neg, weyl_act
 from .characters import HeckeCharacter
 from .errors import NonReducedWord
 from .root_system import (
     Coweight,
     RootSystem,
+    add_coweights,
     dominant_conjugate,
     element_of_word,
     is_dominant,
@@ -79,12 +92,40 @@ def _one_minus_pi(rank: int, mu: Coweight) -> GroupRingElem:
     return GroupRingElem.one(rank) - GroupRingElem.monomial(mu)
 
 
+def _add_string(out: dict[Coweight, QDict], a: Coweight, mu: Coweight, p: int, c: QDict) -> None:
+    """out += c * G_i(pi^mu) for a = alpha_i^vee and p = mu[i]: c at each point
+    of the a-string from mu to s_i mu, as in the module docstring."""
+    if p > 0:
+        c, step, point = qd_neg(c), negate_coweight(a), mu
+    elif p < 0:
+        step, point = a, add_coweights(mu, a)
+    else:
+        return
+    for _ in range(abs(p)):
+        add_term(out, point, c)
+        point = add_coweights(point, step)
+
+
+def _times(qd: QDict, c: QDict) -> QDict:
+    """qd * c; a one-term c is an exponent shift."""
+    if len(c) == 1:
+        ((k, s),) = c.items()
+        return {e + k: s * v for e, v in qd.items()}
+    return qd_mul(qd, c)
+
+
 def t_act(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
-    """Left action of the generator T_{s_i} on f in the module of eps."""
+    """Left action of the generator T_{s_i} on f in the module of eps:
+    eps(T_{s_i}) f^{s_i} + (1 - q) G_i(f), in one pass over the monomials of f
+    with no division (module docstring)."""
     rs = eps.root_system
-    fs = s_image(rs, i, f)
-    quot = divide_by_binomial(fs - f, negate_coweight(rs.simple_coroots[i]))
-    return fs.scale_q(eps.eigenvalue_at(i)) + quot.scale_q(_ONE_MINUS_Q)
+    a = rs.simple_coroots[i]
+    ev = eps.eigenvalue_at(i)
+    out: dict[Coweight, QDict] = {}
+    for mu, qd in f.coeffs.items():
+        add_term(out, reflect(rs, i, mu), _times(qd, ev))
+        _add_string(out, a, mu, mu[i], qd_mul(qd, _ONE_MINUS_Q))
+    return GroupRingElem(f.rank, {k: v for k, v in out.items() if v})
 
 
 def require_reduced(rs: RootSystem, word) -> tuple[int, ...]:
@@ -111,10 +152,14 @@ def t_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
 
 
 def demazure(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
-    """Demazure operator d_i; the division is exact for every input."""
-    neg_av = negate_coweight(rs.simple_coroots[i])
-    # (pi^{-a^vee} f - f^{s_i}) / (pi^{-a^vee} - 1), both signs flipped.
-    return divide_by_binomial(s_image(rs, i, f) - f.translated(neg_av), neg_av)
+    """Demazure operator d_i f = f + G_i(f), in one pass over the monomials of
+    f with no division (module docstring)."""
+    a = rs.simple_coroots[i]
+    out: dict[Coweight, QDict] = {}
+    for mu, qd in f.coeffs.items():
+        add_term(out, mu, qd)
+        _add_string(out, a, mu, mu[i], qd)
+    return GroupRingElem(f.rank, {k: v for k, v in out.items() if v})
 
 
 def demazure_word(rs: RootSystem, word, f: GroupRingElem) -> GroupRingElem:
@@ -162,16 +207,20 @@ def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
     frak_t_i of the value at s_i u, with i the first letter of the stored
     reduced word, and s_i u stays in the level. One generator application per
     non-identity element of each level: 9 on B3 instead of |W| - 1 = 47.
+    Every frak_t_w is pi^{rho_eps} T_w pi^{-rho_eps}, so the walk runs
+    ``t_act`` between one translation by -rho_eps in and one by +rho_eps out.
     """
     rs = eps.root_system
     g = weyl_group(rs)
+    shift = eps.rho_eps
+    f = f.translated(negate_coweight(shift))
     for level in reversed(g.levels):
         values = {0: f}
         for idx in level[1:]:
             i = g.elements[idx].word[0]
-            values[idx] = fraktur_t(eps, i, values[g.left[i][idx]])
+            values[idx] = t_act(eps, i, values[g.left[i][idx]])
         f = grsum(rs.rank, values.values())
-    return f
+    return f.translated(shift)
 
 
 def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 
 from .errors import InvalidCartanType, WeylGroupTooLarge
 
@@ -275,7 +276,7 @@ def orbit(rs: RootSystem, nu: Coweight) -> list[Coweight]:
 
 
 def add_coweights(a: Coweight, b: Coweight) -> Coweight:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def negate_coweight(a: Coweight) -> Coweight:

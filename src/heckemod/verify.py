@@ -484,6 +484,14 @@ MUTATION_SUITES: dict[str, tuple[str, ...]] = {
 }
 
 
+def _registered(registry: dict, name: str, what: str):
+    """registry[name]; ``ValueError`` naming the known entries when it has none."""
+    try:
+        return registry[name]
+    except KeyError:
+        raise ValueError(f"unknown {what} {name!r}; known: {sorted(registry)}") from None
+
+
 def run_suite(
     suite: str,
     type_name: str,
@@ -492,10 +500,11 @@ def run_suite(
     mutate: str | None = None,
 ) -> list[VerifyResult]:
     """Run one named suite on one type; returns one result per character when
-    the suite is character-indexed, and none when it does not apply. A
-    mutation the suite does not register raises ``ValueError``."""
+    the suite is character-indexed, and none when it does not apply. An
+    unknown suite, or a mutation the suite does not register, raises
+    ``ValueError``."""
     rs = build_root_system(type_name)
-    entry = SUITES[suite]
+    entry = _registered(SUITES, suite, "suite")
     if mutate is not None and mutate not in entry.mutations:
         raise ValueError(f"suite {suite!r} registers no mutation {mutate!r}; registered: {list(entry.mutations)}")
     if not entry.applies(rs):
@@ -510,10 +519,14 @@ def suite_tasks(types, suites=None, mutate: str | None = None, max_rank: int | N
     """(suite, type) pairs to run, types outermost, each suite only on the types
     it applies to. ``suites`` defaults to all of them; a mutation keeps only
     the selected suites that own it. Repeated types (``A1`` and ``a1`` are
-    the same) and suites count once, in first-seen order."""
+    the same) and suites count once, in first-seen order. An unknown suite
+    or mutation raises ``ValueError``."""
     suites = list(SUITES) if suites is None else list(dict.fromkeys(suites))
+    for s in suites:
+        _registered(SUITES, s, "suite")
     if mutate is not None:
-        suites = [s for s in suites if s in MUTATION_SUITES[mutate]]
+        owners = _registered(MUTATION_SUITES, mutate, "mutation")
+        suites = [s for s in suites if s in owners]
     tasks = []
     seen = set()
     for type_name in types:

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod import operators
-from heckemod.algebra import GroupRingElem, exact_div, grsum, weyl_act
-from heckemod.characters import character_by_name, characters
+from heckemod.algebra import GroupRingElem, divide_by_binomial, exact_div, grsum, weyl_act
+from heckemod.characters import HeckeCharacter, character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.formulas import (
     demazure_character,
     dominant_coweights_up_to_height,
+    multiply_binomials,
     theorem_rhs,
     weyl_character,
 )
@@ -31,8 +32,8 @@ from heckemod.operators import (
     t_word,
     weyl_denominator,
 )
-from heckemod.root_system import build_root_system, negate_coweight, rho, weyl_group
-from heckemod.verify import monomial_box
+from heckemod.root_system import build_root_system, negate_coweight, reflect, rho, weyl_group
+from heckemod.verify import _QSquaredCharacter, monomial_box
 from test_algebra import coeff, one_minus_pi, qexp, ring_elems
 
 
@@ -181,9 +182,9 @@ def test_sum_fraktur_applies_one_generator_per_level_element(name, applications,
 
     def counted(eps, i, f):
         calls.append(i)
-        return fraktur_t(eps, i, f)
+        return t_act(eps, i, f)
 
-    monkeypatch.setattr(operators, "fraktur_t", counted)
+    monkeypatch.setattr(operators, "t_act", counted)
     for eps in characters(rs):
         calls.clear()
         sum_fraktur(eps, GroupRingElem.one(rs.rank))
@@ -330,3 +331,93 @@ def test_symmetrize_matches_sum_over_w(name, data):
     assert symmetrize(rs, cancelling).is_zero()
     for h in (f, on_wall, f + cancelling + on_wall):
         assert symmetrize(rs, h) == grsum(rs.rank, (weyl_act(u, h) for u in g.elements))
+
+
+# --- the string kernel against the defining quotients ------------------------
+
+KERNEL_TYPES = ["A2", "B2", "G2", "B3"]
+q_coeffs = st.dictionaries(qexp, coeff, min_size=1, max_size=3)
+
+
+@st.composite
+def kernel_inputs(draw, rs):
+    """A random polynomial with multi-term q-coefficients, plus a monomial on
+    a wall (mu[j] = 0) and a pair c (pi^mu +- pi^{s_j mu}) whose images cancel
+    in part."""
+    coords = st.tuples(*(st.integers(-3, 3),) * rs.rank)
+    wall = list(draw(coords))
+    j = draw(st.integers(0, rs.rank - 1))
+    wall[j] = 0
+    mu, c = draw(coords), draw(q_coeffs)
+    sign = draw(st.sampled_from([1, -1]))
+    terms = draw(st.lists(st.tuples(coords, q_coeffs), max_size=4))
+    terms.append((tuple(wall), draw(q_coeffs)))
+    terms += [(mu, c), (reflect(rs, j, mu), {e: sign * v for e, v in c.items()})]
+    total = GroupRingElem.zero(rs.rank)
+    for nu, qd in terms:
+        total = total + GroupRingElem(rs.rank, {nu: dict(qd)})
+    return total
+
+
+class _TwoTermCharacter(HeckeCharacter):
+    """Not a character: the q eigenvalue replaced by 2q - 1, so the defining
+    formula runs with a q-scalar of more than one term."""
+
+    def eigenvalue(self, length_class):
+        v = super().eigenvalue(length_class)
+        return {0: -1, 1: 2} if v == {1: 1} else v
+
+
+def _acting_characters(rs):
+    # Every character, the negative control whose q eigenvalue is q^2, and a
+    # two-term eigenvalue.
+    return [acting for eps in characters(rs)
+            for acting in (eps, _QSquaredCharacter(rs, eps.name, eps.neg_classes),
+                           _TwoTermCharacter(rs, eps.name, eps.neg_classes))]
+
+
+def _assert_untouched(f, before, result):
+    assert f.coeffs == before
+    inputs = {id(qd) for qd in f.coeffs.values()}
+    assert not any(id(qd) in inputs for qd in result.coeffs.values())
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_t_act_and_demazure_match_their_quotients(name, data):
+    # T_i f = eps f^{s_i} + (1 - q) (f^{s_i} - f) / (1 - pi^{-a^vee}) and
+    # d_i f = (f^{s_i} - pi^{-a^vee} f) / (1 - pi^{-a^vee}), each division
+    # by divide_by_binomial.
+    rs = build_root_system(name)
+    f = data.draw(kernel_inputs(rs))
+    before = {k: dict(v) for k, v in f.coeffs.items()}
+    for i in range(rs.rank):
+        neg_av = negate_coweight(rs.simple_coroots[i])
+        fs = s_image(rs, i, f)
+        quot = divide_by_binomial(fs - f, neg_av)
+        for eps in _acting_characters(rs):
+            got = t_act(eps, i, f)
+            assert got == fs.scale_q(eps.eigenvalue_at(i)) + quot.scale_q({0: 1, 1: -1})
+            _assert_untouched(f, before, got)
+        got = demazure(rs, i, f)
+        assert got == divide_by_binomial(fs - f.translated(neg_av), neg_av)
+        _assert_untouched(f, before, got)
+
+
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_multiply_binomials_matches_the_product(name, data):
+    rs = build_root_system(name)
+    f = data.draw(kernel_inputs(rs))
+    before = {k: dict(v) for k, v in f.coeffs.items()}
+    roots = data.draw(st.lists(st.sampled_from(rs.positive_roots), min_size=1, max_size=3))
+    q_exp, pi_sign = data.draw(st.integers(-1, 1)), data.draw(st.sampled_from([1, -1]))
+    product = f
+    for r in roots:
+        av = rs.coroot_of[r] if pi_sign > 0 else negate_coweight(rs.coroot_of[r])
+        product = product * (GroupRingElem.one(rs.rank) - GroupRingElem.monomial(av, {q_exp: 1}))
+    got = multiply_binomials(rs, f, roots, q_exp, pi_sign)
+    assert got == product
+    _assert_untouched(f, before, got)

@@ -10,6 +10,7 @@ from heckemod.verify import (
     monomial_box,
     run_suite,
     run_verification,
+    suite_tasks,
     verify_operator_identity,
     verify_quadratic,
 )
@@ -73,6 +74,25 @@ def test_run_suite_refuses_an_unregistered_mutation():
         run_suite("quadratic", "A1", mutate="no-such-thing")
     with pytest.raises(ValueError, match="'mismatched-character'"):
         run_suite("braid", "A1", mutate="q-squared")  # refused even where the suite does not apply
+
+
+def test_run_suite_refuses_an_unknown_suite():
+    # A misspelled suite used to die with a bare KeyError.
+    with pytest.raises(ValueError, match="unknown suite 'quadratc'; known: .*'quadratic'"):
+        run_suite("quadratc", "A1")
+
+
+def test_run_verification_refuses_unknown_names():
+    # A misspelled mutation used to die with a bare KeyError; a misspelled
+    # suite beside a mutation was dropped silently.
+    with pytest.raises(ValueError, match="unknown mutation 'no-such-thing'; known: .*'q-squared'"):
+        run_verification(types=("A1",), mutate="no-such-thing")
+    with pytest.raises(ValueError, match="unknown mutation"):
+        suite_tasks(("A1",), mutate="no-such-thing")
+    with pytest.raises(ValueError, match="unknown suite 'quadratc'"):
+        suite_tasks(("A1",), suites=("quadratc",))
+    with pytest.raises(ValueError, match="unknown suite 'quadratc'"):
+        run_verification(types=("A1",), suites=("quadratc",), mutate="q-squared")
 
 
 WITNESS_KEYS = {
