@@ -148,9 +148,14 @@ def qd_str(a: QDict) -> str:
 class GroupRingElem:
     """Sparse exact element of Z[q, q^-1][P^vee].
 
-    Instances are immutable by convention: every operation returns a fresh
-    element and never mutates the coefficient maps of its operands, so sharing
-    across threads or workers is safe.
+    Instances are immutable by convention: every operation returns a new
+    element and never writes into the coefficient maps of its operands. The
+    q-coefficient maps themselves may be shared, within one result and
+    between results: ``omega_apply`` stores one map at every point of an
+    orbit, :func:`divide_by_binomial` one running sum at several points of a
+    string, and ``translated``, :func:`weyl_act` and ``s_image`` hand back
+    their operand's maps under new exponents. So nothing may write into a
+    coefficient map it did not build itself.
     """
 
     __slots__ = ("rank", "coeffs")

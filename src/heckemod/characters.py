@@ -30,7 +30,7 @@ class HeckeCharacter:
     -1; generators of the remaining classes act by q.
     """
 
-    __slots__ = ("root_system", "name", "neg_classes", "_rho_eps")
+    __slots__ = ("root_system", "name", "neg_classes", "_rho_eps", "_eigenvalues")
 
     def __init__(self, rs: RootSystem, name: str, neg_classes: frozenset[str]):
         unknown = neg_classes - rs.length_classes
@@ -40,13 +40,26 @@ class HeckeCharacter:
         self.name = name
         self.neg_classes = neg_classes
         self._rho_eps: Coweight | None = None
+        self._eigenvalues: tuple[QDict, ...] | None = None
 
     def eigenvalue(self, length_class: str) -> QDict:
         """The value of the character on generators of one length class."""
         return dict(Q_MINUS_ONE if length_class in self.neg_classes else Q_GEN)
 
     def eigenvalue_at(self, i: int) -> QDict:
-        return self.eigenvalue(self.root_system.length_class_of[self.root_system.simple_root(i)])
+        """The value of the character on T_{s_i}.
+
+        The values of all generators are filled once per instance, on the
+        first call, through :meth:`eigenvalue`, so a subclass that overrides
+        it is honoured. The returned map is shared by every call: read it,
+        never write into it.
+        """
+        if self._eigenvalues is None:
+            rs = self.root_system
+            self._eigenvalues = tuple(
+                self.eigenvalue(rs.length_class_of[rs.simple_root(j)]) for j in range(rs.rank)
+            )
+        return self._eigenvalues[i]
 
     def is_neg_at(self, i: int) -> bool:
         rs = self.root_system

@@ -18,7 +18,8 @@ The global (-1)^{l(w0)} makes lhs and rhs agree on the nose; with that
 convention the sign-character value also equals the classical Whittaker
 closed form q^{l(w0)} pi^{rho} prod (1 - q^-1 pi^{-a^vee}) chi_lambda exactly
 (ratio +1, recorded by the test suite), and the trivial-character value equals
-the symmetrized spherical sum of :func:`macdonald`.
+Macdonald's spherical sum over W, which :func:`macdonald` computes as the
+Demazure operator d_{w0} of its numerator.
 
 Double-coset measures are normalized by |I| = 1 and the dominant translation
 coset gets measure q^{<2 rho, lambda>}; values are reported with the measure
@@ -29,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GroupRingElem, QDict, add_term, divide_by_binomial, exact_div
+from .algebra import GroupRingElem, QDict, add_term, exact_div
 from .characters import HeckeCharacter, character_by_name
 from .errors import NonDominant, NotDivisible, RatioNotMonomial, WrongFamily
-from .operators import demazure_word, omega_apply, sum_fraktur, symmetrize, t_word
+from .operators import demazure_word, omega_apply, sum_fraktur, t_word
 from .root_system import (
     Coweight,
     RootSystem,
@@ -123,26 +124,26 @@ def casselman_shalika(rs: RootSystem, lam: Coweight) -> CasselmanShalikaValue:
     return CasselmanShalikaValue(closed_form=closed, theorem_form=theorem_lhs(sign_eps, lam))
 
 
-def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
-    """Symmetrized spherical sum sum_w w(pi^lambda prod (1-q pi^{a^vee})/(1-pi^{a^vee})).
+def macdonald(rs: RootSystem, lam: Coweight, full_word: bool = True) -> GroupRingElem:
+    """Spherical sum sum_w w(pi^lambda prod_{a>0} (1 - q pi^{a^vee}) / (1 - pi^{a^vee})).
 
-    The numerators over the W-invariant common denominator
-    prod_{a in Phi} (1 - pi^{a^vee}) are summed over W by
-    :func:`heckemod.operators.symmetrize` (orbit sums of the dominant
-    conjugates, times their stabilizer orders), then divided exactly by its
-    2 |Phi+| binomial factors one at a time. It uses neither ``omega_apply``
-    nor ``alternator``, so it stays an independent side of the macdonald
-    suite. At lambda = 0 this is the Poincare polynomial sum_w q^{l(w)}.
+    By the Demazure character formula this is d_{w0} applied to the numerator
+    pi^lambda prod_{a>0} (1 - q pi^{a^vee}): on A1,
+    d(f) = (f^s - pi^{-a} f) / (1 - pi^{-a}) = f / (1 - pi^a) + s(f) / (1 - pi^{-a}),
+    and composing along a reduced word for w0 gives
+    d_{w0} f = sum_w w(f / prod_{a>0} (1 - pi^{a^vee})). So the numerator is
+    built with :func:`multiply_binomials` and the Demazure operators run along
+    w0's word; nothing is divided. It uses neither ``omega_apply`` nor
+    ``alternator``, so it stays an independent side of the macdonald suite.
+    At lambda = 0 this is the Poincare polynomial sum_w q^{l(w)}.
+
+    ``full_word=False`` drops the first letter of w0's word and exists only as
+    a negative control; with it the suite fails on A1 already.
     """
     _require_dominant(lam, "macdonald")
     num = multiply_binomials(rs, GroupRingElem.monomial(lam), rs.positive_roots, 1, +1)
-    # w(num/den) = w(num * den_bar) / den_full with den_full W-invariant.
-    num_bar = multiply_binomials(rs, num, rs.positive_roots, 0, -1)
-    out = symmetrize(rs, num_bar)
-    for root in rs.positive_roots:
-        av = rs.coroot_of[root]
-        out = divide_by_binomial(divide_by_binomial(out, av), negate_coweight(av))
-    return out
+    word = weyl_group(rs).longest.word
+    return demazure_word(rs, word if full_word else word[1:], num)
 
 
 @dataclass

@@ -1,5 +1,4 @@
-"""Hecke generator actions, Demazure operators, the alternator operator and
-the unsigned symmetrization.
+"""Hecke generator actions, Demazure operators and the alternator operator.
 
 Everything here acts on exact group-ring elements. The generator action on the
 module induced from a linear character eps is
@@ -50,12 +49,13 @@ on whether it is cold or warm. ``sign_corrected=False`` drops the global
 formulas are all built on :func:`omega_apply`.
 
 :func:`alternator` is the signed sum over W, written out element by element.
-Its unsigned partner :func:`symmetrize`, sum_w w(f), uses orbit sums instead:
-sum_w pi^{w mu} = |Stab_W(nu)| * sum_{nu' in W nu} pi^{nu'}, with nu the
-dominant conjugate of mu. The coefficients are gathered per nu and each orbit
-is written once, times |W| / |W nu|. Both walks, to the dominant conjugate
-and over the orbit, are the ones in :mod:`heckemod.root_system` that
-straightening uses.
+
+The unsigned sum over W needs no walk of its own. On A1,
+d(f) = (f^s - pi^{-a} f) / (1 - pi^{-a}) = f / (1 - pi^a) + s(f) / (1 - pi^{-a}),
+so :func:`demazure_word` along a reduced word for w0 gives
+d_{w0} f = sum_w w(f / prod_{a>0} (1 - pi^{a^vee})) (the Demazure character
+formula), which is how :func:`heckemod.formulas.macdonald` forms Macdonald's
+spherical sum.
 """
 
 from __future__ import annotations
@@ -230,26 +230,6 @@ def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
         rs.rank,
         (weyl_act(w, f) if w.length % 2 == 0 else -weyl_act(w, f) for w in g.elements),
     )
-
-
-def symmetrize(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
-    """Unsigned symmetrization sum_w w(f), by orbit sums (module docstring)."""
-    # |W| from the enumerated group, so the size guard holds as for every W-sum.
-    order = len(weyl_group(rs))
-    by_nu: dict[Coweight, QDict] = {}
-    for mu, qd in f.coeffs.items():
-        nu, _ = dominant_conjugate(rs, mu)
-        by_nu[nu] = qd_add(by_nu.get(nu, {}), qd)
-    out: dict[Coweight, QDict] = {}
-    for nu, c in by_nu.items():
-        if c:
-            points = orbit(rs, nu)
-            # |Stab_W(nu)| = |W| / |W nu| elements send each monomial to each point.
-            stabilizer = order // len(points)
-            c = {e: stabilizer * v for e, v in c.items()}
-            for mu in points:
-                out[mu] = c
-    return GroupRingElem(rs.rank, out)
 
 
 def weyl_denominator(rs: RootSystem) -> GroupRingElem:

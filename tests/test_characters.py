@@ -36,6 +36,20 @@ def test_eigenvalues():
     assert character_by_name(b2, "sign").eigenvalue_at(0) == {0: -1}
 
 
+def test_eigenvalue_at_is_filled_once_through_eigenvalue():
+    # One map per generator and instance, shared by every call; a subclass
+    # that overrides eigenvalue, as the q-squared control does, is honoured.
+    from heckemod.verify import _QSquaredCharacter
+
+    b2 = build_root_system("B2")
+    neg_long = character_by_name(b2, "neg-long")
+    assert all(neg_long.eigenvalue_at(i) is neg_long.eigenvalue_at(i) for i in range(2))
+    squared = _QSquaredCharacter(b2, neg_long.name, neg_long.neg_classes)
+    long_i = [i for i in range(2) if b2.length_class_of[b2.simple_root(i)] == "long"][0]
+    assert squared.eigenvalue_at(long_i) == {0: -1}
+    assert squared.eigenvalue_at(1 - long_i) == {2: 1}
+
+
 def test_partition_of_positive_roots():
     b2 = build_root_system("B2")
     for eps in characters(b2):

@@ -1,7 +1,7 @@
 import pytest
 
 from heckemod import formulas, operators
-from heckemod.algebra import GroupRingElem, grsum, weyl_act
+from heckemod.algebra import GroupRingElem, divide_by_binomial, grsum, weyl_act
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonDominant, RatioNotMonomial, WrongFamily
 from heckemod.formulas import (
@@ -12,6 +12,7 @@ from heckemod.formulas import (
     dominant_coweights_up_to_height,
     iwahori_image,
     macdonald,
+    multiply_binomials,
     poincare_polynomial,
     shalika,
     theorem_lhs,
@@ -19,7 +20,7 @@ from heckemod.formulas import (
     weyl_character,
 )
 from heckemod.operators import sum_fraktur
-from heckemod.root_system import WeylElement, build_root_system, rho, weyl_group
+from heckemod.root_system import WeylElement, build_root_system, negate_coweight, rho, weyl_group
 
 
 def pi(*coords, q=0, c=1):
@@ -143,9 +144,10 @@ def test_macdonald_matches_theorem(name):
 
 
 def test_macdonald_sums_over_orbits_not_elements(monkeypatch):
-    # The W-sum goes through symmetrize: no WeylElement.apply, and neither
-    # Omega nor the alternator, which would tie the macdonald suite to the
-    # operator-identity side it is checked against.
+    # The W-sum is d_{w0} of the numerator, Demazure operators along w0's
+    # word: no WeylElement.apply, and neither Omega nor the alternator, which
+    # would tie the macdonald suite to the operator-identity side it is
+    # checked against.
     rs = build_root_system("B3")
     g = weyl_group(rs)
     calls = []
@@ -166,6 +168,28 @@ def test_macdonald_sums_over_orbits_not_elements(monkeypatch):
     assert calls == []
     weyl_act(g.longest, pi(1, 0, 0) + pi(0, 1, 0))  # the patch does count
     assert len(calls) == 2
+
+
+def common_denominator_macdonald(rs, lam):
+    """Macdonald's sum over W by the literal route: num * den_bar, with
+    num = pi^lambda prod_{a>0} (1 - q pi^{a^vee}) and den_bar =
+    prod_{a>0} (1 - pi^{-a^vee}), summed element by element over W, then
+    divided by the 2 |Phi+| binomials of the W-invariant denominator
+    prod_{a in Phi} (1 - pi^{a^vee})."""
+    num = multiply_binomials(rs, GroupRingElem.monomial(lam), rs.positive_roots, 1, +1)
+    num_bar = multiply_binomials(rs, num, rs.positive_roots, 0, -1)
+    out = grsum(rs.rank, (weyl_act(w, num_bar) for w in weyl_group(rs).elements))
+    for root in rs.positive_roots:
+        av = rs.coroot_of[root]
+        out = divide_by_binomial(divide_by_binomial(out, av), negate_coweight(av))
+    return out
+
+
+@pytest.mark.parametrize("name", ["B2", "G2", "B3"])
+def test_macdonald_matches_the_common_denominator_route(name):
+    rs = build_root_system(name)
+    for lam in dominant_coweights_up_to_height(rs, 2):
+        assert macdonald(rs, lam) == common_denominator_macdonald(rs, lam), lam
 
 
 def test_shalika_forms_agree():

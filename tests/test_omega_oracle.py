@@ -15,8 +15,11 @@ read off the Cartan matrix, sympy checks the generator action ``t_act`` (the
 eigenvalue -1 or q of each character is the one input taken from heckemod),
 the Demazure operator and the binomial division ``divide_by_binomial``,
 which must raise ``NotDivisible`` exactly when the cancelled quotient keeps a
-denominator other than a monomial, and the unsigned symmetrization
-``symmetrize``, against orbit sums taken with the same Weyl matrices.
+denominator other than a monomial. Last, sympy forms Macdonald's spherical
+sum sum_w w(x^lambda prod_{a>0} (1 - q x^{a^vee}) / (1 - x^{a^vee})) literally
+over the same Weyl matrices, clears it of the denominator prod over all
+coroots of (1 - x^b), and ``macdonald``, which composes Demazure operators
+along w0 instead, must give the same numerator.
 """
 
 import random
@@ -28,7 +31,8 @@ sympy = pytest.importorskip("sympy")
 from heckemod.algebra import GroupRingElem, divide_by_binomial  # noqa: E402
 from heckemod.characters import characters  # noqa: E402
 from heckemod.errors import NotDivisible  # noqa: E402
-from heckemod.operators import demazure, omega_apply, symmetrize, t_act  # noqa: E402
+from heckemod.formulas import macdonald  # noqa: E402
+from heckemod.operators import demazure, omega_apply, t_act  # noqa: E402
 from heckemod.root_system import build_root_system  # noqa: E402
 
 # A[i][j] = <alpha_i, alpha_j^vee>: column j is the simple coroot alpha_j^vee
@@ -264,41 +268,58 @@ def test_divide_by_binomial_matches_sympy(name):
     assert min(seen.values()) > 0, seen
 
 
-def oracle_symmetrize(cartan, terms, xs, q):
-    """sum_w w(f) as |W| / |W mu| times the orbit sum of each exponent mu,
-    checked against the literal sum over the Weyl matrices."""
+def cleared_macdonald(cartan, lam, xs, q):
+    """sum_w w(x^lambda prod_{a>0} (1 - q x^{a^vee}) / (1 - x^{a^vee})), the
+    literal sum over the Weyl matrices, as (numerator, denominator, shift):
+    the sum times x^shift is numerator / denominator, both sympy polynomials.
+
+    The denominator is the product of (1 - x^b) over all coroots b. Each
+    term's own denominator factors are struck from that list, which fails
+    unless w sends the positive coroots to coroots. A binomial 1 - c x^b is
+    written x^{-b_-} (x^{b_-} - c x^{b + b_-}), b_- the negative part of b, so
+    every term and the denominator carry the same x^{-sum_b b_-}, which is
+    left out; x^shift, the least monomial that clears the negative
+    coordinates of W lambda, clears those of x^{w lambda}.
+    """
+    gens = (*xs, q)
     group = weyl_matrices(cartan)
-    literal = 0
-    by_orbits = 0
-    for (mu, e), c in terms.items():
-        images = [tuple(w * sympy.Matrix(mu)) for w in group]
-        literal += c * q**e * sympy.Add(*(monomial(xs, nu) for nu in images))
-        points = set(images)
-        by_orbits += c * q**e * sympy.Rational(len(group), len(points)) * sympy.Add(
-            *(monomial(xs, nu) for nu in points))
-    assert sympy.expand(literal - by_orbits) == 0
-    return by_orbits
+    pos = positive_coroots(cartan, group)
+    coroots = pos + [tuple(-c for c in a) for a in pos]
+
+    def binomial(b, c):
+        low = [max(0, -e) for e in b]
+        return sympy.Poly(monomial(xs, low) - c * monomial(xs, [e + m for e, m in zip(b, low)]), *gens)
+
+    orbit = [list(w * sympy.Matrix(lam)) for w in group]
+    shift = [max(0, -min(column)) for column in zip(*orbit)]
+    numerator = sympy.Poly(0, *gens)
+    for w, w_lam in zip(group, orbit):
+        images = [tuple(w * sympy.Matrix(a)) for a in pos]
+        cofactor = list(coroots)
+        for b in images:
+            cofactor.remove(b)
+        term = sympy.Poly(monomial(xs, [e + s for e, s in zip(w_lam, shift)]), *gens)
+        for b in images:
+            term *= binomial(b, q)
+        for b in cofactor:
+            term *= binomial(b, 1)
+        numerator += term
+    denominator = sympy.Poly(1, *gens)
+    for b in coroots:
+        denominator *= binomial(b, 1)
+    return numerator, denominator, shift
 
 
-@pytest.mark.parametrize("name", sorted(CARTAN))
-def test_symmetrize_matches_sympy_orbit_sums(name):
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+def test_macdonald_matches_sympy_w_sum(name):
     cartan = CARTAN[name]
-    rank = len(cartan)
     rs = build_root_system(name)
+    assert [list(row) for row in rs.cartan_matrix] == cartan
     xs, q = symbols_for(name)
-    rng = random.Random(f"symmetrize-{name}")
-    inputs = [random_terms(rng, rank, spread) for spread in (2, 2, 6, 6)]
-    for _ in range(2):
-        # A conjugate pair that cancels, and a wall weight with its conjugates.
-        x = tuple(rng.randint(-3, 3) for _ in range(rank))
-        image = rng.choice(sorted(orbit_with_signs(cartan, x)))
-        e = rng.randint(-1, 1)
-        inputs.append({(x, e): 2, (image, e): -2} if image != x else {(x, e): 2})
-        wall = [rng.randint(0, 3) for _ in range(rank)]
-        wall[rng.randrange(rank)] = 0
-        nu = rng.choice(sorted(orbit_with_signs(cartan, wall)))
-        inputs.append({(nu, rng.randint(-1, 1)): rng.choice([-2, 1, 3])})
-    for terms in inputs:
-        got = symmetrize(rs, element_of(terms, rank))
-        expected = oracle_symmetrize(cartan, terms, xs, q)
-        assert sympy.expand(expected - to_sympy(got, xs, q)) == 0, (name, terms)
+    lams = [(a, b) for a in range(3) for b in range(3 - a)]  # dominant, height up to 2
+    for lam in lams:
+        # Every exponent of the sum lies in the convex hull of W lambda, so
+        # the shift clears its negative coordinates too.
+        numerator, denominator, shift = cleared_macdonald(cartan, lam, xs, q)
+        got = sympy.Poly(monomial(xs, shift) * to_sympy(macdonald(rs, lam), xs, q), *xs, q)
+        assert got * denominator == numerator, (name, lam)

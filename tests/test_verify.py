@@ -105,6 +105,7 @@ WITNESS_KEYS = {
     ("deformed-demazure", "swap-cases"): {"i", "mu", "lhs", "rhs"},
     ("intertwiner", "swap-cases"): {"i", "mu", "lhs", "rhs"},
     ("macdonald", "shift-poincare"): {"expected", "lambda"},
+    ("macdonald", "drop-first-letter"): {"lambda", "lhs", "rhs"},
     ("omega-symmetry", "drop-right-sign"): {"i", "mu", "side"},
     ("operator-identity", "drop-sign-correction"): {"lambda", "lhs", "rhs"},
     ("q-zero-degeneration", "wrong-specialization"): {"lhs", "mu", "rhs"},
