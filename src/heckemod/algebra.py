@@ -4,13 +4,19 @@ A group-ring element is a sparse map from coweights (integer tuples in the
 fundamental-coweight basis) to q-Laurent coefficients, themselves sparse maps
 from q-exponents to arbitrary-precision integers. Neither level stores zeros.
 
+Products and quotients by binomials each have one kernel here:
+
+* :func:`multiply_binomials` multiplies by prod_{v} (1 - q^k pi^v) over a list
+  of coweights v, one pass over the monomials per factor; the operators,
+  formulas and verifiers form every such product through it;
+* :func:`divide_by_binomial` divides by one binomial 1 - pi^v in one pass: the
+  quotient g satisfies g(mu) = f(mu) + g(mu - v), so each v-string of the
+  support is walked upward once, and a string whose running sum does not
+  close to zero raises :class:`NotDivisible`.
+
 The rank-one operators do not divide (their closed form is a string sum, see
-:mod:`heckemod.operators`). Every other division the operators and formulas
-make is by a binomial 1 - pi^v, and :func:`divide_by_binomial` does it in one
-pass: the quotient g satisfies
-g(mu) = f(mu) + g(mu - v), so each v-string of the support is walked upward
-once, and a string whose running sum does not close to zero raises
-:class:`NotDivisible`.
+:mod:`heckemod.operators`). The generic product ``GroupRingElem.__mul__``
+serves only :class:`RationalElem` and the tests' reference products.
 
 :func:`exact_div` is the generic fallback for any divisor. Monomial exponents
 live in Z^n, where lexicographic order is total but not well-founded, so plain
@@ -25,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import NegativeQExponentAtZero, NotDivisible
-from .root_system import Coweight, WeylElement
+from .root_system import Coweight, WeylElement, add_coweights
 
 # A q-Laurent coefficient: {q_exponent: integer}, no zero values stored.
 QDict = dict[int, int]
@@ -358,6 +364,18 @@ def exact_div(f: GroupRingElem, g: GroupRingElem) -> GroupRingElem:
                 rem.pop(kk, None)
     shift = tuple(x - y for x, y in zip(fmin, gmin))
     return GroupRingElem(n, {tuple(x + y for x, y in zip(k, shift)): v for k, v in quot.items()})
+
+
+def multiply_binomials(f: GroupRingElem, vs, q_exp: int) -> GroupRingElem:
+    """f * prod_{v in vs} (1 - q^{q_exp} pi^v) over coweights vs, one pass over
+    the monomials of f per factor."""
+    for v in vs:
+        out: dict[Coweight, QDict] = {}
+        for mu, qd in f.coeffs.items():
+            add_term(out, mu, qd)
+            add_term(out, add_coweights(mu, v), {e + q_exp: -c for e, c in qd.items()})
+        f = GroupRingElem(f.rank, {k: c for k, c in out.items() if c})
+    return f
 
 
 def divide_by_binomial(f: GroupRingElem, v: Coweight) -> GroupRingElem:

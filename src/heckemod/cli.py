@@ -69,7 +69,7 @@ def _any_type(rs) -> bool:
 def _casselman_shalika(rs, eps, lam, word):
     pair = casselman_shalika(rs, lam)
     theorem = pair.theorem_form
-    return pair.closed_form, {"theorem_form": theorem.to_json_obj()}, [f"theorem_form: {theorem.to_str()}"]
+    return pair.closed_form, {"theorem_form": theorem.to_json_obj()}, lambda: [f"theorem_form: {theorem.to_str()}"]
 
 
 def _shalika(rs, eps, lam, word):
@@ -77,7 +77,7 @@ def _shalika(rs, eps, lam, word):
     rewritten = forms.rewritten_form
     agree = forms.theorem_form == rewritten
     fields = {"rewritten_form": rewritten.to_json_obj(), "forms_agree": agree}
-    return forms.theorem_form, fields, [f"rewritten_form: {rewritten.to_str()}", f"forms_agree: {agree}"]
+    return forms.theorem_form, fields, lambda: [f"rewritten_form: {rewritten.to_str()}", f"forms_agree: {agree}"]
 
 
 def _bessel_value(rs, eps, lam, word):
@@ -89,12 +89,11 @@ def _bessel_value(rs, eps, lam, word):
         "unit_ratio_to_quoted": list(ratio[:2]) + [list(ratio[2])] if ratio is not None else None,
         "q_form_cofactor": report.q_form_cofactor.to_str(),
     }
-    lines = [
+    return report.theorem_value, fields, lambda: [
         f"quoted_product: {fields['quoted_product_str']}",
         f"unit_ratio_to_quoted: {fields['unit_ratio_to_quoted']}",
         f"q_form_cofactor: {fields['q_form_cofactor']}",
     ]
-    return report.theorem_value, fields, lines
 
 
 def _iwahori_image(rs, eps, lam, word):
@@ -102,17 +101,19 @@ def _iwahori_image(rs, eps, lam, word):
     letters = require_reduced(rs, _parse_word(word or "", rs.rank))
     image = iwahori_image(eps, element_of_word(rs, letters), lam)
     measure = qd_str(image.measure)
-    return image.value, {"measure": measure}, [f"measure: {measure}"]
+    return image.value, {"measure": measure}, lambda: [f"measure: {measure}"]
 
 
 class Formula(NamedTuple):
     """One evaluable formula.
 
     ``evaluate(rs, eps, lam, word)`` returns ``(value, extra row fields,
-    extra text lines)``, the lines printed under the value by ``eval``;
-    ``eps`` is the named character, or None when none is named, and
-    ``word`` is the raw ``--word`` text. ``applies`` says which types a table
-    includes the formula for. Formulas are looked up by name on each call.
+    lines)``, where ``lines()`` makes the text lines ``eval`` prints under
+    the value (a table never calls it); ``eps`` is the named character, or
+    None when none is named, ``lam`` the parsed coweight, or None when the
+    formula takes none, and ``word`` is the raw ``--word`` text. ``applies``
+    says which types a table includes the formula for. Formulas are looked
+    up by name on each call.
     """
 
     needs_character: bool
@@ -124,16 +125,16 @@ class Formula(NamedTuple):
 
 FORMULAS: dict[str, Formula] = {
     "theorem-lhs": Formula(True, True, None, _any_type,
-                           lambda rs, eps, lam, word: (theorem_lhs(eps, lam), {}, [])),
+                           lambda rs, eps, lam, word: (theorem_lhs(eps, lam), {}, list)),
     "theorem-rhs": Formula(True, True, None, _any_type,
-                           lambda rs, eps, lam, word: (theorem_rhs(eps, lam), {}, [])),
+                           lambda rs, eps, lam, word: (theorem_rhs(eps, lam), {}, list)),
     "weyl-char": Formula(False, True, None, _any_type,
-                         lambda rs, eps, lam, word: (weyl_character(rs, lam), {}, [])),
+                         lambda rs, eps, lam, word: (weyl_character(rs, lam), {}, list)),
     "demazure-char": Formula(False, True, None, _any_type,
-                             lambda rs, eps, lam, word: (demazure_character(rs, lam), {}, [])),
+                             lambda rs, eps, lam, word: (demazure_character(rs, lam), {}, list)),
     "casselman-shalika": Formula(False, True, "sign", _any_type, _casselman_shalika),
     "macdonald": Formula(False, True, "triv", _any_type,
-                         lambda rs, eps, lam, word: (macdonald(rs, lam), {}, [])),
+                         lambda rs, eps, lam, word: (macdonald(rs, lam), {}, list)),
     "shalika": Formula(False, True, "neg-short", in_family_b, _shalika),
     "bessel-value": Formula(False, False, "neg-long", in_family_b, _bessel_value),
     "iwahori-image": Formula(True, True, None, _any_type, _iwahori_image),
@@ -169,20 +170,12 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _evaluate_formula(type_name: str, formula: str, character: str | None,
-                      lam_text: str | None, word_text: str | None) -> tuple[dict, list[str]]:
+                      lam: tuple[int, ...] | None, word_text: str | None) -> tuple[dict, Callable]:
     """One formula evaluation; returns the row dict used by eval and table,
-    and the formula's extra text lines."""
+    and the formula's ``lines`` callable (:class:`Formula`)."""
     rs = build_root_system(type_name)
-    needs_char, needs_lam, implied = FORMULAS[formula][:3]
+    needs_char, _, implied = FORMULAS[formula][:3]
     char_name = character if needs_char else (implied or "-")
-    if needs_char and character is None:
-        raise DomainExit(PARSE_ERROR, f"formula {formula} requires --character")
-    lam = None
-    if needs_lam:
-        if lam_text is None:
-            raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
-        lam = _parse_lambda(lam_text, rs.rank)
-
     # A named character must exist for the type even where the formula takes none.
     eps = character_by_name(rs, character) if character is not None else None
     value, extra, lines = FORMULAS[formula].evaluate(rs, eps, lam, word_text)
@@ -277,11 +270,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.formula not in FORMULAS:
-        raise DomainExit(PARSE_ERROR, f"unknown formula {args.formula!r}; known: {sorted(FORMULAS)}")
-    row, lines = _translate_errors(
-        _evaluate_formula, args.type, args.formula, args.character, getattr(args, "lam", None), args.word
-    )
+    formula = args.formula
+    if formula not in FORMULAS:
+        raise DomainExit(PARSE_ERROR, f"unknown formula {formula!r}; known: {sorted(FORMULAS)}")
+    rs = _translate_errors(build_root_system, args.type)
+    entry = FORMULAS[formula]
+    if entry.needs_character and args.character is None:
+        raise DomainExit(PARSE_ERROR, f"formula {formula} requires --character")
+    lam = None
+    if entry.needs_lambda:
+        if args.lam is None:
+            raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
+        lam = _parse_lambda(args.lam, rs.rank)
+    row, lines = _translate_errors(_evaluate_formula, args.type, formula, args.character, lam, args.word)
     if args.output == "json":
         print(json.dumps(row, sort_keys=True, indent=2))
     elif args.output == "csv":
@@ -291,7 +292,7 @@ def cmd_eval(args) -> int:
         writer.writerow([row["type"], row["character"], ",".join(map(str, row["lambda"])), row["formula"], row["value"]])
         sys.stdout.write(buf.getvalue())
     else:
-        print("\n".join([row["value"], *lines]))
+        print("\n".join([row["value"], *lines()]))
     return 0
 
 
@@ -301,12 +302,7 @@ def cmd_eval(args) -> int:
 def _table_row(args):
     type_name, char_name, lam, formula = args
     needs_char = FORMULAS[formula].needs_character
-    row, _ = _evaluate_formula(
-        type_name, formula,
-        char_name if needs_char else None,
-        ",".join(map(str, lam)) if lam is not None else None,
-        "",
-    )
+    row, _ = _evaluate_formula(type_name, formula, char_name if needs_char else None, lam, "")
     return row
 
 

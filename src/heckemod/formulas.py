@@ -19,7 +19,9 @@ convention the sign-character value also equals the classical Whittaker
 closed form q^{l(w0)} pi^{rho} prod (1 - q^-1 pi^{-a^vee}) chi_lambda exactly
 (ratio +1, recorded by the test suite), and the trivial-character value equals
 Macdonald's spherical sum over W, which :func:`macdonald` computes as the
-Demazure operator d_{w0} of its numerator.
+Demazure operator d_{w0} of its numerator. Every product by binomials
+1 - q^k pi^v here goes through :func:`heckemod.algebra.multiply_binomials`,
+with the coroots negated where a formula has pi^{-a^vee}.
 
 Double-coset measures are normalized by |I| = 1 and the dominant translation
 coset gets measure q^{<2 rho, lambda>}; values are reported with the measure
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GroupRingElem, QDict, add_term, exact_div
+from .algebra import GroupRingElem, QDict, exact_div, multiply_binomials
 from .characters import HeckeCharacter, character_by_name
 from .errors import NonDominant, NotDivisible, RatioNotMonomial, WrongFamily
 from .operators import demazure_word, omega_apply, sum_fraktur, t_word
@@ -56,21 +58,6 @@ def in_family_b(rs: RootSystem) -> bool:
     return rs.cartan_type.family == "B"
 
 
-def multiply_binomials(rs: RootSystem, f: GroupRingElem, roots, q_exp: int, pi_sign: int) -> GroupRingElem:
-    """f * prod over roots of (1 - q^{q_exp} pi^{pi_sign * a^vee}), one pass
-    over the monomials of f per factor."""
-    for r in roots:
-        av = rs.coroot_of[r]
-        if pi_sign < 0:
-            av = negate_coweight(av)
-        out: dict[Coweight, QDict] = {}
-        for mu, qd in f.coeffs.items():
-            add_term(out, mu, qd)
-            add_term(out, add_coweights(mu, av), {e + q_exp: -c for e, c in qd.items()})
-        f = GroupRingElem(f.rank, {k: v for k, v in out.items() if v})
-    return f
-
-
 def theorem_lhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
     """Operator-sum side of the identity; any coweight lambda is allowed."""
     shift = eps.rho_eps
@@ -87,8 +74,8 @@ def theorem_rhs(eps: HeckeCharacter, lam: Coweight, sign_corrected: bool = True)
     rs = eps.root_system
     shift = eps.rho_eps
     start = GroupRingElem.monomial(add_coweights(lam, add_coweights(shift, shift)))
-    h = omega_apply(rs, multiply_binomials(rs, start, eps.phi_q, 1, +1), sign_corrected)
-    return multiply_binomials(rs, h, eps.phi_minus, 1, +1).translated(negate_coweight(shift))
+    h = omega_apply(rs, multiply_binomials(start, [rs.coroot_of[r] for r in eps.phi_q], 1), sign_corrected)
+    return multiply_binomials(h, [rs.coroot_of[r] for r in eps.phi_minus], 1).translated(negate_coweight(shift))
 
 
 def weyl_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
@@ -117,7 +104,7 @@ def casselman_shalika(rs: RootSystem, lam: Coweight) -> CasselmanShalikaValue:
     sign-character operator-sum value for comparison."""
     _require_dominant(lam, "casselman_shalika")
     chi = weyl_character(rs, lam)
-    closed = multiply_binomials(rs, chi, rs.positive_roots, -1, -1)
+    closed = multiply_binomials(chi, [negate_coweight(rs.coroot_of[r]) for r in rs.positive_roots], -1)
     w0 = weyl_group(rs).longest
     closed = closed.translated(rho(rs)).scale_q({w0.length: 1})
     sign_eps = character_by_name(rs, "sign")
@@ -132,16 +119,17 @@ def macdonald(rs: RootSystem, lam: Coweight, full_word: bool = True) -> GroupRin
     d(f) = (f^s - pi^{-a} f) / (1 - pi^{-a}) = f / (1 - pi^a) + s(f) / (1 - pi^{-a}),
     and composing along a reduced word for w0 gives
     d_{w0} f = sum_w w(f / prod_{a>0} (1 - pi^{a^vee})). So the numerator is
-    built with :func:`multiply_binomials` and the Demazure operators run along
-    w0's word; nothing is divided. It uses neither ``omega_apply`` nor
-    ``alternator``, so it stays an independent side of the macdonald suite.
+    built with :func:`heckemod.algebra.multiply_binomials` over the positive
+    coroots and the Demazure operators run along w0's word; nothing is
+    divided. It uses neither ``omega_apply`` nor ``alternator``, so it stays
+    an independent side of the macdonald suite.
     At lambda = 0 this is the Poincare polynomial sum_w q^{l(w)}.
 
     ``full_word=False`` drops the first letter of w0's word and exists only as
     a negative control; with it the suite fails on A1 already.
     """
     _require_dominant(lam, "macdonald")
-    num = multiply_binomials(rs, GroupRingElem.monomial(lam), rs.positive_roots, 1, +1)
+    num = multiply_binomials(GroupRingElem.monomial(lam), [rs.coroot_of[r] for r in rs.positive_roots], 1)
     word = weyl_group(rs).longest.word
     return demazure_word(rs, word if full_word else word[1:], num)
 
@@ -168,8 +156,8 @@ def shalika(rs: RootSystem, lam: Coweight) -> ShalikaForms:
 
     # q^{|long|} pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho} prod_long (1 - q^-1 pi^{-a^vee}))
     start = GroupRingElem.monomial(add_coweights(lam, add_coweights(rho(rs), rho(rs))))
-    h = omega_apply(rs, multiply_binomials(rs, start, long_roots, -1, -1))
-    out = multiply_binomials(rs, h, eps.phi_minus, 1, +1)
+    h = omega_apply(rs, multiply_binomials(start, [negate_coweight(rs.coroot_of[r]) for r in long_roots], -1))
+    out = multiply_binomials(h, [rs.coroot_of[r] for r in eps.phi_minus], 1)
     out = out.translated(negate_coweight(eps.rho_eps)).scale_q({len(long_roots): 1})
     return ShalikaForms(theorem_form=first, rewritten_form=out)
 
@@ -236,13 +224,11 @@ def bessel_value(rs: RootSystem, strict: bool = False) -> BesselValue:
         raise WrongFamily(f"bessel value is defined for family B, got {rs.cartan_type}")
     eps = character_by_name(rs, "neg-long")
     value = theorem_lhs(eps, (0,) * rs.rank)
-    quoted = multiply_binomials(
-        rs, GroupRingElem.one(rs.rank), eps.phi_minus, -1, +1
-    ).translated(negate_coweight(eps.rho_eps))
+    long_coroots = [rs.coroot_of[r] for r in eps.phi_minus]
+    start = GroupRingElem.monomial(negate_coweight(eps.rho_eps))
+    quoted = multiply_binomials(start, long_coroots, -1)
     unit = _unit_monomial_ratio(value, quoted)
-    q_form = multiply_binomials(
-        rs, GroupRingElem.one(rs.rank), eps.phi_minus, 1, +1
-    ).translated(negate_coweight(eps.rho_eps))
+    q_form = multiply_binomials(start, long_coroots, 1)
     cofactor = exact_div(value, q_form)
     if strict and unit is None:
         raise RatioNotMonomial(

@@ -28,8 +28,11 @@ One private kernel adds c * G_i(pi^mu) for a q-scalar c into an output map,
 and both operators make one pass over the monomials of f with it:
 T_{s_i} f = eps(T_{s_i}) f^{s_i} + (1 - q) G_i(f), and d_i f = f + G_i(f).
 The divisions left here, by the Weyl denominator's binomials 1 - pi^v, go
-through :func:`heckemod.algebra.divide_by_binomial`; the generic
-``exact_div`` is not used. The alternator-side operator is
+through :func:`heckemod.algebra.divide_by_binomial`, and the products by
+binomials 1 - q^k pi^v (the Weyl denominator itself, the intertwiner's
+(1 - pi^{a^vee}) T_{s_i}) through :func:`heckemod.algebra.multiply_binomials`;
+neither the generic ``exact_div`` nor the generic ring product is used. The
+alternator-side operator is
 
     Omega(f) = (-1)^{l(w0)} * A(pi^{-rho} f) / A(pi^{rho}),
 
@@ -62,7 +65,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import GroupRingElem, QDict, add_term, divide_by_binomial, grsum, qd_add, qd_mul, qd_neg, weyl_act
+from .algebra import (GroupRingElem, QDict, add_term, divide_by_binomial, grsum, multiply_binomials, qd_add, qd_mul,
+                      qd_neg, weyl_act)
 from .characters import HeckeCharacter
 from .errors import NonReducedWord
 from .root_system import (
@@ -85,11 +89,6 @@ _ONE_MINUS_Q: QDict = {0: 1, 1: -1}
 def s_image(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
     """f^{s_i}: relabel exponents by the simple reflection."""
     return GroupRingElem(f.rank, {reflect(rs, i, k): v for k, v in f.coeffs.items()})
-
-
-def _one_minus_pi(rank: int, mu: Coweight) -> GroupRingElem:
-    """1 - pi^mu."""
-    return GroupRingElem.one(rank) - GroupRingElem.monomial(mu)
 
 
 def _add_string(out: dict[Coweight, QDict], a: Coweight, mu: Coweight, p: int, c: QDict) -> None:
@@ -194,7 +193,7 @@ def intertwiner_op(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingEl
     av = rs.simple_coroots[i]
     tf = t_act(eps, i, f)
     first = f.translated(av).scale_q({0: 1, -1: -1})
-    second = (tf - tf.translated(av)).scale_q({-1: 1})
+    second = multiply_binomials(tf, [av], 0).scale_q({-1: 1})
     return first + second
 
 
@@ -234,10 +233,8 @@ def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
 
 def weyl_denominator(rs: RootSystem) -> GroupRingElem:
     """pi^{rho} prod_{a > 0} (1 - pi^{-a^vee}); equals alternator(pi^{rho})."""
-    out = GroupRingElem.monomial(rho(rs))
-    for root in rs.positive_roots:
-        out = out * _one_minus_pi(rs.rank, negate_coweight(rs.coroot_of[root]))
-    return out
+    return multiply_binomials(
+        GroupRingElem.monomial(rho(rs)), [negate_coweight(rs.coroot_of[r]) for r in rs.positive_roots], 0)
 
 
 def divide_by_weyl_denominator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:

@@ -20,7 +20,7 @@ from functools import cache
 from itertools import product as iproduct
 from typing import Callable, NamedTuple
 
-from .algebra import GroupRingElem, exact_div, specialize_q
+from .algebra import GroupRingElem, exact_div, multiply_binomials, specialize_q
 from .characters import HeckeCharacter, character_by_name, characters
 from .formulas import (
     bessel_value,
@@ -29,7 +29,6 @@ from .formulas import (
     dominant_coweights_up_to_height,
     in_family_b,
     macdonald,
-    multiply_binomials,
     poincare_polynomial,
     shalika,
     theorem_lhs,
@@ -218,10 +217,9 @@ def verify_deformed_demazure(eps: HeckeCharacter, monomials, mutate: str | None 
                 f = GroupRingElem.monomial(mu)
                 lhs = f + fraktur_t(eps, i, f)
                 if neg_branch:
-                    d = demazure(rs, i, f)
-                    rhs = d - d.translated(av).scale_q({1: 1})
+                    rhs = multiply_binomials(demazure(rs, i, f), [av], 1)
                 else:
-                    rhs = demazure(rs, i, f - f.translated(av).scale_q({1: 1}))
+                    rhs = demazure(rs, i, multiply_binomials(f, [av], 1))
                 yield lhs == rhs, lambda: {"i": i + 1, "mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
 
     return _checks("deformed-demazure", rs, eps.name, cases())
@@ -256,21 +254,21 @@ def verify_operator_identity(eps: HeckeCharacter, monomials, mutate: str | None 
 
 def verify_intertwiner(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """The normalized intertwiner acts as c * s_i with c decided by eps(T_{s_i}):
-    1 - q^-1 pi^{a^vee} for eigenvalue q, pi^{a^vee} - q^-1 for eigenvalue -1."""
+    c = 1 - q^-1 pi^{a^vee} for eigenvalue q, and c = pi^{a^vee} - q^-1
+    = -q^-1 (1 - q pi^{a^vee}) for eigenvalue -1."""
     rs = eps.root_system
     swap = mutate == "swap-cases"
 
     def cases():
         for i in range(rs.rank):
             av = rs.simple_coroots[i]
-            if eps.is_neg_at(i) != swap:
-                c = GroupRingElem.monomial(av) - GroupRingElem.monomial((0,) * rs.rank, {-1: 1})
-            else:
-                c = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(av, {-1: 1})
+            neg_branch = eps.is_neg_at(i) != swap
             for mu in monomials:
                 f = GroupRingElem.monomial(mu)
                 lhs = intertwiner_op(eps, i, f)
-                rhs = c * s_image(rs, i, f)
+                rhs = multiply_binomials(s_image(rs, i, f), [av], 1 if neg_branch else -1)
+                if neg_branch:
+                    rhs = rhs.scale_q({-1: -1})
                 yield lhs == rhs, lambda: {"i": i + 1, "mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
 
     return _checks("intertwiner", rs, eps.name, cases())
@@ -279,32 +277,35 @@ def verify_intertwiner(eps: HeckeCharacter, monomials, mutate: str | None = None
 def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """Cleared forms of the left and right symmetries of D_{-1}^-1 Theta D_q^-1.
 
-    Left (s_i-invariance): D_{-1} * s_i(Theta pi^mu) = s_i(D_{-1}) * Theta pi^mu.
+    Left (s_i-invariance): D_{-1} * s_i(Theta pi^mu) = s_i(D_{-1}) * Theta pi^mu,
+    where D_{-1} = prod (1 - q pi^{a^vee}) over the coroots a^vee of Phi_{-1}
+    and s_i(D_{-1}) has the factors 1 - q pi^{s_i a^vee}; both sides are one
+    :func:`heckemod.algebra.multiply_binomials` pass per factor.
     Right: Theta(g pi^{s_i mu}) = -Theta(g pi^{mu + a_i^vee}), with g = 1 on the
     -1 classes and g = 1 - q pi^{-a_i^vee} on the q classes.
-    ``mutate="drop-right-sign"`` drops the minus sign of the right symmetry.
+    ``mutate="drop-right-sign"`` drops the minus sign of the right symmetry;
+    ``mutate="unreflected-left"`` leaves D_{-1} unreflected on the right of
+    the left symmetry.
     """
     rs = eps.root_system
     right_sign = 1 if mutate == "drop-right-sign" else -1
-    d_minus = multiply_binomials(rs, GroupRingElem.one(rs.rank), eps.phi_minus, 1, +1)
+    vs = [rs.coroot_of[r] for r in eps.phi_minus]
 
     def cases():
         for mu in monomials:
             theta = sum_fraktur(eps, GroupRingElem.monomial(mu))
             for i in range(rs.rank):
-                lhs = d_minus * s_image(rs, i, theta)
-                rhs = s_image(rs, i, d_minus) * theta
+                lhs = multiply_binomials(s_image(rs, i, theta), vs, 1)
+                svs = vs if mutate == "unreflected-left" else [reflect(rs, i, v) for v in vs]
+                rhs = multiply_binomials(theta, svs, 1)
                 yield lhs == rhs, lambda: {"side": "left", "i": i + 1, "mu": list(mu)}
         for i in range(rs.rank):
             av = rs.simple_coroots[i]
-            if eps.is_neg_at(i):
-                g = GroupRingElem.one(rs.rank)
-            else:
-                g = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(negate_coweight(av), {1: 1})
+            g_coroots = [] if eps.is_neg_at(i) else [negate_coweight(av)]
             for mu in monomials:
-                smu = reflect(rs, i, mu)
-                lhs = sum_fraktur(eps, g.translated(smu))
-                rhs = sum_fraktur(eps, g.translated(tuple(a + b for a, b in zip(mu, av)))).scale(right_sign)
+                lhs = sum_fraktur(eps, multiply_binomials(GroupRingElem.monomial(reflect(rs, i, mu)), g_coroots, 1))
+                start = GroupRingElem.monomial(tuple(a + b for a, b in zip(mu, av)))
+                rhs = sum_fraktur(eps, multiply_binomials(start, g_coroots, 1)).scale(right_sign)
                 yield lhs == rhs, lambda: {"side": "right", "i": i + 1, "mu": list(mu)}
 
     return _checks("omega-symmetry", rs, eps.name, cases())
@@ -461,7 +462,7 @@ SUITES: dict[str, Suite] = {
                                lambda eps, box, small, m: verify_operator_identity(eps, box, mutate=m)),
     "intertwiner": Suite(True, _any_type, ("swap-cases",),
                          lambda eps, box, small, m: verify_intertwiner(eps, box, mutate=m)),
-    "omega-symmetry": Suite(True, _any_type, ("drop-right-sign",),
+    "omega-symmetry": Suite(True, _any_type, ("drop-right-sign", "unreflected-left"),
                             lambda eps, box, small, m: verify_omega_symmetry(eps, small, mutate=m)),
     "q-zero-degeneration": Suite(True, _any_type, ("wrong-specialization",),
                                  lambda eps, box, small, m: verify_q_zero_degeneration(eps, box, mutate=m)),

@@ -1,7 +1,7 @@
 import pytest
 
 from heckemod import formulas, operators
-from heckemod.algebra import GroupRingElem, divide_by_binomial, grsum, weyl_act
+from heckemod.algebra import GroupRingElem, divide_by_binomial, grsum, multiply_binomials, weyl_act
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonDominant, RatioNotMonomial, WrongFamily
 from heckemod.formulas import (
@@ -12,7 +12,6 @@ from heckemod.formulas import (
     dominant_coweights_up_to_height,
     iwahori_image,
     macdonald,
-    multiply_binomials,
     poincare_polynomial,
     shalika,
     theorem_lhs,
@@ -176,8 +175,9 @@ def common_denominator_macdonald(rs, lam):
     prod_{a>0} (1 - pi^{-a^vee}), summed element by element over W, then
     divided by the 2 |Phi+| binomials of the W-invariant denominator
     prod_{a in Phi} (1 - pi^{a^vee})."""
-    num = multiply_binomials(rs, GroupRingElem.monomial(lam), rs.positive_roots, 1, +1)
-    num_bar = multiply_binomials(rs, num, rs.positive_roots, 0, -1)
+    coroots = [rs.coroot_of[r] for r in rs.positive_roots]
+    num = multiply_binomials(GroupRingElem.monomial(lam), coroots, 1)
+    num_bar = multiply_binomials(num, [negate_coweight(av) for av in coroots], 0)
     out = grsum(rs.rank, (weyl_act(w, num_bar) for w in weyl_group(rs).elements))
     for root in rs.positive_roots:
         av = rs.coroot_of[root]

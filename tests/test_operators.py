@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod import operators
-from heckemod.algebra import GroupRingElem, divide_by_binomial, exact_div, grsum
+from heckemod.algebra import GroupRingElem, divide_by_binomial, exact_div, grsum, multiply_binomials
 from heckemod.characters import HeckeCharacter, character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.formulas import (
     demazure_character,
     dominant_coweights_up_to_height,
-    multiply_binomials,
     theorem_rhs,
     weyl_character,
 )
@@ -391,13 +390,16 @@ def test_multiply_binomials_matches_the_product(name, data):
     rs = build_root_system(name)
     f = data.draw(kernel_inputs(rs))
     before = {k: dict(v) for k, v in f.coeffs.items()}
-    roots = data.draw(st.lists(st.sampled_from(rs.positive_roots), min_size=1, max_size=3))
-    q_exp, pi_sign = data.draw(st.integers(-1, 1)), data.draw(st.sampled_from([1, -1]))
+    # Coweights +-a^vee and s_j(a^vee), so -alpha_j^vee = s_j(alpha_j^vee) is among them.
+    coroots = [rs.coroot_of[r] for r in rs.positive_roots]
+    pool = sorted({v for av in coroots
+                   for v in [av, negate_coweight(av)] + [reflect(rs, j, av) for j in range(rs.rank)]})
+    vs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    q_exp = data.draw(st.integers(-1, 1))
     product = f
-    for r in roots:
-        av = rs.coroot_of[r] if pi_sign > 0 else negate_coweight(rs.coroot_of[r])
-        product = product * (GroupRingElem.one(rs.rank) - GroupRingElem.monomial(av, {q_exp: 1}))
-    got = multiply_binomials(rs, f, roots, q_exp, pi_sign)
+    for v in vs:
+        product = product * (GroupRingElem.one(rs.rank) - GroupRingElem.monomial(v, {q_exp: 1}))
+    got = multiply_binomials(f, vs, q_exp)
     assert got == product
     _assert_untouched(f, before, got)
 
@@ -416,7 +418,7 @@ def test_no_operation_writes_into_its_operands():
     cases = [(t_act, eps, i, f) for eps in characters(rs) for i in range(rs.rank)] + [
         (demazure, rs, 1, f),
         (demazure_word, rs, weyl_group(rs).longest.word, f),
-        (multiply_binomials, rs, f, rs.positive_roots, 1, +1),
+        (multiply_binomials, f, [rs.coroot_of[r] for r in rs.positive_roots], 1),
         (omega_apply, rs, f),
         (divide_by_binomial, divisible, v),
         (grsum, rs.rank, [f, g, f]),

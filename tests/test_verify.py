@@ -2,6 +2,8 @@
 
 import pytest
 
+from heckemod import cli
+from heckemod.algebra import GroupRingElem
 from heckemod.characters import character_by_name, characters
 from heckemod.root_system import build_root_system
 from heckemod.verify import (
@@ -24,6 +26,26 @@ def test_suite_passes_on_small_types(suite):
         results = run_suite(suite, type_name, radius=1, cap=30)
         for r in results:
             assert r.passed, (suite, type_name, r.witness)
+
+
+def test_no_generic_ring_product_on_any_path(monkeypatch, capsys):
+    # Every product by binomials 1 - q^k pi^v goes through multiply_binomials;
+    # the generic product is the tests' reference only.
+    def forbidden(self, other):
+        raise AssertionError("GroupRingElem.__mul__ called")
+
+    monkeypatch.setattr(GroupRingElem, "__mul__", forbidden)
+    with pytest.raises(AssertionError):
+        GroupRingElem.one(1) * GroupRingElem.one(1)  # the patch does bite
+    for suite in SUITES:
+        for type_name in ("A1", "B2"):
+            for r in run_suite(suite, type_name, radius=1, cap=30):
+                assert r.passed, (suite, type_name, r.witness)
+    for formula, entry in cli.FORMULAS.items():
+        argv = ["eval", "--type", "B2", "--formula", formula, "--lambda", "2,1", "--word", "1,2"]
+        if entry.needs_character:
+            argv += ["--character", "sign"]
+        assert cli.main(argv) == 0, (formula, capsys.readouterr().err)
 
 
 def test_family_guarded_suites_skip_other_types():
@@ -107,6 +129,7 @@ WITNESS_KEYS = {
     ("macdonald", "shift-poincare"): {"expected", "lambda"},
     ("macdonald", "drop-first-letter"): {"lambda", "lhs", "rhs"},
     ("omega-symmetry", "drop-right-sign"): {"i", "mu", "side"},
+    ("omega-symmetry", "unreflected-left"): {"i", "mu", "side"},
     ("operator-identity", "drop-sign-correction"): {"lambda", "lhs", "rhs"},
     ("q-zero-degeneration", "wrong-specialization"): {"lhs", "mu", "rhs"},
     ("quadratic", "q-squared"): {"i", "mu", "residual"},
