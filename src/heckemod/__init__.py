@@ -11,7 +11,7 @@ evaluations, and golden-table emission.
 __version__ = "0.1.0"
 
 from .algebra import GroupRingElem, exact_div, grsum, specialize_q, weyl_act
-from .characters import HeckeCharacter, character_by_name, characters, rho_eps
+from .characters import HeckeCharacter, character_by_name, characters
 from .errors import (
     HeckemodError,
     InvalidCartanType,
@@ -62,7 +62,6 @@ from .root_system import (
     build_root_system,
     is_dominant,
     reflect,
-    reflect_root,
     rho,
     weyl_group,
     weyl_order,

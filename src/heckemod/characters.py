@@ -12,78 +12,83 @@ four. The extra pair is named by which class receives -1:
 Each character determines a partition of the positive roots into the classes
 Phi+_{-1} and Phi+_q and the half-sum-of-coroots shift rho_eps over Phi+_{-1},
 which is always an integral coweight with <alpha_i, rho_eps> in {0, 1}.
+
+A :class:`HeckeCharacter` is an immutable value. All its fields are computed
+once, when :func:`characters` builds it, and :func:`characters` builds each
+type's characters once, so every lookup returns the same object. The
+eigenvalue maps are fresh dicts of the character, never the module constants
+``Q_GEN``/``Q_MINUS_ONE``, and are shared by every reader: no caller may write
+into one. A negative control with other eigenvalues is
+``dataclasses.replace(eps, eigenvalues=...)``.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cache
 
 from .algebra import QDict, Q_GEN, Q_MINUS_ONE
 from .errors import InvalidCharacter, RhoEpsNotIntegral
 from .root_system import LONG, SHORT, Coweight, Root, RootSystem
 
-CHARACTER_NAMES = ("triv", "sign", "neg-long", "neg-short")
 
-
+@dataclass(frozen=True, eq=False)
 class HeckeCharacter:
     """A linear character, tied to its root system.
 
     ``neg_classes`` lists the length classes on which the generators act by
-    -1; generators of the remaining classes act by q.
+    -1; generators of the remaining classes act by q. ``eigenvalues[i]`` is
+    the value on T_{s_i} and ``neg_at[i]`` says whether it is -1.
+    ``phi_minus`` and ``phi_q`` are the positive roots of Phi+_{-1} and Phi+_q
+    in the order of ``positive_roots``, ``minus_coroots`` and ``q_coroots``
+    their coroots in the same order, and ``rho_eps`` half the sum of
+    ``minus_coroots``.
     """
 
-    __slots__ = ("root_system", "name", "neg_classes", "_rho_eps", "_eigenvalues")
-
-    def __init__(self, rs: RootSystem, name: str, neg_classes: frozenset[str]):
-        unknown = neg_classes - rs.length_classes
-        if unknown:
-            raise InvalidCharacter(f"no {sorted(unknown)} roots in {rs.cartan_type}")
-        self.root_system = rs
-        self.name = name
-        self.neg_classes = neg_classes
-        self._rho_eps: Coweight | None = None
-        self._eigenvalues: tuple[QDict, ...] | None = None
-
-    def eigenvalue(self, length_class: str) -> QDict:
-        """The value of the character on generators of one length class."""
-        return dict(Q_MINUS_ONE if length_class in self.neg_classes else Q_GEN)
-
-    def eigenvalue_at(self, i: int) -> QDict:
-        """The value of the character on T_{s_i}.
-
-        The values of all generators are filled once per instance, on the
-        first call, through :meth:`eigenvalue`, so a subclass that overrides
-        it is honoured. The returned map is shared by every call: read it,
-        never write into it.
-        """
-        if self._eigenvalues is None:
-            rs = self.root_system
-            self._eigenvalues = tuple(
-                self.eigenvalue(rs.length_class_of[rs.simple_root(j)]) for j in range(rs.rank)
-            )
-        return self._eigenvalues[i]
-
-    def is_neg_at(self, i: int) -> bool:
-        rs = self.root_system
-        return rs.length_class_of[rs.simple_root(i)] in self.neg_classes
-
-    @property
-    def phi_minus(self) -> tuple[Root, ...]:
-        """Positive roots whose length class receives -1."""
-        rs = self.root_system
-        return tuple(r for r in rs.positive_roots if rs.length_class_of[r] in self.neg_classes)
-
-    @property
-    def phi_q(self) -> tuple[Root, ...]:
-        rs = self.root_system
-        return tuple(r for r in rs.positive_roots if rs.length_class_of[r] not in self.neg_classes)
-
-    @property
-    def rho_eps(self) -> Coweight:
-        if self._rho_eps is None:
-            self._rho_eps = rho_eps(self.root_system, self)
-        return self._rho_eps
+    root_system: RootSystem
+    name: str
+    neg_classes: frozenset[str]
+    eigenvalues: tuple[QDict, ...]
+    neg_at: tuple[bool, ...]
+    phi_minus: tuple[Root, ...]
+    phi_q: tuple[Root, ...]
+    minus_coroots: tuple[Coweight, ...]
+    q_coroots: tuple[Coweight, ...]
+    rho_eps: Coweight
 
     def __repr__(self) -> str:
         return f"HeckeCharacter({self.name} on {self.root_system.cartan_type})"
+
+
+def _character(rs: RootSystem, name: str, neg_classes: frozenset[str]) -> HeckeCharacter:
+    """Every field of one character, with rho_eps checked integral.
+
+    rho_eps is integral by the reflection argument (s_i permutes the positive
+    roots other than alpha_i); a non-integral half-sum would mean the
+    partition by length class is broken and raises :class:`RhoEpsNotIntegral`.
+    """
+    unknown = neg_classes - rs.length_classes
+    if unknown:
+        raise InvalidCharacter(f"no {sorted(unknown)} roots in {rs.cartan_type}")
+    neg_at = tuple(rs.length_class_of[rs.simple_root(i)] in neg_classes for i in range(rs.rank))
+    phi_minus = tuple(r for r in rs.positive_roots if rs.length_class_of[r] in neg_classes)
+    phi_q = tuple(r for r in rs.positive_roots if rs.length_class_of[r] not in neg_classes)
+    minus_coroots = tuple(rs.coroot_of[r] for r in phi_minus)
+    total = [sum(column) for column in zip(*minus_coroots)] or [0] * rs.rank
+    if any(c % 2 for c in total):
+        raise RhoEpsNotIntegral(f"half-sum not integral for {name} on {rs.cartan_type}")
+    return HeckeCharacter(
+        root_system=rs,
+        name=name,
+        neg_classes=neg_classes,
+        eigenvalues=tuple(dict(Q_MINUS_ONE if neg else Q_GEN) for neg in neg_at),
+        neg_at=neg_at,
+        phi_minus=phi_minus,
+        phi_q=phi_q,
+        minus_coroots=minus_coroots,
+        q_coroots=tuple(rs.coroot_of[r] for r in phi_q),
+        rho_eps=tuple(c // 2 for c in total),
+    )
 
 
 def _assert_odd_bonds_within_classes(rs: RootSystem) -> None:
@@ -100,19 +105,20 @@ def _assert_odd_bonds_within_classes(rs: RootSystem) -> None:
                 )
 
 
+@cache
 def characters(rs: RootSystem) -> tuple[HeckeCharacter, ...]:
-    """All linear characters of the finite Hecke algebra of ``rs``.
+    """All linear characters of the finite Hecke algebra of ``rs``, built once.
 
     Two for simply-laced types, four when there are two root lengths.
     """
     _assert_odd_bonds_within_classes(rs)
     out = [
-        HeckeCharacter(rs, "triv", frozenset()),
-        HeckeCharacter(rs, "sign", frozenset(rs.length_classes)),
+        _character(rs, "triv", frozenset()),
+        _character(rs, "sign", frozenset(rs.length_classes)),
     ]
     if len(rs.length_classes) == 2:
-        out.append(HeckeCharacter(rs, "neg-long", frozenset({LONG})))
-        out.append(HeckeCharacter(rs, "neg-short", frozenset({SHORT})))
+        out.append(_character(rs, "neg-long", frozenset({LONG})))
+        out.append(_character(rs, "neg-short", frozenset({SHORT})))
     return tuple(out)
 
 
@@ -121,20 +127,3 @@ def character_by_name(rs: RootSystem, name: str) -> HeckeCharacter:
         if eps.name == name:
             return eps
     raise InvalidCharacter(f"character {name!r} not defined for {rs.cartan_type}")
-
-
-def rho_eps(rs: RootSystem, eps: HeckeCharacter) -> Coweight:
-    """Half sum of the coroots of the character's Phi+_{-1} roots.
-
-    Integral by the reflection argument (s_i permutes the positive roots other
-    than alpha_i); a non-integral half-sum would mean the partition by length
-    class is broken and raises :class:`RhoEpsNotIntegral`.
-    """
-    total = [0] * rs.rank
-    for root in rs.positive_roots:
-        if rs.length_class_of[root] in eps.neg_classes:
-            for k, c in enumerate(rs.coroot_of[root]):
-                total[k] += c
-    if any(c % 2 for c in total):
-        raise RhoEpsNotIntegral(f"half-sum not integral for {eps.name} on {rs.cartan_type}")
-    return tuple(c // 2 for c in total)

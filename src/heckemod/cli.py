@@ -22,16 +22,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .algebra import qd_str
 from .characters import character_by_name, characters
-from .errors import (
-    HeckemodError,
-    InvalidCartanType,
-    InvalidCharacter,
-    NonDominant,
-    NonReducedWord,
-    RatioNotMonomial,
-    WeylGroupTooLarge,
-    WrongFamily,
-)
+from .errors import HeckemodError, InvalidCartanType, InvalidCharacter
 from .formulas import (
     bessel_value,
     casselman_shalika,
@@ -51,8 +42,7 @@ from .verify import (
     BOX_CAP_DEFAULT,
     BOX_RADIUS_DEFAULT,
     DEFAULT_TYPES,
-    MUTATION_SUITES,
-    SUITES,
+    _any_type,
     run_suite,
     suite_tasks,
 )
@@ -60,10 +50,6 @@ from .verify import (
 OUTPUT_DIR_ENV = "HECKEMOD_OUTPUT_DIR"
 
 PARSE_ERROR, DOMAIN_ERROR, IO_ERROR = 2, 3, 4
-
-
-def _any_type(rs) -> bool:
-    return True
 
 
 def _casselman_shalika(rs, eps, lam, word):
@@ -198,8 +184,6 @@ def _translate_errors(fn, *args, **kwargs):
         raise
     except (InvalidCartanType, InvalidCharacter) as exc:
         raise DomainExit(PARSE_ERROR, str(exc))
-    except (NonDominant, WrongFamily, NonReducedWord, WeylGroupTooLarge, RatioNotMonomial) as exc:
-        raise DomainExit(DOMAIN_ERROR, f"{type(exc).__name__}: {exc}")
     except HeckemodError as exc:
         raise DomainExit(DOMAIN_ERROR, f"{type(exc).__name__}: {exc}")
 
@@ -233,16 +217,11 @@ def cmd_verify(args) -> int:
     types = args.type or list(DEFAULT_TYPES)
     for t in types:
         _translate_errors(build_root_system, t)
-    if args.mutate is not None and args.mutate not in MUTATION_SUITES:
-        raise DomainExit(PARSE_ERROR, f"unknown mutation {args.mutate!r}; known: {sorted(MUTATION_SUITES)}")
-    for s in args.suite or ():
-        if s not in SUITES:
-            raise DomainExit(PARSE_ERROR, f"unknown suite {s!r}; known: {sorted(SUITES)}")
-
-    tasks = [
-        (s, t, args.box, args.cap, args.mutate)
-        for s, t in suite_tasks(types, args.suite, args.mutate, args.max_rank)
-    ]
+    try:
+        pairs = suite_tasks(types, args.suite, args.mutate, args.max_rank)
+    except ValueError as exc:
+        raise DomainExit(PARSE_ERROR, str(exc))
+    tasks = [(s, t, args.box, args.cap, args.mutate) for s, t in pairs]
     if not tasks:
         owning = f" and registers mutation {args.mutate!r}" if args.mutate is not None else ""
         raise DomainExit(PARSE_ERROR, f"nothing to verify: no selected suite applies to the selected types{owning}")

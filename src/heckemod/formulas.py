@@ -74,8 +74,8 @@ def theorem_rhs(eps: HeckeCharacter, lam: Coweight, sign_corrected: bool = True)
     rs = eps.root_system
     shift = eps.rho_eps
     start = GroupRingElem.monomial(add_coweights(lam, add_coweights(shift, shift)))
-    h = omega_apply(rs, multiply_binomials(start, [rs.coroot_of[r] for r in eps.phi_q], 1), sign_corrected)
-    return multiply_binomials(h, [rs.coroot_of[r] for r in eps.phi_minus], 1).translated(negate_coweight(shift))
+    h = omega_apply(rs, multiply_binomials(start, eps.q_coroots, 1), sign_corrected)
+    return multiply_binomials(h, eps.minus_coroots, 1).translated(negate_coweight(shift))
 
 
 def weyl_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
@@ -104,7 +104,7 @@ def casselman_shalika(rs: RootSystem, lam: Coweight) -> CasselmanShalikaValue:
     sign-character operator-sum value for comparison."""
     _require_dominant(lam, "casselman_shalika")
     chi = weyl_character(rs, lam)
-    closed = multiply_binomials(chi, [negate_coweight(rs.coroot_of[r]) for r in rs.positive_roots], -1)
+    closed = multiply_binomials(chi, [negate_coweight(v) for v in rs.positive_coroots], -1)
     w0 = weyl_group(rs).longest
     closed = closed.translated(rho(rs)).scale_q({w0.length: 1})
     sign_eps = character_by_name(rs, "sign")
@@ -129,7 +129,7 @@ def macdonald(rs: RootSystem, lam: Coweight, full_word: bool = True) -> GroupRin
     a negative control; with it the suite fails on A1 already.
     """
     _require_dominant(lam, "macdonald")
-    num = multiply_binomials(GroupRingElem.monomial(lam), [rs.coroot_of[r] for r in rs.positive_roots], 1)
+    num = multiply_binomials(GroupRingElem.monomial(lam), rs.positive_coroots, 1)
     word = weyl_group(rs).longest.word
     return demazure_word(rs, word if full_word else word[1:], num)
 
@@ -151,14 +151,14 @@ def shalika(rs: RootSystem, lam: Coweight) -> ShalikaForms:
         raise WrongFamily(f"shalika forms are defined for family B, got {rs.cartan_type}")
     _require_dominant(lam, "shalika")
     eps = character_by_name(rs, "neg-short")
-    long_roots = eps.phi_q  # q-class = long roots for this character
+    long_coroots = eps.q_coroots  # q-class = long roots for this character
     first = theorem_rhs(eps, lam)
 
     # q^{|long|} pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho} prod_long (1 - q^-1 pi^{-a^vee}))
     start = GroupRingElem.monomial(add_coweights(lam, add_coweights(rho(rs), rho(rs))))
-    h = omega_apply(rs, multiply_binomials(start, [negate_coweight(rs.coroot_of[r]) for r in long_roots], -1))
-    out = multiply_binomials(h, [rs.coroot_of[r] for r in eps.phi_minus], 1)
-    out = out.translated(negate_coweight(eps.rho_eps)).scale_q({len(long_roots): 1})
+    h = omega_apply(rs, multiply_binomials(start, [negate_coweight(v) for v in long_coroots], -1))
+    out = multiply_binomials(h, eps.minus_coroots, 1)
+    out = out.translated(negate_coweight(eps.rho_eps)).scale_q({len(long_coroots): 1})
     return ShalikaForms(theorem_form=first, rewritten_form=out)
 
 
@@ -224,7 +224,7 @@ def bessel_value(rs: RootSystem, strict: bool = False) -> BesselValue:
         raise WrongFamily(f"bessel value is defined for family B, got {rs.cartan_type}")
     eps = character_by_name(rs, "neg-long")
     value = theorem_lhs(eps, (0,) * rs.rank)
-    long_coroots = [rs.coroot_of[r] for r in eps.phi_minus]
+    long_coroots = eps.minus_coroots
     start = GroupRingElem.monomial(negate_coweight(eps.rho_eps))
     quoted = multiply_binomials(start, long_coroots, -1)
     unit = _unit_monomial_ratio(value, quoted)

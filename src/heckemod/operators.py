@@ -119,7 +119,7 @@ def t_act(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
     with no division (module docstring)."""
     rs = eps.root_system
     a = rs.simple_coroots[i]
-    ev = eps.eigenvalue_at(i)
+    ev = eps.eigenvalues[i]
     out: dict[Coweight, QDict] = {}
     for mu, qd in f.coeffs.items():
         add_term(out, reflect(rs, i, mu), _times(qd, ev))
@@ -234,14 +234,14 @@ def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
 def weyl_denominator(rs: RootSystem) -> GroupRingElem:
     """pi^{rho} prod_{a > 0} (1 - pi^{-a^vee}); equals alternator(pi^{rho})."""
     return multiply_binomials(
-        GroupRingElem.monomial(rho(rs)), [negate_coweight(rs.coroot_of[r]) for r in rs.positive_roots], 0)
+        GroupRingElem.monomial(rho(rs)), [negate_coweight(v) for v in rs.positive_coroots], 0)
 
 
 def divide_by_weyl_denominator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
     # Dividing factor by factor is exact whenever the full division is.
     out = f
-    for root in rs.positive_roots:
-        out = divide_by_binomial(out, negate_coweight(rs.coroot_of[root]))
+    for v in rs.positive_coroots:
+        out = divide_by_binomial(out, negate_coweight(v))
     return out.translated(negate_coweight(rho(rs)))
 
 

@@ -144,6 +144,8 @@ class RootSystem:
         Sorted by (height, coordinates) for deterministic iteration.
     coroot_of : dict[Root, Coweight]
         Coroot of each positive root, in fundamental-coweight coordinates.
+    positive_coroots : tuple[Coweight, ...]
+        The coroots of ``positive_roots``, in the same order.
     length_class_of : dict[Root, str]
         ``"short"`` or ``"long"``; a single class for simply-laced types.
     braid_order : dict[tuple[int, int], int]
@@ -161,6 +163,7 @@ class RootSystem:
         self.length_classes: frozenset[str] = frozenset(classes)
 
         self.positive_roots, self.coroot_of, self.length_class_of = self._close_roots(classes)
+        self.positive_coroots: tuple[Coweight, ...] = tuple(self.coroot_of[r] for r in self.positive_roots)
         if len(self.positive_roots) != _positive_root_count(cartan_type):
             raise AssertionError(
                 f"root closure for {cartan_type} produced {len(self.positive_roots)} roots"
@@ -182,7 +185,7 @@ class RootSystem:
         while frontier:
             beta = frontier.pop()
             for i in range(n):
-                image = self._reflect_root(i, beta)
+                image = self.reflect_root(i, beta)
                 if min(image) < 0:  # only beta = alpha_i reflects out of the positive cone
                     continue
                 if image not in coroot:
@@ -192,7 +195,8 @@ class RootSystem:
         roots = tuple(sorted(coroot, key=lambda r: (sum(r), r)))
         return roots, coroot, cls
 
-    def _reflect_root(self, i: int, beta: Root) -> Root:
+    def reflect_root(self, i: int, beta: Root) -> Root:
+        """Simple reflection acting on a root in simple-root coordinates."""
         pairing = sum(self.cartan_matrix[j][i] * beta[j] for j in range(self.rank))
         out = list(beta)
         out[i] -= pairing
@@ -228,11 +232,6 @@ def reflect(rs: RootSystem, i: int, mu: Coweight) -> Coweight:
         return mu
     col = rs.simple_coroots[i]
     return tuple(m - p * c for m, c in zip(mu, col))
-
-
-def reflect_root(rs: RootSystem, i: int, beta: Root) -> Root:
-    """Simple reflection acting on a root in simple-root coordinates."""
-    return rs._reflect_root(i, beta)
 
 
 def rho(rs: RootSystem) -> Coweight:

@@ -104,14 +104,6 @@ class VerifyResult:
         return out
 
 
-class _QSquaredCharacter(HeckeCharacter):
-    """Negative control: the q eigenvalue replaced by q^2."""
-
-    def eigenvalue(self, length_class):
-        v = super().eigenvalue(length_class)
-        return {2: 1} if v == {1: 1} else v
-
-
 def _checks(identity: str, rs: RootSystem, character: str | None, cases) -> VerifyResult:
     """The result of one identity from its ``(holds, witness)`` checks, as in the module docstring."""
     checked = 0
@@ -134,8 +126,8 @@ def verify_quadratic(eps: HeckeCharacter, monomials, mutate: str | None = None) 
     """(T_{s_i} - q)(T_{s_i} + 1) = 0 on every test monomial and every i."""
     rs = eps.root_system
     acting = eps
-    if mutate == "q-squared":
-        acting = _QSquaredCharacter(rs, eps.name, eps.neg_classes)
+    if mutate == "q-squared":  # the q eigenvalue replaced by q^2
+        acting = replace(eps, eigenvalues=tuple({2: 1} if v == {1: 1} else v for v in eps.eigenvalues))
 
     def cases():
         for i in range(rs.rank):
@@ -212,7 +204,7 @@ def verify_deformed_demazure(eps: HeckeCharacter, monomials, mutate: str | None 
     def cases():
         for i in range(rs.rank):
             av = rs.simple_coroots[i]
-            neg_branch = eps.is_neg_at(i) != swap
+            neg_branch = eps.neg_at[i] != swap
             for mu in monomials:
                 f = GroupRingElem.monomial(mu)
                 lhs = f + fraktur_t(eps, i, f)
@@ -234,7 +226,7 @@ def verify_rho_pairing(eps: HeckeCharacter, mutate: str | None = None) -> Verify
     shift = eps.rho_eps
     if mutate == "shift-rho":
         shift = tuple(c + (1 if k == 0 else 0) for k, c in enumerate(shift))
-    expected = tuple(1 if eps.is_neg_at(i) else 0 for i in range(rs.rank))
+    expected = tuple(1 if neg else 0 for neg in eps.neg_at)
     cases = ((shift[i] == expected[i], lambda: {"rho_eps": list(shift), "expected": list(expected)})
              for i in reversed(range(rs.rank)))
     return _checks("rho-pairing", rs, eps.name, cases)
@@ -262,7 +254,7 @@ def verify_intertwiner(eps: HeckeCharacter, monomials, mutate: str | None = None
     def cases():
         for i in range(rs.rank):
             av = rs.simple_coroots[i]
-            neg_branch = eps.is_neg_at(i) != swap
+            neg_branch = eps.neg_at[i] != swap
             for mu in monomials:
                 f = GroupRingElem.monomial(mu)
                 lhs = intertwiner_op(eps, i, f)
@@ -289,7 +281,7 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
     """
     rs = eps.root_system
     right_sign = 1 if mutate == "drop-right-sign" else -1
-    vs = [rs.coroot_of[r] for r in eps.phi_minus]
+    vs = eps.minus_coroots
 
     def cases():
         for mu in monomials:
@@ -301,7 +293,7 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
                 yield lhs == rhs, lambda: {"side": "left", "i": i + 1, "mu": list(mu)}
         for i in range(rs.rank):
             av = rs.simple_coroots[i]
-            g_coroots = [] if eps.is_neg_at(i) else [negate_coweight(av)]
+            g_coroots = [] if eps.neg_at[i] else [negate_coweight(av)]
             for mu in monomials:
                 lhs = sum_fraktur(eps, multiply_binomials(GroupRingElem.monomial(reflect(rs, i, mu)), g_coroots, 1))
                 start = GroupRingElem.monomial(tuple(a + b for a, b in zip(mu, av)))
@@ -523,14 +515,13 @@ def suite_tasks(types, suites=None, mutate: str | None = None, max_rank: int | N
     """(suite, type) pairs to run, types outermost, each suite only on the types
     it applies to. ``suites`` defaults to all of them; a mutation keeps only
     the selected suites that own it. Repeated types (``A1`` and ``a1`` are
-    the same) and suites count once, in first-seen order. An unknown suite
-    or mutation raises ``ValueError``."""
+    the same) and suites count once, in first-seen order. An unknown
+    mutation or suite raises ``ValueError``; the mutation is checked first."""
+    owners = SUITES if mutate is None else _registered(MUTATION_SUITES, mutate, "mutation")
     suites = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     for s in suites:
         _registered(SUITES, s, "suite")
-    if mutate is not None:
-        owners = _registered(MUTATION_SUITES, mutate, "mutation")
-        suites = [s for s in suites if s in owners]
+    suites = [s for s in suites if s in owners]
     tasks = []
     seen = set()
     for type_name in types:

@@ -1,6 +1,9 @@
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
-from heckemod.characters import character_by_name, characters, rho_eps
+from heckemod.algebra import Q_GEN, Q_MINUS_ONE
+from heckemod.characters import character_by_name, characters
 from heckemod.errors import InvalidCharacter
 from heckemod.root_system import build_root_system, rho
 
@@ -30,24 +33,39 @@ def test_eigenvalues():
     neg_long = character_by_name(b2, "neg-long")
     long_i = [i for i in range(2) if b2.length_class_of[b2.simple_root(i)] == "long"][0]
     short_i = 1 - long_i
-    assert neg_long.eigenvalue_at(long_i) == {0: -1}
-    assert neg_long.eigenvalue_at(short_i) == {1: 1}
-    assert character_by_name(b2, "triv").eigenvalue_at(0) == {1: 1}
-    assert character_by_name(b2, "sign").eigenvalue_at(0) == {0: -1}
+    assert neg_long.eigenvalues[long_i] == {0: -1}
+    assert neg_long.eigenvalues[short_i] == {1: 1}
+    assert neg_long.neg_at == tuple(i == long_i for i in range(2))
+    assert character_by_name(b2, "triv").eigenvalues[0] == {1: 1}
+    assert character_by_name(b2, "sign").eigenvalues[0] == {0: -1}
 
 
-def test_eigenvalue_at_is_filled_once_through_eigenvalue():
-    # One map per generator and instance, shared by every call; a subclass
-    # that overrides eigenvalue, as the q-squared control does, is honoured.
-    from heckemod.verify import _QSquaredCharacter
-
+def test_characters_are_frozen_values_built_once():
+    # One object per type and name, with every field fixed; each eigenvalue
+    # map is the character's own copy, and a control with other eigenvalues
+    # is a replaced copy that leaves the original as it was.
     b2 = build_root_system("B2")
     neg_long = character_by_name(b2, "neg-long")
-    assert all(neg_long.eigenvalue_at(i) is neg_long.eigenvalue_at(i) for i in range(2))
-    squared = _QSquaredCharacter(b2, neg_long.name, neg_long.neg_classes)
-    long_i = [i for i in range(2) if b2.length_class_of[b2.simple_root(i)] == "long"][0]
-    assert squared.eigenvalue_at(long_i) == {0: -1}
-    assert squared.eigenvalue_at(1 - long_i) == {2: 1}
+    assert character_by_name(b2, "neg-long") is neg_long
+    assert characters(b2) is characters(b2)
+    with pytest.raises(FrozenInstanceError):
+        neg_long.rho_eps = (0, 0)
+    assert not any(v is Q_GEN or v is Q_MINUS_ONE for eps in characters(b2) for v in eps.eigenvalues)
+    squared = replace(neg_long, eigenvalues=tuple({2: 1} if v == {1: 1} else v for v in neg_long.eigenvalues))
+    long_i = neg_long.neg_at.index(True)
+    assert squared.eigenvalues[long_i] == {0: -1}
+    assert squared.eigenvalues[1 - long_i] == {2: 1}
+    assert neg_long.eigenvalues[1 - long_i] == {1: 1}
+    assert squared.rho_eps == neg_long.rho_eps and squared != neg_long
+
+
+def test_coroot_fields_follow_the_roots():
+    for name in ("A2", "B2", "B3", "C2", "G2"):
+        rs = build_root_system(name)
+        assert rs.positive_coroots == tuple(rs.coroot_of[r] for r in rs.positive_roots)
+        for eps in characters(rs):
+            assert eps.minus_coroots == tuple(rs.coroot_of[r] for r in eps.phi_minus)
+            assert eps.q_coroots == tuple(rs.coroot_of[r] for r in eps.phi_q)
 
 
 def test_partition_of_positive_roots():
@@ -78,7 +96,6 @@ def test_rho_eps_by_direct_summation(name):
                     total[k] += c
         assert all(c % 2 == 0 for c in total)
         assert eps.rho_eps == tuple(c // 2 for c in total)
-        assert rho_eps(rs, eps) == eps.rho_eps
 
 
 def test_b2_bessel_rho_eps_value():
@@ -101,5 +118,5 @@ def test_pairing_pattern():
         rs = build_root_system(name)
         for eps in characters(rs):
             for i in range(rs.rank):
-                expected = 1 if eps.is_neg_at(i) else 0
+                expected = 1 if eps.neg_at[i] else 0
                 assert eps.rho_eps[i] == expected

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -139,6 +140,9 @@ def test_verify_mutation_fails_with_witness(capsys):
 def test_verify_unknown_suite_or_mutation(capsys):
     assert run_cli(capsys, "verify", "--type", "A1", "--suite", "nope")[0] == 2
     assert run_cli(capsys, "verify", "--type", "A1", "--mutate", "nope")[0] == 2
+    # with both unknown, the mutation is named
+    code, _, err = run_cli(capsys, "verify", "--type", "A1", "--suite", "nope", "--mutate", "nope2")
+    assert code == 2 and err.startswith("error: unknown mutation 'nope2'")
 
 
 def test_table_counts_and_determinism(tmp_path, capsys):
@@ -188,6 +192,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(q + 1)"
+
+
+def test_perfbench_tracing_installs():
+    # The benchmark's tracer wraps package functions and methods by name, so a
+    # rename in the package breaks traced runs; installing it must still work.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "perfbench"]))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", "import heckemod, tracing; tracing.install(tracing.Tracer())"],
+        capture_output=True, text=True, cwd=root, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_out_of_range_numbers_exit_2(capsys, tmp_path):

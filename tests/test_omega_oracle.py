@@ -228,7 +228,7 @@ def test_t_act_and_demazure_match_sympy(name):
             expected = sympy.cancel((x_neg * f - fs) / (x_neg - 1))
             assert sympy.expand(expected - to_sympy(got, xs, q)) == 0, ("demazure", name, i, terms)
             for eps in characters(rs):
-                eigenvalue = to_sympy(GroupRingElem.monomial((0,) * rs.rank, eps.eigenvalue_at(i)), xs, q)
+                eigenvalue = to_sympy(GroupRingElem.monomial((0,) * rs.rank, eps.eigenvalues[i]), xs, q)
                 assert eigenvalue in (q, -1)
                 got = t_act(eps, i, element_of(terms, rs.rank))
                 expected = sympy.cancel(eigenvalue * fs + (1 - q) * (fs - f) / (1 - x_neg))

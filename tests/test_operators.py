@@ -4,6 +4,7 @@ conjugated-generator case formula, and the operator-algebra laws."""
 import copy
 import operator
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from heckemod import operators
 from heckemod.algebra import GroupRingElem, divide_by_binomial, exact_div, grsum, multiply_binomials
-from heckemod.characters import HeckeCharacter, character_by_name, characters
+from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.formulas import (
     demazure_character,
@@ -34,7 +35,7 @@ from heckemod.operators import (
     weyl_denominator,
 )
 from heckemod.root_system import build_root_system, negate_coweight, reflect, rho, weyl_group
-from heckemod.verify import _QSquaredCharacter, monomial_box
+from heckemod.verify import monomial_box
 from test_algebra import coeff, one_minus_pi, qexp, ring_elems
 
 
@@ -131,7 +132,7 @@ def test_fraktur_matches_displayed_case_formula(name):
     for eps in characters(rs):
         for i in range(rs.rank):
             av = rs.simple_coroots[i]
-            b = av if eps.is_neg_at(i) else negate_coweight(av)
+            b = av if eps.neg_at[i] else negate_coweight(av)
             den = GroupRingElem.monomial(negate_coweight(av)) - GroupRingElem.one(rs.rank)
             for mu in monomial_box(rs.rank, 1, 9):
                 f = GroupRingElem.monomial(mu)
@@ -337,21 +338,18 @@ def kernel_inputs(draw, rs):
     return total
 
 
-class _TwoTermCharacter(HeckeCharacter):
-    """Not a character: the q eigenvalue replaced by 2q - 1, so the defining
-    formula runs with a q-scalar of more than one term."""
-
-    def eigenvalue(self, length_class):
-        v = super().eigenvalue(length_class)
-        return {0: -1, 1: 2} if v == {1: 1} else v
+def _with_q_eigenvalue(eps, value):
+    """eps with its q eigenvalue replaced by ``value``; not a character
+    unless ``value`` is q."""
+    return replace(eps, eigenvalues=tuple(dict(value) if v == {1: 1} else v for v in eps.eigenvalues))
 
 
 def _acting_characters(rs):
     # Every character, the negative control whose q eigenvalue is q^2, and a
-    # two-term eigenvalue.
+    # two-term eigenvalue 2q - 1, so the defining formula runs with a
+    # q-scalar of more than one term.
     return [acting for eps in characters(rs)
-            for acting in (eps, _QSquaredCharacter(rs, eps.name, eps.neg_classes),
-                           _TwoTermCharacter(rs, eps.name, eps.neg_classes))]
+            for acting in (eps, _with_q_eigenvalue(eps, {2: 1}), _with_q_eigenvalue(eps, {0: -1, 1: 2}))]
 
 
 def _assert_untouched(f, before, result):
@@ -376,7 +374,7 @@ def test_t_act_and_demazure_match_their_quotients(name, data):
         quot = divide_by_binomial(fs - f, neg_av)
         for eps in _acting_characters(rs):
             got = t_act(eps, i, f)
-            assert got == fs.scale_q(eps.eigenvalue_at(i)) + quot.scale_q({0: 1, 1: -1})
+            assert got == fs.scale_q(eps.eigenvalues[i]) + quot.scale_q({0: 1, 1: -1})
             _assert_untouched(f, before, got)
         got = demazure(rs, i, f)
         assert got == divide_by_binomial(fs - f.translated(neg_av), neg_av)

@@ -9,7 +9,6 @@ from heckemod.root_system import (
     negate_coweight,
     orbit,
     reflect,
-    reflect_root,
     rho,
     weyl_group,
     weyl_order,
@@ -114,9 +113,9 @@ def test_simple_reflection_permutes_other_positive_roots():
         rs = build_root_system(name)
         for i in range(rs.rank):
             others = [r for r in rs.positive_roots if r != rs.simple_root(i)]
-            images = {reflect_root(rs, i, r) for r in others}
+            images = {rs.reflect_root(i, r) for r in others}
             assert images == set(others)
-            assert reflect_root(rs, i, rs.simple_root(i)) == tuple(
+            assert rs.reflect_root(i, rs.simple_root(i)) == tuple(
                 -c for c in rs.simple_root(i)
             )
 
@@ -189,7 +188,7 @@ def test_length_is_inversion_count(name):
         for beta in rs.positive_roots:
             image = beta
             for i in w.word:  # w^{-1} = s_{i_k} ... s_{i_1}, rightmost acts first
-                image = reflect_root(rs, i, image)
+                image = rs.reflect_root(i, image)
             if all(c <= 0 for c in image):
                 inversions += 1
         assert inversions == w.length
