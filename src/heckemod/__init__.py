@@ -20,7 +20,6 @@ from .errors import (
     NonDominant,
     NonReducedWord,
     NotDivisible,
-    RatioNotMonomial,
     RhoEpsNotIntegral,
     WeylGroupTooLarge,
     WrongFamily,

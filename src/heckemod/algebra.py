@@ -56,10 +56,6 @@ def qd_neg(a: QDict) -> QDict:
     return {k: -v for k, v in a.items()}
 
 
-def qd_sub(a: QDict, b: QDict) -> QDict:
-    return qd_add(a, qd_neg(b))
-
-
 def qd_mul(a: QDict, b: QDict) -> QDict:
     out: QDict = {}
     for k1, v1 in a.items():
@@ -194,17 +190,7 @@ class GroupRingElem:
 
     def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
         self._check(other)
-        out = {k: dict(v) for k, v in self.coeffs.items()}
-        for k, v in other.coeffs.items():
-            if k in out:
-                s = qd_add(out[k], v)
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-            else:
-                out[k] = dict(v)
-        return GroupRingElem(self.rank, out)
+        return grsum(self.rank, (self, other))
 
     def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
         return self + (-other)
@@ -356,8 +342,7 @@ def exact_div(f: GroupRingElem, g: GroupRingElem) -> GroupRingElem:
         quot[e] = cq
         for k, qd in gg.items():
             kk = tuple(x + y for x, y in zip(k, e))
-            cur = rem.get(kk)
-            s = qd_sub(cur, qd_mul(qd, cq)) if cur is not None else qd_neg(qd_mul(qd, cq))
+            s = qd_add(rem.get(kk, {}), qd_neg(qd_mul(qd, cq)))
             if s:
                 rem[kk] = s
             else:

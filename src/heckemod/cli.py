@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure (witness JSON on stdout),
 2 argument/parse errors, 3 domain errors (a named precondition was violated),
-4 I/O errors. Identical inputs produce byte-identical outputs regardless of
-``--jobs``; table files are written to a temp name and atomically renamed, so
-failures never leave partial files.
+4 I/O errors; :func:`main` maps every error to its code, including errors
+raised in ``--jobs`` workers. Identical inputs produce byte-identical outputs
+regardless of ``--jobs``; table files are written to a temp name and
+atomically renamed, so failures never leave partial files.
 """
 
 from __future__ import annotations
@@ -177,17 +178,6 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
     return row, lines
 
 
-def _translate_errors(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except DomainExit:
-        raise
-    except (InvalidCartanType, InvalidCharacter) as exc:
-        raise DomainExit(PARSE_ERROR, str(exc))
-    except HeckemodError as exc:
-        raise DomainExit(DOMAIN_ERROR, f"{type(exc).__name__}: {exc}")
-
-
 # --- verify -----------------------------------------------------------------
 
 
@@ -215,8 +205,8 @@ def _run_tasks(fn, tasks: list, jobs: int) -> list:
 def cmd_verify(args) -> int:
     _require_at_least(args, {"box": 0, "cap": 1, "jobs": 1})
     types = args.type or list(DEFAULT_TYPES)
-    for t in types:
-        _translate_errors(build_root_system, t)
+    for t in types:  # a bad type is reported before a bad suite or mutation
+        build_root_system(t)
     try:
         pairs = suite_tasks(types, args.suite, args.mutate, args.max_rank)
     except ValueError as exc:
@@ -225,7 +215,7 @@ def cmd_verify(args) -> int:
     if not tasks:
         owning = f" and registers mutation {args.mutate!r}" if args.mutate is not None else ""
         raise DomainExit(PARSE_ERROR, f"nothing to verify: no selected suite applies to the selected types{owning}")
-    chunks = _translate_errors(_run_tasks, _suite_task, tasks, args.jobs)
+    chunks = _run_tasks(_suite_task, tasks, args.jobs)
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r["identity"], r["type"], r["character"] or ""))
 
@@ -252,7 +242,7 @@ def cmd_eval(args) -> int:
     formula = args.formula
     if formula not in FORMULAS:
         raise DomainExit(PARSE_ERROR, f"unknown formula {formula!r}; known: {sorted(FORMULAS)}")
-    rs = _translate_errors(build_root_system, args.type)
+    rs = build_root_system(args.type)
     entry = FORMULAS[formula]
     if entry.needs_character and args.character is None:
         raise DomainExit(PARSE_ERROR, f"formula {formula} requires --character")
@@ -261,7 +251,7 @@ def cmd_eval(args) -> int:
         if args.lam is None:
             raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
         lam = _parse_lambda(args.lam, rs.rank)
-    row, lines = _translate_errors(_evaluate_formula, args.type, formula, args.character, lam, args.word)
+    row, lines = _evaluate_formula(args.type, formula, args.character, lam, args.word)
     if args.output == "json":
         print(json.dumps(row, sort_keys=True, indent=2))
     elif args.output == "csv":
@@ -300,14 +290,14 @@ def _atomic_write(path: str, data: str) -> None:
 
 def cmd_table(args) -> int:
     _require_at_least(args, {"height": 0, "jobs": 1})
-    rs = _translate_errors(build_root_system, args.type)
+    rs = build_root_system(args.type)
     if args.characters == "all":
         char_names = [eps.name for eps in characters(rs)]
     else:
         # A name given twice still makes one set of rows.
         char_names = list(dict.fromkeys(c.strip() for c in args.characters.split(",")))
         for c in char_names:
-            _translate_errors(character_by_name, rs, c)
+            character_by_name(rs, c)
     formulas = list(dict.fromkeys(f.strip() for f in args.formulas.split(",")))
     for f in formulas:
         if f not in FORMULAS:
@@ -329,7 +319,7 @@ def cmd_table(args) -> int:
     if not tasks:
         raise DomainExit(PARSE_ERROR, f"nothing to tabulate: no selected formula applies to {args.type}")
 
-    rows = _translate_errors(_run_tasks, _table_row, tasks, args.jobs)
+    rows = _run_tasks(_table_row, tasks, args.jobs)
     rows.sort(key=lambda r: (r["type"], r["character"], r["lambda"], r["formula"]))
 
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
@@ -415,8 +405,13 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DomainExit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        code, message = exc.code, str(exc)
+    except (InvalidCartanType, InvalidCharacter) as exc:
+        code, message = PARSE_ERROR, str(exc)
+    except HeckemodError as exc:
+        code, message = DOMAIN_ERROR, f"{type(exc).__name__}: {exc}"
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -42,7 +42,3 @@ class NonDominant(HeckemodError):
 
 class WrongFamily(HeckemodError):
     """Formula only defined for a specific Cartan family."""
-
-
-class RatioNotMonomial(HeckemodError):
-    """Two quantities expected to differ by a unit monomial do not."""

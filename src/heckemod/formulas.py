@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 from .algebra import GroupRingElem, QDict, exact_div, multiply_binomials
 from .characters import HeckeCharacter, character_by_name
-from .errors import NonDominant, NotDivisible, RatioNotMonomial, WrongFamily
+from .errors import NonDominant, NotDivisible, WrongFamily
 from .operators import demazure_word, omega_apply, sum_fraktur, t_word
 from .root_system import (
     Coweight,
@@ -65,16 +65,16 @@ def theorem_lhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
     return sum_fraktur(eps, start).translated(negate_coweight(shift))
 
 
-def theorem_rhs(eps: HeckeCharacter, lam: Coweight, sign_corrected: bool = True) -> GroupRingElem:
+def theorem_rhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
     """Alternator side of the identity, pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)).
 
-    ``sign_corrected=False`` drops the global (-1)^{l(w0)} factor of Omega and
-    exists only as a negative control; with it the identity fails on A1 already.
+    Its negative control, the global (-1)^{l(w0)} dropped, lives in
+    :func:`heckemod.verify.verify_operator_identity`.
     """
     rs = eps.root_system
     shift = eps.rho_eps
     start = GroupRingElem.monomial(add_coweights(lam, add_coweights(shift, shift)))
-    h = omega_apply(rs, multiply_binomials(start, eps.q_coroots, 1), sign_corrected)
+    h = omega_apply(rs, multiply_binomials(start, eps.q_coroots, 1))
     return multiply_binomials(h, eps.minus_coroots, 1).translated(negate_coweight(shift))
 
 
@@ -111,7 +111,7 @@ def casselman_shalika(rs: RootSystem, lam: Coweight) -> CasselmanShalikaValue:
     return CasselmanShalikaValue(closed_form=closed, theorem_form=theorem_lhs(sign_eps, lam))
 
 
-def macdonald(rs: RootSystem, lam: Coweight, full_word: bool = True) -> GroupRingElem:
+def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     """Spherical sum sum_w w(pi^lambda prod_{a>0} (1 - q pi^{a^vee}) / (1 - pi^{a^vee})).
 
     By the Demazure character formula this is d_{w0} applied to the numerator
@@ -123,15 +123,13 @@ def macdonald(rs: RootSystem, lam: Coweight, full_word: bool = True) -> GroupRin
     coroots and the Demazure operators run along w0's word; nothing is
     divided. It uses neither ``omega_apply`` nor ``alternator``, so it stays
     an independent side of the macdonald suite.
-    At lambda = 0 this is the Poincare polynomial sum_w q^{l(w)}.
-
-    ``full_word=False`` drops the first letter of w0's word and exists only as
-    a negative control; with it the suite fails on A1 already.
+    At lambda = 0 this is the Poincare polynomial sum_w q^{l(w)}. Its
+    negative control, w0's word less its first letter, lives in
+    :func:`heckemod.verify.verify_macdonald`.
     """
     _require_dominant(lam, "macdonald")
     num = multiply_binomials(GroupRingElem.monomial(lam), rs.positive_coroots, 1)
-    word = weyl_group(rs).longest.word
-    return demazure_word(rs, word if full_word else word[1:], num)
+    return demazure_word(rs, weyl_group(rs).longest.word, num)
 
 
 @dataclass
@@ -210,15 +208,12 @@ def _unit_monomial_ratio(value: GroupRingElem, quoted: GroupRingElem):
     return None
 
 
-def bessel_value(rs: RootSystem, strict: bool = False) -> BesselValue:
+def bessel_value(rs: RootSystem) -> BesselValue:
     """Value of the neg-long character sum at lambda = 0 with a ratio report.
 
-    ``strict=True`` enforces the unit-monomial postcondition and raises
-    :class:`RatioNotMonomial` when the ratio is anything else, instead of
-    silently renormalizing; on B_n it always raises, since the exact relation
-    carries the non-unit q^{n-1} (1 + q) (see :class:`BesselValue`). The
-    non-strict report always carries the exact cofactor against the q-side
-    product, which does exist in the ring.
+    The report carries the exact cofactor against the q-side product, which
+    does exist in the ring; ``unit_ratio`` is None on every B_n, since that
+    cofactor is the non-unit q^{n-1} (1 + q) (see :class:`BesselValue`).
     """
     if not in_family_b(rs):
         raise WrongFamily(f"bessel value is defined for family B, got {rs.cartan_type}")
@@ -229,13 +224,7 @@ def bessel_value(rs: RootSystem, strict: bool = False) -> BesselValue:
     quoted = multiply_binomials(start, long_coroots, -1)
     unit = _unit_monomial_ratio(value, quoted)
     q_form = multiply_binomials(start, long_coroots, 1)
-    cofactor = exact_div(value, q_form)
-    if strict and unit is None:
-        raise RatioNotMonomial(
-            "theorem value is not a unit-monomial multiple of the quoted product; "
-            f"exact relation: value = ({cofactor.to_str()}) * pi^-rho_eps * prod_long(1 - q pi^av)"
-        )
-    return BesselValue(value, quoted, unit, cofactor)
+    return BesselValue(value, quoted, unit, exact_div(value, q_form))
 
 
 def coset_measure(rs: RootSystem, lam: Coweight) -> QDict:

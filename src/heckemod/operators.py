@@ -47,9 +47,9 @@ character is expanded once. The dominant part of chi_lambda is memoized per
 (root system, lambda) and filled from the single-monomial quotient
 ``divide_by_weyl_denominator(alternator(pi^{lambda+rho}))``, the only place
 that runs the alternator; the memo holds plain integers, so no result depends
-on whether it is cold or warm. ``sign_corrected=False`` drops the global
-(-1)^{l(w0)} factor and exists only as a negative control. The alternator-side
-formulas are all built on :func:`omega_apply`.
+on whether it is cold or warm. The alternator-side formulas are all built on
+:func:`omega_apply`. The negative control that drops the global (-1)^{l(w0)}
+lives in :func:`heckemod.verify.verify_operator_identity`.
 
 :func:`alternator` is the signed sum over W, written out element by element.
 
@@ -263,11 +263,11 @@ def _dominant_character(rs: RootSystem, lam: Coweight) -> tuple[tuple[Coweight, 
     return tuple(sorted((nu, qd[0]) for nu, qd in chi.coeffs.items() if is_dominant(nu)))
 
 
-def omega_apply(rs: RootSystem, f: GroupRingElem, sign_corrected: bool = True) -> GroupRingElem:
+def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
     """Apply the alternator-quotient operator Omega to f by straightening
     (module docstring); equal to the full alternator divided by A(pi^rho)."""
     # l(w0) is the number of positive roots.
-    flip = sign_corrected and len(rs.positive_roots) % 2
+    flip = len(rs.positive_roots) % 2
     by_lambda: dict[Coweight, QDict] = {}
     for mu, qd in f.coeffs.items():
         straight = _straighten(rs, mu)

@@ -240,11 +240,6 @@ def test_omega_memo_cold_and_warm_agree(name):
     assert values() == cold
 
 
-def test_omega_uncorrected_flips_sign_in_odd_rank():
-    rs = build_root_system("A1")
-    assert omega_apply(rs, ONE1, sign_corrected=False) == -ONE1
-
-
 def test_weyl_denominator_product_form():
     for name in ("A1", "A2", "B2", "G2"):
         rs = build_root_system(name)

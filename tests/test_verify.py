@@ -5,7 +5,8 @@ import pytest
 from heckemod import cli
 from heckemod.algebra import GroupRingElem
 from heckemod.characters import character_by_name, characters
-from heckemod.root_system import build_root_system
+from heckemod.operators import s_image, sum_fraktur
+from heckemod.root_system import build_root_system, reflect
 from heckemod.verify import (
     MUTATION_SUITES,
     SUITES,
@@ -13,6 +14,7 @@ from heckemod.verify import (
     run_suite,
     run_verification,
     suite_tasks,
+    verify_omega_symmetry,
     verify_operator_identity,
     verify_quadratic,
 )
@@ -177,6 +179,59 @@ def test_drop_sign_correction_witness_is_poincare_pair():
     assert not r.passed
     assert r.witness["lhs"] == "(q + 1)"
     assert r.witness["rhs"] == "(-q - 1)"
+
+
+def test_drop_sign_correction_fails_exactly_when_l_w0_is_odd():
+    # The control negates the right side when l(w0) = |Phi+| is odd, which is
+    # what dropping Omega's global (-1)^{l(w0)} does; for even l(w0) it is a no-op.
+    for type_name, odd in (("A1", True), ("A2", True), ("B3", True), ("B2", False), ("G2", False), ("A3", False)):
+        rs = build_root_system(type_name)
+        assert len(rs.positive_roots) % 2 == odd, type_name
+        zero = [(0,) * rs.rank]
+        for eps in characters(rs):
+            r = verify_operator_identity(eps, zero, mutate="drop-sign-correction")
+            assert r.passed != odd, (type_name, eps.name, r.witness)
+
+
+def _full_left_check(rs, eps, monomials, unreflected):
+    """(checked, witness) of the first failure of D_{-1} s_i(Theta) = s_i(D_{-1}) Theta,
+    with every factor of D_{-1} on both sides, or None when every check holds."""
+
+    def product(coroots):
+        out = GroupRingElem.one(rs.rank)
+        for v in coroots:
+            out = out * (GroupRingElem.one(rs.rank) - GroupRingElem.monomial(v, {1: 1}))
+        return out
+
+    checked = 0
+    for mu in monomials:
+        theta = sum_fraktur(eps, GroupRingElem.monomial(mu))
+        for i in range(rs.rank):
+            reflected = eps.minus_coroots if unreflected else [reflect(rs, i, v) for v in eps.minus_coroots]
+            checked += 1
+            if product(eps.minus_coroots) * s_image(rs, i, theta) != product(reflected) * theta:
+                return checked, {"side": "left", "i": i + 1, "mu": list(mu)}
+    return None
+
+
+def test_omega_symmetry_left_check_matches_the_full_cleared_form():
+    # The verifier cancels the factors of D_{-1} that s_i permutes; its verdicts
+    # must be those of the full cleared form, unmutated and under unreflected-left.
+    failures = 0
+    for type_name in ("A1", "B2", "G2"):
+        rs = build_root_system(type_name)
+        small = monomial_box(rs.rank, 1, 30)
+        for eps in characters(rs):
+            for mutate in (None, "unreflected-left"):
+                r = verify_omega_symmetry(eps, small, mutate=mutate)
+                expected = _full_left_check(rs, eps, small, mutate is not None)
+                if expected is None:
+                    # Every left check held, and then every right check ran and held.
+                    assert r.passed and r.checked == 2 * rs.rank * len(small), (type_name, eps.name, mutate)
+                else:
+                    failures += 1
+                    assert (r.checked, r.witness) == expected, (type_name, eps.name, mutate)
+    assert failures  # the control does reach the left check
 
 
 def test_result_json_shape():
