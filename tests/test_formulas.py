@@ -20,6 +20,7 @@ from heckemod.formulas import (
 )
 from heckemod.operators import sum_fraktur
 from heckemod.root_system import WeylElement, build_root_system, negate_coweight, rho, weyl_group
+from heckemod.verify import verify_operator_identity
 
 
 def pi(*coords, q=0, c=1):
@@ -40,6 +41,23 @@ def test_theorem_rhs_frozen_a1():
     assert theorem_rhs(sgn, (1,)).to_str() == "-pi^[-2] + (q - 1) + q*pi^[2]"
     trv = character_by_name(rs, "triv")
     assert theorem_rhs(trv, (0,)) == GroupRingElem.monomial((0,), {0: 1, 1: 1})
+
+
+def test_negative_control_uncorrected_sign_at_zero():
+    # The right side with Omega's global (-1)^{l(w0)} dropped, built from the
+    # alternator quotient A(pi^{-rho} f) / A(pi^rho) directly: on A1 it is -lhs,
+    # and the verifier's drop-sign-correction control reports exactly that pair.
+    rs = build_root_system("A1")
+    trv = character_by_name(rs, "triv")
+    lhs = theorem_lhs(trv, (0,))
+    assert trv.rho_eps == (0,) and not trv.minus_coroots
+    f = multiply_binomials(GroupRingElem.one(1), trv.q_coroots, 1).translated(negate_coweight(rho(rs)))
+    rhs = operators.divide_by_weyl_denominator(rs, operators.alternator(rs, f))
+    assert lhs == GroupRingElem.monomial((0,), {0: 1, 1: 1})
+    assert rhs == -lhs
+    r = verify_operator_identity(trv, [(0,)], mutate="drop-sign-correction")
+    assert not r.passed
+    assert (r.witness["lhs"], r.witness["rhs"]) == (lhs.to_str(), rhs.to_str())
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "C2", "G2"])

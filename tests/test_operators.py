@@ -240,6 +240,22 @@ def test_omega_memo_cold_and_warm_agree(name):
     assert values() == cold
 
 
+def test_omega_uncorrected_flips_sign_in_odd_rank():
+    # Omega(f) = (-1)^{l(w0)} A(pi^{-rho} f) / A(pi^rho); without the global sign
+    # the quotient at f = 1 is A(pi^{-rho}) / A(pi^rho) = (-1)^{l(w0)}, not chi_0 = 1.
+    for name, odd in (("A1", True), ("A2", True), ("B2", False), ("G2", False)):
+        rs = build_root_system(name)
+        assert len(rs.positive_roots) % 2 == odd, name
+        one = GroupRingElem.one(rs.rank)
+        uncorrected = operators.divide_by_weyl_denominator(rs, alternator(rs, one.translated(negate_coweight(rho(rs)))))
+        assert omega_apply(rs, one) == one
+        assert uncorrected == (-one if odd else one), name
+    rs = build_root_system("A1")
+    f = pi(3) - pi(-1, q=1) + pi(0, q=2)
+    uncorrected = operators.divide_by_weyl_denominator(rs, alternator(rs, f.translated(negate_coweight(rho(rs)))))
+    assert uncorrected == -omega_apply(rs, f)
+
+
 def test_weyl_denominator_product_form():
     for name in ("A1", "A2", "B2", "G2"):
         rs = build_root_system(name)
