@@ -44,14 +44,20 @@ monomial pi^mu of f contributes 0 or +-chi_lambda, where lambda + rho is the
 dominant conjugate of mu - rho and chi_lambda = A(pi^{lambda+rho}) / A(pi^rho)
 is the Weyl character. The coefficients are gathered per lambda and each
 character is expanded once. The dominant part of chi_lambda is memoized per
-(root system, lambda) and filled from the single-monomial quotient
-``divide_by_weyl_denominator(alternator(pi^{lambda+rho}))``, the only place
-that runs the alternator; the memo holds plain integers, so no result depends
-on whether it is cold or warm. The alternator-side formulas are all built on
+(root system, lambda) and filled by Freudenthal's multiplicity formula on the
+dual root system (Humphreys, section 22.3; Moody-Patera, Bull. AMS 6 (1982)):
+the roots are the positive coroots, rho = (1, ..., 1), and the W-invariant
+form is (x, y) = sum_{a>0} <a, x><a, y>. The fill walks no Weyl group, runs no
+alternator and divides no ring element; each multiplicity is an exact integer
+quotient. The memo holds plain integers, so no result depends on whether it
+is cold or warm. The alternator-side formulas are all built on
 :func:`omega_apply`. The negative control that drops the global (-1)^{l(w0)}
 lives in :func:`heckemod.verify.verify_operator_identity`.
 
-:func:`alternator` is the signed sum over W, written out element by element.
+:func:`alternator`, the signed sum over W written out element by element,
+and :func:`divide_by_weyl_denominator` stay as the reference routes: the tests
+check the memo and :func:`omega_apply` against the literal quotient
+A(pi^{lambda+rho}) / A(pi^rho).
 
 The unsigned sum over W needs no walk of its own. On A1,
 d(f) = (f^s - pi^{-a} f) / (1 - pi^{-a}) = f / (1 - pi^a) + s(f) / (1 - pi^{-a}),
@@ -64,18 +70,18 @@ spherical sum.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul, sub
 
 from .algebra import (GroupRingElem, QDict, add_term, divide_by_binomial, grsum, multiply_binomials, qd_add, qd_mul,
                       qd_neg, weyl_act)
 from .characters import HeckeCharacter
-from .errors import NonReducedWord
+from .errors import NonReducedWord, NotDivisible
 from .root_system import (
     Coweight,
     RootSystem,
     add_coweights,
     dominant_conjugate,
     element_of_word,
-    is_dominant,
     negate_coweight,
     orbit,
     reflect,
@@ -256,11 +262,55 @@ def _straighten(rs: RootSystem, mu: Coweight) -> tuple[int, Coweight] | None:
 
 @lru_cache(maxsize=None)
 def _dominant_character(rs: RootSystem, lam: Coweight) -> tuple[tuple[Coweight, int], ...]:
-    """The dominant weights of chi_lambda with their multiplicities, from the
-    alternator quotient of the single monomial pi^{lambda+rho}."""
-    top = GroupRingElem.monomial(tuple(c + 1 for c in lam))
-    chi = divide_by_weyl_denominator(rs, alternator(rs, top))
-    return tuple(sorted((nu, qd[0]) for nu, qd in chi.coeffs.items() if is_dominant(nu)))
+    """The dominant weights of chi_lambda with their multiplicities, by
+    Freudenthal's formula on the dual root system (module docstring):
+
+        ((lambda+rho, lambda+rho) - (mu+rho, mu+rho)) m(mu)
+            = 2 sum_{a>0} sum_{k>=1} (mu + k a, a) m(mu + k a),
+
+    with a over the positive coroots. The dominant weights are those reached
+    from lambda by subtracting positive coroots while staying dominant. They
+    are filled in decreasing order of <2rho, mu>, so each m(mu + k a) is
+    already known, read at the dominant conjugate; an a-string of weights is
+    unbroken, so it stops at its first non-weight. Each quotient is an exact
+    integer; a remainder raises :class:`NotDivisible`."""
+    roots = rs.positive_roots
+
+    def form(x: Coweight, y: Coweight) -> int:
+        """The W-invariant form sum_{r>0} <r, x><r, y>."""
+        return sum(sum(map(mul, r, x)) * sum(map(mul, r, y)) for r in roots)
+
+    basis = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
+    # (x, a) = x . ga, with ga[i] = (omega_i^vee, a).
+    strings = [(a, tuple(form(e, a) for e in basis), form(a, a)) for a in rs.positive_coroots]
+    weights, seen = [lam], {lam}
+    for nu in weights:
+        for a, _, _ in strings:
+            below = tuple(map(sub, nu, a))
+            if min(below) >= 0 and below not in seen:
+                seen.add(below)
+                weights.append(below)
+    two_rho = tuple(map(sum, zip(*roots)))
+    weights.sort(key=lambda nu: sum(map(mul, two_rho, nu)), reverse=True)
+
+    top = add_coweights(lam, rho(rs))
+    top_norm = form(top, top)
+    mult = {lam: 1}
+    for mu in weights[1:]:
+        total = 0
+        for a, ga, aa in strings:
+            nu = add_coweights(mu, a)
+            pairing = sum(map(mul, nu, ga))
+            while (m := mult.get(dominant_conjugate(rs, nu)[0], 0)):
+                total += pairing * m
+                nu = add_coweights(nu, a)
+                pairing += aa
+        shifted = add_coweights(mu, rho(rs))
+        m, rem = divmod(2 * total, top_norm - form(shifted, shifted))
+        if rem:
+            raise NotDivisible(f"Freudenthal quotient at {mu} in chi_{lam} is not an integer")
+        mult[mu] = m
+    return tuple(sorted(mult.items()))
 
 
 def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:

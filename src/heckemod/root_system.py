@@ -14,7 +14,8 @@ Conventions, fixed once and asserted by the test suite:
 
 Supported families: A (rank >= 1), B, C (rank >= 2), D (rank >= 3), G2, and F4.
 F4 sits behind the Weyl-group size guard (|W| = 1152) and must be enumerated
-with an explicit ``max_size``.
+with an explicit ``max_size``; the root system itself, the characters and the
+alternator side need no Weyl group.
 """
 
 from __future__ import annotations
@@ -383,7 +384,8 @@ def weyl_group(rs: RootSystem, max_size: int | None = None) -> WeylGroup:
     cap = MAX_WEYL_DEFAULT if max_size is None else max_size
     if expected > cap:
         raise WeylGroupTooLarge(
-            f"|W({rs.cartan_type})| = {expected} exceeds the cap {cap}; pass max_size to allow"
+            f"|W({rs.cartan_type})| = {expected} exceeds the cap {cap} on Weyl group enumeration;"
+            " no command-line option raises the cap, only the library call weyl_group(rs, max_size=...)"
         )
     key = (rs.cartan_type.family, rs.rank)
     cached = _WEYL_CACHE.get(key)

@@ -313,3 +313,25 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
             "--out", str(tmp_path), "--jobs", "64")
     # 2 verify tasks, 3 table rows, then 3 rows on 2 CPUs.
     assert _RecordingPool.sizes == [2, 3, 2]
+
+
+def test_f4_size_guard_names_no_cli_step(capsys):
+    # No command-line option reaches weyl_group's max_size, so the message
+    # must not ask for one; the class and exit code 3 stay.
+    code, out, err = run_cli(capsys, "verify", "--type", "F4")
+    assert (code, out) == (3, "")
+    assert err == ("error: WeylGroupTooLarge: |W(F4)| = 1152 exceeds the cap 500 on Weyl group enumeration; "
+                   "no command-line option raises the cap, only the library call weyl_group(rs, max_size=...)\n")
+
+
+def test_eval_alternator_side_on_f4(capsys):
+    # The alternator side needs no Weyl group, so it evaluates on F4; the
+    # Hecke side still stops at the size guard.
+    base = ("eval", "--type", "F4", "--character", "neg-long", "--lambda", "0,0,0,0")
+    code, out, err = run_cli(capsys, *base, "--formula", "theorem-rhs")
+    assert (code, err) == (0, "")
+    assert out.startswith("(-q^17 - 2*q^16 - 2*q^15 - q^14)*pi^[-5,1,1,0] + "
+                          "(q^16 + 2*q^15 + 2*q^14 + q^13)*pi^[-5,2,0,0]")
+    code, out, err = run_cli(capsys, *base, "--formula", "theorem-lhs")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: WeylGroupTooLarge: |W(F4)| = 1152")

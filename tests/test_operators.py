@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckemod import operators
+from heckemod import algebra, operators, root_system
 from heckemod.algebra import GroupRingElem, divide_by_binomial, exact_div, grsum, multiply_binomials
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.formulas import (
     demazure_character,
     dominant_coweights_up_to_height,
+    theorem_lhs,
     theorem_rhs,
     weyl_character,
 )
@@ -34,7 +35,7 @@ from heckemod.operators import (
     t_word,
     weyl_denominator,
 )
-from heckemod.root_system import build_root_system, negate_coweight, reflect, rho, weyl_group
+from heckemod.root_system import add_coweights, build_root_system, negate_coweight, orbit, reflect, rho, weyl_group
 from heckemod.verify import monomial_box
 from test_algebra import coeff, one_minus_pi, qexp, ring_elems
 
@@ -254,6 +255,70 @@ def test_omega_uncorrected_flips_sign_in_odd_rank():
     f = pi(3) - pi(-1, q=1) + pi(0, q=2)
     uncorrected = operators.divide_by_weyl_denominator(rs, alternator(rs, f.translated(negate_coweight(rho(rs)))))
     assert uncorrected == -omega_apply(rs, f)
+
+
+# --- the dominant-character memo, filled by Freudenthal's formula ------------
+
+def _alternator_route(rs, lam):
+    """The dominant part of the single-monomial quotient A(pi^{lambda+rho}) / A(pi^rho),
+    with the signed sum over all of W."""
+    top = GroupRingElem.monomial(add_coweights(lam, rho(rs)))
+    chi = operators.divide_by_weyl_denominator(rs, alternator(rs, top))
+    return tuple(sorted((nu, qd[0]) for nu, qd in chi.coeffs.items() if min(nu) >= 0))
+
+
+@pytest.mark.parametrize("name, height", [("A2", 3), ("B2", 3), ("G2", 3), ("A3", 3), ("B3", 3), ("C3", 3), ("D4", 2)])
+def test_dominant_character_matches_the_alternator_quotient(name, height):
+    rs = build_root_system(name)
+    operators._dominant_character.cache_clear()
+    for lam in dominant_coweights_up_to_height(rs, height):
+        assert operators._dominant_character(rs, lam) == _alternator_route(rs, lam), lam
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A6", "B2", "B3", "B4", "B5", "C2", "C3", "C4", "C5",
+                                  "D3", "D4", "D5", "G2", "F4"])
+def test_dominant_character_has_the_weyl_dimension(name):
+    # sum_nu m(nu) |W nu| = prod_{a>0} <a, lambda+rho> / <a, rho>. Neither side
+    # enumerates W, so a dominant weight that the fill misses fails here.
+    rs = build_root_system(name)
+    operators._dominant_character.cache_clear()
+    for lam in dominant_coweights_up_to_height(rs, 2):
+        size = sum(m * len(orbit(rs, nu)) for nu, m in operators._dominant_character(rs, lam))
+        top = bottom = 1
+        for r in rs.positive_roots:
+            top *= rs.pairing(r, add_coweights(lam, rho(rs)))
+            bottom *= rs.pairing(r, rho(rs))
+        assert size * bottom == top, lam
+
+
+@pytest.mark.parametrize("name", ["B3", "F4"])
+def test_dominant_character_fill_walks_no_weyl_group(name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dominant-character fill walked W or divided")
+
+    for module, attr in [(operators, "alternator"), (operators, "divide_by_weyl_denominator"),
+                         (operators, "divide_by_binomial"), (algebra, "divide_by_binomial"),
+                         (operators, "demazure"), (operators, "demazure_word"),
+                         (operators, "weyl_group"), (root_system, "weyl_group")]:
+        monkeypatch.setattr(module, attr, refuse)
+    rs = build_root_system(name)
+    operators._dominant_character.cache_clear()
+    for lam in dominant_coweights_up_to_height(rs, 2):
+        assert (lam, 1) in operators._dominant_character(rs, lam)
+
+
+def test_alternator_side_on_f4_needs_no_weyl_group(monkeypatch):
+    # w0 = -1 on F4, so Omega(pi^{-lambda}) = chi_lambda, whose coefficients sum
+    # to the Weyl dimension; W(F4) stays behind the size guard.
+    rs = build_root_system("F4")
+    for lam, dimension in [((0, 0, 0, 0), 1), ((1, 0, 0, 0), 26), ((0, 0, 0, 1), 52)]:
+        chi = omega_apply(rs, GroupRingElem.monomial(negate_coweight(lam)))
+        assert sum(sum(qd.values()) for qd in chi.coeffs.values()) == dimension, lam
+    # With the cap raised for this test only, the Hecke side agrees.
+    eps = character_by_name(rs, "neg-long")
+    rhs = theorem_rhs(eps, (0, 0, 0, 0))
+    monkeypatch.setattr(root_system, "MAX_WEYL_DEFAULT", 1152)
+    assert theorem_lhs(eps, (0, 0, 0, 0)) == rhs
 
 
 def test_weyl_denominator_product_form():
