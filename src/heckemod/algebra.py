@@ -4,6 +4,44 @@ A group-ring element is a sparse map from coweights (integer tuples in the
 fundamental-coweight basis) to q-Laurent coefficients, themselves sparse maps
 from q-exponents to arbitrary-precision integers. Neither level stores zeros.
 
+Packed keys. The map stores each coweight mu = (mu_0, ..., mu_{n-1}) as one
+integer (Kronecker substitution; Harvey, arXiv:0712.4046):
+
+    pack(mu) = sum_i (mu_i + 2^17) * 2^(20 (n - 1 - i)).
+
+Each coordinate owns a 20-bit field, coordinate 0 the highest. The low 18
+bits hold mu_i + 2^17 and the top two are guard bits, zero in every stored
+key. So the packing bound is -2^17 <= mu_i < 2^17 (:data:`COORD_BOUND`); on it
+the packing is injective, and integer order is the lexicographic order of the
+tuples, which ``to_str`` and ``to_json_obj`` sort on. A translation by v adds
+the integer :func:`pack_step` (v), mu_i is a shift and a mask, and
+s_i mu = mu - mu_i alpha_i^vee is ``x - mu_i * pack_step(alpha_i^vee)``.
+
+Why the bound holds. :func:`pack` raises :class:`CoweightOutOfRange` on a
+coordinate outside the bound, and the constructor and ``monomial`` pack
+through it; :func:`pack_step` checks every shift given as a tuple the same
+way. A key made by arithmetic moves each coordinate of a stored key by less
+than 3 * 2^18: by a packable shift, or by mu_i alpha_i^vee, whose entries are
+at most 3 |mu_i| <= 3 * 2^17. If such a move takes a coordinate out of the
+bound, the lowest field that leaves it shows a guard bit (a borrow or carry
+reaches only the fields above it), so one AND with the guard mask finds it
+and the operation raises rather than wraps. The kernels check only the keys
+that can leave the hull of their input:
+
+* the rank-one kernel of :mod:`heckemod.operators` checks s_i mu, once per
+  monomial. The points it writes lie on the alpha_i^vee-string from mu to
+  s_i mu, where each coordinate runs linearly between its two ends, so they
+  stay inside the W-orbit hull of the input's points;
+* ``s_image`` checks every image, ``translated`` and the generic product every
+  shifted key, and :func:`multiply_binomials` every key shifted by a factor; a
+  product by prod_{a>0} (1 - q^k pi^{a^vee}) shifts a point by at most |Phi+|
+  coroots;
+* :func:`divide_by_binomial` writes only between points of one v-string of
+  its input, and ``grsum``, ``scale`` and the like keep their keys.
+
+``coeffs`` is a tuple-keyed view built on each access, for callers outside
+the ring and operator layers; it holds the element's own q-coefficient maps.
+
 Products and quotients by binomials each have one kernel here:
 
 * :func:`multiply_binomials` multiplies by prod_{v} (1 - q^k pi^v) over a list
@@ -23,15 +61,19 @@ live in Z^n, where lexicographic order is total but not well-founded, so plain
 leading-monomial elimination need not terminate on non-divisible input. Both
 supports are therefore translated into N^n first (exact, since monomials are
 units); on N^n lexicographic order is a well-order and elimination must halt,
-either with a zero remainder or with a loud :class:`NotDivisible`.
+either with a zero remainder or with a loud :class:`NotDivisible`. It works on
+the tuple-keyed view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
+from operator import or_
+from typing import NamedTuple
 
-from .errors import NegativeQExponentAtZero, NotDivisible
-from .root_system import Coweight, WeylElement, add_coweights
+from .errors import CoweightOutOfRange, NegativeQExponentAtZero, NotDivisible
+from .root_system import Coweight, WeylElement
 
 # A q-Laurent coefficient: {q_exponent: integer}, no zero values stored.
 QDict = dict[int, int]
@@ -57,19 +99,24 @@ def qd_neg(a: QDict) -> QDict:
 
 
 def qd_mul(a: QDict, b: QDict) -> QDict:
-    out: QDict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2
-            s = out.get(k, 0) + v1 * v2
+    """a * b as a new map: one shifted and scaled copy of a per term of b."""
+    if not b:
+        return {}
+    terms = iter(b.items())
+    k, c = next(terms)
+    out = {e + k: c * v for e, v in a.items()}
+    for k, c in terms:
+        for e, v in a.items():
+            e += k
+            s = out.get(e, 0) + c * v
             if s:
-                out[k] = s
+                out[e] = s
             else:
-                del out[k]
+                del out[e]
     return out
 
 
-def add_term(acc: dict[Coweight, QDict], mu: Coweight, qd: QDict) -> None:
+def add_term(acc: dict[int, QDict], mu: int, qd: QDict) -> None:
     """acc[mu] += qd in place. A new entry gets a copy of qd, so acc never
     shares a coefficient map with a caller; an entry that cancels is left
     empty, and the caller drops it when it builds the element."""
@@ -147,34 +194,110 @@ def qd_str(a: QDict) -> str:
     return " ".join(parts)
 
 
+#: Bits per coordinate in a packed key: 18 value bits under 2 guard bits.
+FIELD_BITS = 20
+#: The packing bound: a packed coordinate c satisfies -COORD_BOUND <= c < COORD_BOUND.
+COORD_BOUND = 1 << 17
+#: Reads a coordinate out of its field once shifted down: ((x >> s) & VALUE_MASK) - COORD_BOUND.
+VALUE_MASK = (1 << 18) - 1
+_GUARD = (1 << FIELD_BITS) - 1 - VALUE_MASK
+
+
+class Packing(NamedTuple):
+    """The key layout of one rank: ``shifts[i]`` is the bit offset of
+    coordinate i's field, ``zero`` the key of the zero coweight and ``guard``
+    the guard bits of every field."""
+
+    shifts: tuple[int, ...]
+    zero: int
+    guard: int
+
+
+@cache
+def packing(rank: int) -> Packing:
+    shifts = tuple(FIELD_BITS * (rank - 1 - i) for i in range(rank))
+    return Packing(shifts, sum(COORD_BOUND << s for s in shifts), sum(_GUARD << s for s in shifts))
+
+
+def _out_of_range(what) -> CoweightOutOfRange:
+    return CoweightOutOfRange(
+        f"{what} has a coordinate outside the packing bound [{-COORD_BOUND}, {COORD_BOUND - 1}]")
+
+
+def pack_step(v: Coweight) -> int:
+    """The integer whose addition to a packed key translates it by v; raises
+    :class:`CoweightOutOfRange` unless v itself is packable."""
+    if min(v) < -COORD_BOUND or max(v) >= COORD_BOUND:
+        raise _out_of_range(f"coweight {list(v)}")
+    x = 0
+    for c in v:
+        x = (x << FIELD_BITS) + c
+    return x
+
+
+def pack(mu: Coweight) -> int:
+    """The packed key of mu (module docstring); raises
+    :class:`CoweightOutOfRange` outside the packing bound."""
+    return packing(len(mu)).zero + pack_step(mu)
+
+
+def unpack(x: int, rank: int) -> Coweight:
+    """The coweight of a packed key."""
+    return tuple(((x >> s) & VALUE_MASK) - COORD_BOUND for s in packing(rank).shifts)
+
+
+def check_key(x: int, guard: int) -> None:
+    """Raise :class:`CoweightOutOfRange` if x shows a guard bit of ``guard``;
+    x is a key made by one bounded move from a packed key, or the bitwise OR
+    of such keys (module docstring)."""
+    if x & guard:
+        raise _out_of_range("a computed coweight")
+
+
 class GroupRingElem:
     """Sparse exact element of Z[q, q^-1][P^vee].
+
+    ``packed`` maps packed coweight keys (module docstring) to q-coefficient
+    maps; ``coeffs`` is the tuple-keyed view of the same terms. The
+    constructor takes tuple keys and packs them, so it raises
+    :class:`CoweightOutOfRange` outside the packing bound;
+    :func:`from_packed` wraps a map whose keys are packed already.
 
     Instances are immutable by convention: every operation returns a new
     element and never writes into the coefficient maps of its operands. The
     q-coefficient maps themselves may be shared, within one result and
     between results: ``omega_apply`` stores one map at every point of an
     orbit, :func:`divide_by_binomial` one running sum at several points of a
-    string, and ``translated``, :func:`weyl_act` and ``s_image`` hand back
-    their operand's maps under new exponents. So nothing may write into a
-    coefficient map it did not build itself.
+    string, the rank-one kernel one string coefficient along a string, and
+    ``translated``, :func:`weyl_act` and ``s_image`` hand back their operand's
+    maps under new exponents. So nothing may write into a coefficient map it
+    did not build itself.
     """
 
-    __slots__ = ("rank", "coeffs")
+    __slots__ = ("rank", "packed")
 
     def __init__(self, rank: int, coeffs: dict[Coweight, QDict]):
+        if any(len(mu) != rank for mu in coeffs):
+            raise ValueError(f"coweights of rank {rank} expected")
         self.rank = rank
-        self.coeffs = coeffs
+        self.packed = {pack(mu): qd for mu, qd in coeffs.items()}
+
+    @property
+    def coeffs(self) -> dict[Coweight, QDict]:
+        """The terms keyed by coweight tuples: a new dict on each access, over
+        this element's own q-coefficient maps, which nobody may write into."""
+        n = self.rank
+        return {unpack(x, n): qd for x, qd in self.packed.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, rank: int) -> "GroupRingElem":
-        return cls(rank, {})
+        return from_packed(rank, {})
 
     @classmethod
     def one(cls, rank: int) -> "GroupRingElem":
-        return cls(rank, {(0,) * rank: dict(Q_ONE)})
+        return from_packed(rank, {packing(rank).zero: dict(Q_ONE)})
 
     @classmethod
     def monomial(cls, mu: Coweight, coeff: QDict | int = 1) -> "GroupRingElem":
@@ -182,9 +305,8 @@ class GroupRingElem:
         if isinstance(coeff, int):
             coeff = {0: coeff}
         coeff = {e: c for e, c in coeff.items() if c}
-        if not coeff:
-            return cls(len(mu), {})
-        return cls(len(mu), {tuple(mu): coeff})
+        key = pack(mu)
+        return from_packed(len(mu), {key: coeff} if coeff else {})
 
     # -- ring operations ---------------------------------------------------
 
@@ -196,14 +318,16 @@ class GroupRingElem:
         return self + (-other)
 
     def __neg__(self) -> "GroupRingElem":
-        return GroupRingElem(self.rank, {k: qd_neg(v) for k, v in self.coeffs.items()})
+        return from_packed(self.rank, {k: qd_neg(v) for k, v in self.packed.items()})
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
         self._check(other)
-        out: dict[Coweight, dict[int, int]] = {}
-        for k1, a in self.coeffs.items():
-            for k2, b in other.coeffs.items():
-                key = tuple(x + y for x, y in zip(k1, k2))
+        layout = packing(self.rank)
+        out: dict[int, dict[int, int]] = {}
+        for k1, a in self.packed.items():
+            shifted = {k2 - layout.zero + k1: b for k2, b in other.packed.items()}
+            check_key(reduce(or_, shifted, 0), layout.guard)
+            for key, b in shifted.items():
                 tgt = out.setdefault(key, {})
                 for e1, c1 in a.items():
                     for e2, c2 in b.items():
@@ -213,49 +337,49 @@ class GroupRingElem:
                             tgt[e] = s
                         else:
                             del tgt[e]
-        return GroupRingElem(self.rank, {k: v for k, v in out.items() if v})
+        return from_packed(self.rank, {k: v for k, v in out.items() if v})
 
     def scale(self, n: int) -> "GroupRingElem":
         if n == 0:
             return GroupRingElem.zero(self.rank)
-        return GroupRingElem(self.rank, {k: {e: n * c for e, c in v.items()} for k, v in self.coeffs.items()})
+        return from_packed(self.rank, {k: {e: n * c for e, c in v.items()} for k, v in self.packed.items()})
 
     def scale_q(self, qd: QDict) -> "GroupRingElem":
         """Multiply by a scalar from Z[q, q^-1]."""
         if not qd:
             return GroupRingElem.zero(self.rank)
-        return GroupRingElem(self.rank, {k: qd_mul(v, qd) for k, v in self.coeffs.items()})
+        return from_packed(self.rank, {k: qd_mul(v, qd) for k, v in self.packed.items()})
 
     def translated(self, mu: Coweight) -> "GroupRingElem":
         """Multiply by the monomial pi^mu (exponent shift)."""
-        return GroupRingElem(
-            self.rank,
-            {tuple(x + y for x, y in zip(k, mu)): v for k, v in self.coeffs.items()},
-        )
+        step = pack_step(mu)
+        out = {k + step: v for k, v in self.packed.items()}
+        check_key(reduce(or_, out, 0), packing(self.rank).guard)
+        return from_packed(self.rank, out)
 
     # -- predicates and access ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.packed
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.packed)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, GroupRingElem)
             and self.rank == other.rank
-            and self.coeffs == other.coeffs
+            and self.packed == other.packed
         )
 
     __hash__ = None  # type: ignore[assignment]
 
     def single_term(self) -> tuple[Coweight, QDict] | None:
         """The (coweight, coefficient) pair if this is a one-monomial element."""
-        if len(self.coeffs) != 1:
+        if len(self.packed) != 1:
             return None
-        ((k, v),) = self.coeffs.items()
-        return k, v
+        ((k, v),) = self.packed.items()
+        return unpack(k, self.rank), v
 
     def _check(self, other: "GroupRingElem") -> None:
         if self.rank != other.rank:
@@ -265,17 +389,17 @@ class GroupRingElem:
 
     def to_str(self) -> str:
         """Canonical text form; monomials in ascending lexicographic order."""
-        if not self.coeffs:
+        if not self.packed:
             return "0"
-        zero = (0,) * self.rank
+        zero = packing(self.rank).zero
         parts = []
-        for k in sorted(self.coeffs):
-            qd = self.coeffs[k]
+        for k in sorted(self.packed):
+            qd = self.packed[k]
             if k == zero:
                 body = qd_str(qd) if len(qd) == 1 else f"({qd_str(qd)})"
                 parts.append(body)
                 continue
-            mono = "pi^[" + ",".join(str(c) for c in k) + "]"
+            mono = "pi^[" + ",".join(str(c) for c in unpack(k, self.rank)) + "]"
             if qd == Q_ONE:
                 parts.append(mono)
             elif qd == Q_MINUS_ONE:
@@ -293,14 +417,24 @@ class GroupRingElem:
         """Canonical JSON form; integers as decimal strings to avoid precision loss."""
         return [
             {
-                "coweight": list(k),
-                "coeff": [[e, str(self.coeffs[k][e])] for e in sorted(self.coeffs[k])],
+                "coweight": list(unpack(k, self.rank)),
+                "coeff": [[e, str(self.packed[k][e])] for e in sorted(self.packed[k])],
             }
-            for k in sorted(self.coeffs)
+            for k in sorted(self.packed)
         ]
 
     def __repr__(self) -> str:
         return f"GroupRingElem({self.to_str()})"
+
+
+def from_packed(rank: int, packed: dict[int, QDict]) -> GroupRingElem:
+    """The element whose packed-key map is ``packed``, taken as it is: no copy,
+    no packing and no range check. For kernels whose keys are packed and
+    checked already."""
+    out = object.__new__(GroupRingElem)
+    out.rank = rank
+    out.packed = packed
+    return out
 
 
 def weyl_act(w: WeylElement, f: GroupRingElem) -> GroupRingElem:
@@ -318,17 +452,18 @@ def exact_div(f: GroupRingElem, g: GroupRingElem) -> GroupRingElem:
     translated into N^n (see module docstring). Raises :class:`NotDivisible`
     when no exact quotient exists; never returns a wrong answer silently.
     """
-    if not g.coeffs:
+    if not g.packed:
         raise ZeroDivisionError("division by the zero element")
-    if not f.coeffs:
+    if not f.packed:
         return GroupRingElem.zero(f.rank)
     f._check(g)
     n = f.rank
+    fc, gc = f.coeffs, g.coeffs
 
-    fmin = tuple(min(k[j] for k in f.coeffs) for j in range(n))
-    gmin = tuple(min(k[j] for k in g.coeffs) for j in range(n))
-    rem = {tuple(x - m for x, m in zip(k, fmin)): dict(v) for k, v in f.coeffs.items()}
-    gg = {tuple(x - m for x, m in zip(k, gmin)): v for k, v in g.coeffs.items()}
+    fmin = tuple(min(k[j] for k in fc) for j in range(n))
+    gmin = tuple(min(k[j] for k in gc) for j in range(n))
+    rem = {tuple(x - m for x, m in zip(k, fmin)): dict(v) for k, v in fc.items()}
+    gg = {tuple(x - m for x, m in zip(k, gmin)): v for k, v in gc.items()}
 
     glead = max(gg)
     glead_qd = gg[glead]
@@ -354,12 +489,14 @@ def exact_div(f: GroupRingElem, g: GroupRingElem) -> GroupRingElem:
 def multiply_binomials(f: GroupRingElem, vs, q_exp: int) -> GroupRingElem:
     """f * prod_{v in vs} (1 - q^{q_exp} pi^v) over coweights vs, one pass over
     the monomials of f per factor."""
+    guard = packing(f.rank).guard
     for v in vs:
-        out: dict[Coweight, QDict] = {}
-        for mu, qd in f.coeffs.items():
-            add_term(out, mu, qd)
-            add_term(out, add_coweights(mu, v), {e + q_exp: -c for e, c in qd.items()})
-        f = GroupRingElem(f.rank, {k: c for k, c in out.items() if c})
+        step = pack_step(v)
+        out = {x + step: {e + q_exp: -c for e, c in qd.items()} for x, qd in f.packed.items()}
+        check_key(reduce(or_, out, 0), guard)
+        for x, qd in f.packed.items():
+            add_term(out, x, qd)
+        f = from_packed(f.rank, {k: c for k, c in out.items() if c})
     return f
 
 
@@ -367,21 +504,27 @@ def divide_by_binomial(f: GroupRingElem, v: Coweight) -> GroupRingElem:
     """Exact quotient f / (1 - pi^v) for v != 0; raises :class:`NotDivisible`
     when none exists.
 
-    The support is grouped into v-strings mu + Z v, each keyed by its point
-    whose first nonzero v-coordinate is reduced modulo that coordinate. Along
-    a string the quotient obeys g(mu) = f(mu) + g(mu - v): a running sum from
-    the lowest point, which must be zero again after the highest.
+    The support is grouped into v-strings mu + Z v. Along a string the
+    quotient obeys g(mu) = f(mu) + g(mu - v): a running sum from the lowest
+    point, which must be zero again after the highest. A string is keyed by
+    its point b whose coordinate j, the first of largest |v_j|, is reduced
+    modulo v_j. The coordinates of b are below 2^17 + 2^17 + |v_j| < 2^19 in
+    size, so its key, computed as a packed point minus a multiple of
+    ``pack_step(v)``, is a signed-digit integer with digits under half the
+    field size: distinct strings get distinct keys although b need not be
+    packable. The quotient's points lie between points of its string.
     """
-    j = next((k for k, c in enumerate(v) if c), None)
-    if j is None:
+    if not any(v):
         raise ZeroDivisionError("division by 1 - pi^0 = 0")
+    j = max(range(len(v)), key=lambda k: abs(v[k]))
     vj = v[j]
-    strings: dict[Coweight, dict[int, QDict]] = {}
-    for mu, qd in f.coeffs.items():
-        t = mu[j] // vj
-        base = tuple(m - t * c for m, c in zip(mu, v))
-        strings.setdefault(base, {})[t] = qd
-    out: dict[Coweight, QDict] = {}
+    step = pack_step(v)
+    shift = packing(f.rank).shifts[j]
+    strings: dict[int, dict[int, QDict]] = {}
+    for x, qd in f.packed.items():
+        t = (((x >> shift) & VALUE_MASK) - COORD_BOUND) // vj
+        strings.setdefault(x - t * step, {})[t] = qd
+    out: dict[int, QDict] = {}
     for base, points in strings.items():
         steps = sorted(points)
         run: QDict = {}
@@ -389,19 +532,19 @@ def divide_by_binomial(f: GroupRingElem, v: Coweight) -> GroupRingElem:
             run = qd_add(run, points[t])
             if run:
                 for s in range(t, t_next):
-                    out[tuple(b + s * c for b, c in zip(base, v))] = run
+                    out[base + s * step] = run
         if qd_add(run, points[steps[-1]]):
             raise NotDivisible(f"no exact quotient by 1 - pi^{list(v)}")
-    return GroupRingElem(f.rank, out)
+    return from_packed(f.rank, out)
 
 
 def grsum(rank: int, terms) -> GroupRingElem:
     """Sum an iterable of GroupRingElem via one mutable accumulator."""
-    acc: dict[Coweight, QDict] = {}
+    acc: dict[int, QDict] = {}
     for t in terms:
-        for k, qd in t.coeffs.items():
+        for k, qd in t.packed.items():
             add_term(acc, k, qd)
-    return GroupRingElem(rank, {k: v for k, v in acc.items() if v})
+    return from_packed(rank, {k: v for k, v in acc.items() if v})
 
 
 def specialize_q(f: GroupRingElem, v: int | Fraction) -> GroupRingElem:
@@ -411,12 +554,12 @@ def specialize_q(f: GroupRingElem, v: int | Fraction) -> GroupRingElem:
     (:class:`NegativeQExponentAtZero`). Non-integer rational values may leave
     Fraction constants in the coefficient maps.
     """
-    out: dict[Coweight, QDict] = {}
-    for k, qd in f.coeffs.items():
+    out: dict[int, QDict] = {}
+    for k, qd in f.packed.items():
         val = qd_specialize(qd, v)
         if val:
             out[k] = {0: val}
-    return GroupRingElem(f.rank, out)
+    return from_packed(f.rank, out)
 
 
 class RationalElem:

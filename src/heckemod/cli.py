@@ -21,7 +21,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .algebra import qd_str
+from .algebra import COORD_BOUND, qd_str
 from .characters import character_by_name, characters
 from .errors import HeckemodError, InvalidCartanType, InvalidCharacter
 from .formulas import (
@@ -141,6 +141,9 @@ def _parse_lambda(text: str, rank: int) -> tuple[int, ...]:
         raise DomainExit(PARSE_ERROR, f"cannot parse coweight {text!r}: expected comma-separated integers")
     if len(coords) != rank:
         raise DomainExit(PARSE_ERROR, f"coweight {text!r} has {len(coords)} coordinates, rank is {rank}")
+    if not all(-COORD_BOUND <= c < COORD_BOUND for c in coords):
+        raise DomainExit(PARSE_ERROR, f"coweight {text!r} has a coordinate outside the packing bound"
+                                      f" [{-COORD_BOUND}, {COORD_BOUND - 1}]")
     return coords
 
 

@@ -42,3 +42,7 @@ class NonDominant(HeckemodError):
 
 class WrongFamily(HeckemodError):
     """Formula only defined for a specific Cartan family."""
+
+
+class CoweightOutOfRange(HeckemodError):
+    """A coweight coordinate outside the packing bound of the ring's keys."""

@@ -41,6 +41,7 @@ from .root_system import (
     RootSystem,
     WeylElement,
     add_coweights,
+    dominant_conjugate,
     is_dominant,
     negate_coweight,
     rho,
@@ -78,10 +79,16 @@ def theorem_rhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
     return multiply_binomials(h, eps.minus_coroots, 1).translated(negate_coweight(shift))
 
 
+def _w0_image(rs: RootSystem, lam: Coweight) -> Coweight:
+    """w0 lambda = -(dominant conjugate of -lambda), with no Weyl group: w0
+    maps the dominant chamber onto its negative."""
+    return negate_coweight(dominant_conjugate(rs, negate_coweight(lam))[0])
+
+
 def weyl_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     """Highest-weight character chi_lambda = Omega(pi^{w0 lambda}) = A(pi^{lambda+rho}) / A(pi^{rho})."""
     _require_dominant(lam, "weyl_character")
-    return omega_apply(rs, GroupRingElem.monomial(weyl_group(rs).longest.apply(lam)))
+    return omega_apply(rs, GroupRingElem.monomial(_w0_image(rs, lam)))
 
 
 def demazure_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
@@ -105,8 +112,8 @@ def casselman_shalika(rs: RootSystem, lam: Coweight) -> CasselmanShalikaValue:
     _require_dominant(lam, "casselman_shalika")
     chi = weyl_character(rs, lam)
     closed = multiply_binomials(chi, [negate_coweight(v) for v in rs.positive_coroots], -1)
-    w0 = weyl_group(rs).longest
-    closed = closed.translated(rho(rs)).scale_q({w0.length: 1})
+    # l(w0) is the number of positive roots.
+    closed = closed.translated(rho(rs)).scale_q({len(rs.positive_roots): 1})
     sign_eps = character_by_name(rs, "sign")
     return CasselmanShalikaValue(closed_form=closed, theorem_form=theorem_lhs(sign_eps, lam))
 
@@ -188,24 +195,21 @@ class BesselValue:
 
 
 def _unit_monomial_ratio(value: GroupRingElem, quoted: GroupRingElem):
-    for num, den, invert in ((value, quoted, False), (quoted, value, True)):
-        try:
-            ratio = exact_div(num, den)
-        except NotDivisible:
-            continue
-        term = ratio.single_term()
-        if term is None:
-            continue
-        mu, qd = term
-        if len(qd) != 1:
-            continue
-        ((k, c),) = qd.items()
-        if c not in (1, -1):
-            continue
-        if invert:
-            return (c, -k, negate_coweight(mu))
-        return (c, k, mu)
-    return None
+    """(sign, q-exponent, coweight) of value / quoted when that is a unit
+    monomial, else None. No second division by value is needed: if
+    quoted / value is a unit monomial, value / quoted is its inverse."""
+    try:
+        ratio = exact_div(value, quoted)
+    except NotDivisible:
+        return None
+    term = ratio.single_term()
+    if term is None:
+        return None
+    mu, qd = term
+    if len(qd) != 1:
+        return None
+    ((k, c),) = qd.items()
+    return (c, k, mu) if c in (1, -1) else None
 
 
 def bessel_value(rs: RootSystem) -> BesselValue:

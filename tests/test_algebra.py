@@ -6,17 +6,22 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heckemod.algebra import (
+    COORD_BOUND,
     GroupRingElem,
     RationalElem,
     divide_by_binomial,
     exact_div,
     grsum,
+    multiply_binomials,
+    pack,
     qd_str,
     specialize_q,
+    unpack,
     weyl_act,
 )
-from heckemod.errors import NegativeQExponentAtZero, NotDivisible
-from heckemod.operators import alternator, s_image, weyl_denominator
+from heckemod.characters import character_by_name
+from heckemod.errors import CoweightOutOfRange, NegativeQExponentAtZero, NotDivisible
+from heckemod.operators import alternator, demazure, s_image, t_act, weyl_denominator
 from heckemod.root_system import build_root_system, negate_coweight, rho, weyl_group
 
 
@@ -255,3 +260,62 @@ def test_json_round_trip():
 def test_rank_mismatch_raises():
     with pytest.raises(ValueError):
         GroupRingElem.one(1) + GroupRingElem.one(2)
+
+
+# --- packed keys ----------------------------------------------------------------
+
+packable = st.integers(-COORD_BOUND, COORD_BOUND - 1)
+edge = st.sampled_from([-COORD_BOUND, -COORD_BOUND + 1, -1, 0, 1, COORD_BOUND - 2, COORD_BOUND - 1])
+coordinate = st.one_of(packable, edge)
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(coordinate,) * n)))
+@settings(max_examples=200, deadline=None)
+def test_unpack_round_trips(mu):
+    assert unpack(pack(mu), len(mu)) == mu
+    f = GroupRingElem(len(mu), {mu: {0: 1}})
+    assert f.coeffs == {mu: {0: 1}} and f.single_term() == (mu, {0: 1})
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.tuples(*(coordinate,) * n), min_size=2, max_size=12)))
+@settings(max_examples=200, deadline=None)
+def test_integer_order_is_lexicographic_order(mus):
+    # to_str and to_json_obj sort the packed integers; that must be the
+    # order of the coweight tuples.
+    assert sorted(mus, key=pack) == sorted(mus)
+    f = grsum(len(mus[0]), [GroupRingElem.monomial(mu) for mu in mus])
+    assert [tuple(r["coweight"]) for r in f.to_json_obj()] == sorted(set(mus))
+
+
+def test_out_of_range_coordinates_raise_rather_than_wrap():
+    low, high = -COORD_BOUND, COORD_BOUND - 1
+    for mu in [(high + 1,), (low - 1,), (0, high + 1), (low - 1, 0, 0), (0, 0, 0, 10**30)]:
+        with pytest.raises(CoweightOutOfRange):
+            pack(mu)
+        with pytest.raises(CoweightOutOfRange):
+            GroupRingElem.monomial(mu)
+        with pytest.raises(CoweightOutOfRange):
+            GroupRingElem(len(mu), {mu: {0: 1}})
+    edge_elem = GroupRingElem.monomial((high, low))
+    with pytest.raises(CoweightOutOfRange):
+        edge_elem.translated((1, 0))
+    with pytest.raises(CoweightOutOfRange):
+        edge_elem.translated((0, -1))
+    with pytest.raises(CoweightOutOfRange):
+        edge_elem * GroupRingElem.monomial((0, -1))
+    with pytest.raises(CoweightOutOfRange):
+        multiply_binomials(edge_elem, [(1, 0)], 1)
+    # A shift in range on both ends is exact.
+    assert edge_elem.translated((-1, 1)).coeffs == {(high - 1, low + 1): {0: 1}}
+    # s_1 (2, high - 1) = (-2, high + 1) on A2: the reflection, the rank-one
+    # kernel (a string of two points) and the Demazure operator all raise.
+    rs = build_root_system("A2")
+    f = GroupRingElem.monomial((2, high - 1), {0: 1, 1: -1})
+    for apply in (lambda: s_image(rs, 0, f), lambda: t_act(character_by_name(rs, "triv"), 0, f),
+                  lambda: demazure(rs, 0, f)):
+        with pytest.raises(CoweightOutOfRange):
+            apply()
+    # One step inside the bound, the same operators return exact values.
+    g = GroupRingElem.monomial((2, high - 2))
+    assert s_image(rs, 0, g).coeffs == {(-2, high): {0: 1}}
+    assert demazure(rs, 0, g).coeffs == {(0, high - 1): {0: -1}}  # pi^mu + G_1(pi^mu), p = 2

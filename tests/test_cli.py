@@ -218,6 +218,13 @@ def test_out_of_range_numbers_exit_2(capsys, tmp_path):
         assert code == 2, argv
         assert out == "" and "must be at least" in err, argv
     assert list(tmp_path.iterdir()) == []
+    # A coordinate outside the packing bound of the ring's keys stops at the
+    # edge, with the bound named, rather than wrapping or raising later.
+    for lam in ("131072,0", "-131073,5", "0,99999999999999999999"):
+        code, out, err = run_cli(capsys, "eval", "--type", "A2", "--formula", "weyl-char", f"--lambda={lam}")
+        assert (code, out) == (2, ""), lam
+        assert err == (f"error: coweight {lam!r} has a coordinate outside the packing bound"
+                       " [-131072, 131071]\n"), lam
 
 
 def test_verify_braid_skips_rank_one(capsys):
@@ -335,3 +342,20 @@ def test_eval_alternator_side_on_f4(capsys):
     code, out, err = run_cli(capsys, *base, "--formula", "theorem-lhs")
     assert (code, out) == (3, "")
     assert err.startswith("error: WeylGroupTooLarge: |W(F4)| = 1152")
+    # weyl-char reads w0 lambda off the dominant chamber, so it needs no W
+    # either; its coefficients sum to Weyl's dimension formula
+    # prod_{a>0} <a, lambda + rho> / <a, rho>.
+    from heckemod.root_system import build_root_system
+
+    rs = build_root_system("F4")
+    for lam in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0)):
+        code, out, err = run_cli(capsys, "eval", "--type", "F4", "--formula", "weyl-char",
+                                 "--lambda", ",".join(map(str, lam)), "--output", "json")
+        assert (code, err) == (0, ""), lam
+        records = json.loads(out)["value_records"]
+        top = bottom = 1
+        for r in rs.positive_roots:
+            top *= rs.pairing(r, tuple(c + 1 for c in lam))
+            bottom *= rs.pairing(r, (1, 1, 1, 1))
+        assert sum(int(c) for rec in records for _, c in rec["coeff"]) * bottom == top, lam
+        assert all(e == 0 for rec in records for e, _ in rec["coeff"]), lam

@@ -457,6 +457,90 @@ def test_t_act_and_demazure_match_their_quotients(name, data):
         _assert_untouched(f, before, got)
 
 
+# --- the fused kernel against the per-monomial string form -------------------
+#
+# The rank-one operators in their per-monomial string form, on tuple keys
+# with one accumulate per string point: a reference independent of src/ that
+# the packed, fused kernel must reproduce.
+
+
+def _ref_add_term(acc, mu, qd):
+    tgt = acc.get(mu)
+    if tgt is None:
+        acc[mu] = dict(qd)
+        return
+    for e, c in qd.items():
+        s = tgt.get(e, 0) + c
+        if s:
+            tgt[e] = s
+        else:
+            del tgt[e]
+
+
+def _ref_qd_mul(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            out[k1 + k2] = out.get(k1 + k2, 0) + v1 * v2
+    return {k: v for k, v in out.items() if v}
+
+
+def _ref_add_string(out, a, mu, p, c):
+    """out += c * G_i(pi^mu) for a = alpha_i^vee and p = mu[i]."""
+    if p > 0:
+        c, step, point = {e: -v for e, v in c.items()}, negate_coweight(a), mu
+    elif p < 0:
+        step, point = a, add_coweights(mu, a)
+    else:
+        return
+    for _ in range(abs(p)):
+        _ref_add_term(out, point, c)
+        point = add_coweights(point, step)
+
+
+def reference_t_act(eps, i, f):
+    rs = eps.root_system
+    out = {}
+    for mu, qd in f.coeffs.items():
+        _ref_add_term(out, reflect(rs, i, mu), _ref_qd_mul(qd, eps.eigenvalues[i]))
+        _ref_add_string(out, rs.simple_coroots[i], mu, mu[i], _ref_qd_mul(qd, {0: 1, 1: -1}))
+    return GroupRingElem(f.rank, {k: v for k, v in out.items() if v})
+
+
+def reference_demazure(rs, i, f):
+    out = {}
+    for mu, qd in f.coeffs.items():
+        _ref_add_term(out, mu, qd)
+        _ref_add_string(out, rs.simple_coroots[i], mu, mu[i], qd)
+    return GroupRingElem(f.rank, {k: v for k, v in out.items() if v})
+
+
+DEFAULT_TYPES = ["A1", "A2", "A3", "B2", "C2", "B3", "G2"]
+
+
+@pytest.mark.parametrize("name", DEFAULT_TYPES)
+@given(data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_kernel_matches_the_per_monomial_string_form(name, data):
+    # Every character and its q-squared control, on multi-term
+    # q-coefficients, one generator and then a short word of them.
+    rs = build_root_system(name)
+    f = data.draw(kernel_inputs(rs))
+    word = data.draw(st.lists(st.integers(0, rs.rank - 1), min_size=1, max_size=3))
+    for eps in characters(rs):
+        for acting in (eps, _with_q_eigenvalue(eps, {2: 1})):
+            got = expected = f
+            for i in word:
+                got, expected = t_act(acting, i, got), reference_t_act(acting, i, expected)
+                assert got == expected
+                assert got.to_str() == expected.to_str()
+    got = expected = f
+    for i in word:
+        got, expected = demazure(rs, i, got), reference_demazure(rs, i, expected)
+        assert got == expected
+        assert got.to_str() == expected.to_str()
+
+
 @pytest.mark.parametrize("name", KERNEL_TYPES)
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
