@@ -1,11 +1,12 @@
 """Exact Hecke-module computations over small-rank root systems.
 
-The package builds irreducible root systems with enumerated Weyl groups,
-does exact sparse arithmetic in Z[q, q^-1][P^vee], implements the induced
-generator actions, Demazure and conjugated-generator operators and the
-alternator operator, and machine-verifies every operator identity they
-satisfy. A CLI (``heckemod``) drives verification suites, single formula
-evaluations, and golden-table emission.
+The package builds irreducible root systems, reads reduced words, lengths
+and parabolic levels off the Weyl orbit of rho, does exact sparse arithmetic
+in Z[q, q^-1][P^vee], implements the induced generator actions, Demazure and
+conjugated-generator operators and the alternator operator, and
+machine-verifies every operator identity they satisfy. A CLI (``heckemod``)
+drives verification suites, single formula evaluations, and golden-table
+emission.
 """
 
 __version__ = "0.1.0"

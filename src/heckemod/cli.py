@@ -37,8 +37,7 @@ from .formulas import (
     theorem_rhs,
     weyl_character,
 )
-from .operators import require_reduced
-from .root_system import build_root_system, element_of_word
+from .root_system import build_root_system
 from .verify import (
     BOX_CAP_DEFAULT,
     BOX_RADIUS_DEFAULT,
@@ -84,9 +83,8 @@ def _bessel_value(rs, eps, lam, word):
 
 
 def _iwahori_image(rs, eps, lam, word):
-    # A non-reduced word would name a shorter element; refuse it as t_word does.
-    letters = require_reduced(rs, _parse_word(word or "", rs.rank))
-    image = iwahori_image(eps, element_of_word(rs, letters), lam)
+    # t_word refuses a non-reduced word, which would name a shorter element.
+    image = iwahori_image(eps, _parse_word(word or "", rs.rank), lam)
     measure = qd_str(image.measure)
     return image.value, {"measure": measure}, lambda: [f"measure: {measure}"]
 

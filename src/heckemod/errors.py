@@ -10,7 +10,7 @@ class InvalidCartanType(HeckemodError):
 
 
 class WeylGroupTooLarge(HeckemodError):
-    """Enumeration refused because the group order exceeds the configured cap."""
+    """A walk over the whole Weyl group refused because |W| exceeds the cap."""
 
 
 class NotDivisible(HeckemodError):

@@ -39,13 +39,13 @@ from .operators import demazure_word, omega_apply, sum_fraktur, t_word
 from .root_system import (
     Coweight,
     RootSystem,
-    WeylElement,
     add_coweights,
     dominant_conjugate,
     is_dominant,
     negate_coweight,
+    orbit,
+    reduced_word,
     rho,
-    weyl_group,
 )
 
 
@@ -94,8 +94,8 @@ def weyl_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
 def demazure_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     """chi_lambda by composing Demazure operators along w0, applied to pi^{w0 lambda}."""
     _require_dominant(lam, "demazure_character")
-    w0 = weyl_group(rs).longest
-    return demazure_word(rs, w0.word, GroupRingElem.monomial(w0.apply(lam)))
+    w0_word = reduced_word(rs, negate_coweight(rho(rs)))  # w0 maps rho to -rho
+    return demazure_word(rs, w0_word, GroupRingElem.monomial(_w0_image(rs, lam)))
 
 
 @dataclass
@@ -136,7 +136,7 @@ def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     """
     _require_dominant(lam, "macdonald")
     num = multiply_binomials(GroupRingElem.monomial(lam), rs.positive_coroots, 1)
-    return demazure_word(rs, weyl_group(rs).longest.word, num)
+    return demazure_word(rs, reduced_word(rs, negate_coweight(rho(rs))), num)
 
 
 @dataclass
@@ -246,23 +246,26 @@ class IwahoriImage:
     measure: QDict
 
 
-def iwahori_image(eps: HeckeCharacter, w: WeylElement, lam: Coweight) -> IwahoriImage:
-    """T_w (pi^{lambda + rho_eps}) with the measure carried separately.
+def iwahori_image(eps: HeckeCharacter, word, lam: Coweight) -> IwahoriImage:
+    """T_w (pi^{lambda + rho_eps}) for the w spelled by a reduced word (else
+    :class:`heckemod.errors.NonReducedWord`), with the measure carried separately.
 
     Summing the values over all w gives theorem_lhs(eps, lambda); equivalently
     pi^{rho_eps} theorem_lhs equals sum_w frak_t_w pi^{lambda + 2 rho_eps}.
     """
-    rs = eps.root_system
+    # t_word checks the word, so a bad word is reported before a bad lambda.
+    value = t_word(eps, word, GroupRingElem.monomial(add_coweights(lam, eps.rho_eps)))
     _require_dominant(lam, "iwahori_image")
-    value = t_word(eps, w.word, GroupRingElem.monomial(add_coweights(lam, eps.rho_eps)))
-    return IwahoriImage(value=value, measure=coset_measure(rs, lam))
+    return IwahoriImage(value=value, measure=coset_measure(eps.root_system, lam))
 
 
 def poincare_polynomial(rs: RootSystem) -> GroupRingElem:
-    """sum_w q^{l(w)} as a constant group-ring element."""
+    """sum_w q^{l(w)} as a constant group-ring element, over the orbit of
+    rho: l(w) = #{a > 0 : <a, w(rho)> < 0}."""
     counts: QDict = {}
-    for w in weyl_group(rs).elements:
-        counts[w.length] = counts.get(w.length, 0) + 1
+    for x in orbit(rs, rho(rs)):
+        length = sum(rs.pairing(a, x) < 0 for a in rs.positive_roots)
+        counts[length] = counts.get(length, 0) + 1
     return GroupRingElem.monomial((0,) * rs.rank, counts)
 
 

@@ -86,15 +86,17 @@ from .algebra import (COORD_BOUND, Q_ONE, VALUE_MASK, GroupRingElem, QDict, add_
                       from_packed, grsum, multiply_binomials, pack, pack_step, packing, qd_add, qd_mul, qd_neg,
                       unpack, weyl_act)
 from .characters import HeckeCharacter
-from .errors import NonReducedWord, NotDivisible
+from .errors import NotDivisible
 from .root_system import (
     Coweight,
     RootSystem,
     add_coweights,
     dominant_conjugate,
-    element_of_word,
     negate_coweight,
     orbit,
+    parabolic_levels,
+    require_reduced,
+    require_walkable,
     rho,
     weyl_group,
 )
@@ -170,17 +172,6 @@ def t_act(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
     return _rank_one(eps.root_system, i, f, True, eps.eigenvalues[i], _ONE_MINUS_Q)
 
 
-def require_reduced(rs: RootSystem, word) -> tuple[int, ...]:
-    """The word as a tuple; :class:`NonReducedWord` unless it is reduced.
-
-    The message numbers the letters from 1, as the CLI and the witnesses do.
-    """
-    word = tuple(word)
-    if element_of_word(rs, word).length != len(word):
-        raise NonReducedWord(f"word {[i + 1 for i in word]} is not reduced")
-    return word
-
-
 def t_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
     """Compose T along a reduced word, rightmost letter acting first.
 
@@ -239,24 +230,23 @@ def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
     """Sum of frak_t_w over the whole Weyl group, applied to f.
 
     The sum factors as the product of the sums over the parabolic levels of
-    :class:`heckemod.root_system.WeylGroup`, applied innermost level first.
-    Within a level, dynamic programming over left descents: the value at u is
-    frak_t_i of the value at s_i u, with i the first letter of the stored
-    reduced word, and s_i u stays in the level. One generator application per
-    non-identity element of each level: 9 on B3 instead of |W| - 1 = 47.
-    Every frak_t_w is pi^{rho_eps} T_w pi^{-rho_eps}, so the walk runs
-    ``t_act`` between one translation by -rho_eps in and one by +rho_eps out.
+    :func:`heckemod.root_system.parabolic_levels`, applied innermost level
+    first. Each level is an orbit of a fundamental coweight, walked by dynamic
+    programming: the value at s_i x is frak_t_i of the value at its parent x.
+    One generator application per non-identity level point: 9 on B3 instead
+    of |W| - 1 = 47. Every frak_t_w is pi^{rho_eps} T_w pi^{-rho_eps}, so the
+    walk runs ``t_act`` between one translation by -rho_eps in and one by
+    +rho_eps out. Above the size cap it raises ``WeylGroupTooLarge``.
     """
     rs = eps.root_system
-    g = weyl_group(rs)
+    require_walkable(rs)
     shift = eps.rho_eps
     f = f.translated(negate_coweight(shift))
-    for level in reversed(g.levels):
-        values = {0: f}
-        for idx in level[1:]:
-            i = g.elements[idx].word[0]
-            values[idx] = t_act(eps, i, values[g.left[i][idx]])
-        f = grsum(rs.rank, values.values())
+    for level in reversed(parabolic_levels(rs)):
+        values = [f]
+        for i, parent in level:
+            values.append(t_act(eps, i, values[parent]))
+        f = grsum(rs.rank, values)
     return f.translated(shift)
 
 

@@ -8,24 +8,27 @@ Conventions, fixed once and asserted by the test suite:
   ``<alpha_i, mu> = mu[i]`` a coordinate read and dominance a sign check.
 * Roots are integer tuples in the simple-root basis; positive roots have
   non-negative coordinates.
-* Weyl elements carry the first-found (ShortLex-minimal) reduced word from a
-  breadth-first closure over right multiplication by simple reflections, so
-  reduced words are deterministic across runs.
+* An element w is the point x = w(rho) of the regular orbit of rho. Its left
+  descents are the negative coordinates of x, l(w) = #{a > 0 : <a, x> < 0}
+  (Bjorner-Brenti, Combinatorics of Coxeter Groups, section 2.4), and its
+  ShortLex-minimal reduced word is the greedy walk on x: the least i with
+  x[i] < 0, reflect, repeat. Reducedness, w0's word (from -rho) and the
+  parabolic levels of the Hecke sum are read off coweights, with no matrices.
 
 Supported families: A (rank >= 1), B, C (rank >= 2), D (rank >= 3), G2, and F4.
-F4 sits behind the Weyl-group size guard (|W| = 1152) and must be enumerated
-with an explicit ``max_size``; the root system itself, the characters and the
-alternator side need no Weyl group.
+:func:`weyl_group` enumerates W as integer matrices; it is the reference
+enumeration for ``alternator`` and the tests. The walks over all of W, the
+Hecke sum and braid's reduced words, stop at :func:`require_walkable`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import add
 
-from .errors import InvalidCartanType, WeylGroupTooLarge
+from .errors import InvalidCartanType, NonReducedWord, WeylGroupTooLarge
 
 Coweight = tuple[int, ...]
 Root = tuple[int, ...]
@@ -44,7 +47,8 @@ _ADMISSIBLE = {
     "F": (4, 4),
 }
 
-#: Default cap for Weyl enumeration; F4 (|W| = 1152) requires raising it.
+#: Largest |W| for which the walks over all of W run: the Hecke sum and
+#: braid's reduced words would take hours on F4 (|W| = 1152).
 MAX_WEYL_DEFAULT = 500
 
 
@@ -283,6 +287,74 @@ def negate_coweight(a: Coweight) -> Coweight:
     return tuple(-x for x in a)
 
 
+def reduced_word(rs: RootSystem, x: Coweight) -> tuple[int, ...]:
+    """The ShortLex-minimal reduced word of the w with w(rho) = x: its least
+    left descent i, the least negative coordinate of x, then the word of s_i w
+    at s_i x (module docstring)."""
+    word = []
+    while min(x) < 0:
+        i = next(i for i, c in enumerate(x) if c < 0)
+        word.append(i)
+        x = reflect(rs, i, x)
+    return tuple(word)
+
+
+def require_reduced(rs: RootSystem, word) -> tuple[int, ...]:
+    """The word as a tuple; :class:`NonReducedWord` unless it is reduced.
+
+    Read right to left from x = rho, each letter i must meet x[i] > 0, which
+    says s_i lengthens the element spelled so far; x then moves to s_i x. The
+    message numbers the letters from 1, as the CLI and the witnesses do.
+    """
+    word = tuple(word)
+    x = rho(rs)
+    for i in reversed(word):
+        if x[i] < 0:
+            raise NonReducedWord(f"word {[j + 1 for j in word]} is not reduced")
+        x = reflect(rs, i, x)
+    return word
+
+
+def require_walkable(rs: RootSystem) -> None:
+    """Raise :class:`WeylGroupTooLarge` when |W| exceeds :data:`MAX_WEYL_DEFAULT`,
+    read at each call. The walks over all of W, the Hecke sum and braid's
+    reduced words, call this first."""
+    order = weyl_order(rs.cartan_type)
+    if order > MAX_WEYL_DEFAULT:
+        raise WeylGroupTooLarge(
+            f"|W({rs.cartan_type})| = {order} exceeds the cap {MAX_WEYL_DEFAULT} on walks over the whole Weyl group")
+
+
+@cache
+def parabolic_levels(rs: RootSystem) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Hecke sum's plan. Level k is the W_{J_k}-orbit of the k-th
+    fundamental coweight e_k, J_k = {k, ..., n-1}, found breadth first by
+    reflecting on positive coordinates i >= k; each point after e_k is listed
+    as (i, index of its parent x), the point being s_i x.
+
+    The orbit is in bijection with the minimal coset representatives u of
+    W_{J_{k+1}} in W_{J_k}, by u to u(e_k); x[i] > 0 says s_i u is longer
+    than u and again minimal. Every w factors uniquely as u_0 u_1 ... u_{n-1},
+    one u_k per level with lengths adding, so a sum over W is the product of
+    the level sums (Bjorner-Brenti, section 2.4).
+    """
+    levels = []
+    for k in range(rs.rank):
+        points = [tuple(int(j == k) for j in range(rs.rank))]
+        seen = set(points)
+        plan = []
+        for parent, x in enumerate(points):
+            for i in range(k, rs.rank):
+                if x[i] > 0:
+                    y = reflect(rs, i, x)
+                    if y not in seen:
+                        seen.add(y)
+                        points.append(y)
+                        plan.append((i, parent))
+        levels.append(tuple(plan))
+    return tuple(levels)
+
+
 @dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element with its ShortLex-minimal reduced word.
@@ -297,10 +369,6 @@ class WeylElement:
 
     def apply(self, mu: Coweight) -> Coweight:
         return tuple(sum(row[j] * mu[j] for j in range(len(mu))) for row in self.action)
-
-    def __repr__(self) -> str:
-        letters = "".join(str(i + 1) for i in self.word) or "e"
-        return f"WeylElement(s{letters})" if self.word else "WeylElement(e)"
 
 
 def simple_reflection_matrix(rs: RootSystem, i: int) -> Matrix:
@@ -322,28 +390,14 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    """Fully enumerated Weyl group with its multiplication tables.
-
-    ``right[i][k]`` and ``left[i][k]`` are the indices of ``w s_i`` and
-    ``s_i w`` for ``w = elements[k]``. ``levels[k]`` lists, in element order,
-    the minimal coset representatives of W_{J_{k+1}} in W_{J_k}, where
-    J_k = {k, ..., n-1} and W_{J_n} is trivial; every w factors uniquely as
-    u_0 u_1 ... u_{n-1} with u_k in ``levels[k]`` and lengths adding, so a sum
-    over W is the product of the level sums (Bjorner-Brenti, Combinatorics of
-    Coxeter Groups, section 2.4). Each level is closed under removing a left
-    descent (Deodhar's lemma) and starts with the identity.
-    """
+    """The Weyl group enumerated as integer matrices, each element with its
+    ShortLex-minimal reduced word: the reference enumeration for
+    ``alternator`` and the tests. No computing path reads it; they read the
+    orbit of rho instead (module docstring)."""
 
     elements: tuple[WeylElement, ...]
     index_by_matrix: dict[Matrix, int]
     longest: WeylElement
-    right: tuple[tuple[int, ...], ...]
-    left: tuple[tuple[int, ...], ...]
-    levels: tuple[tuple[int, ...], ...]
-
-    @property
-    def identity(self) -> WeylElement:
-        return self.elements[0]
 
     def element_of_matrix(self, m: Matrix) -> WeylElement:
         return self.elements[self.index_by_matrix[m]]
@@ -355,38 +409,13 @@ class WeylGroup:
 _WEYL_CACHE: dict[tuple[str, int], WeylGroup] = {}
 
 
-def _parabolic_levels(elements, right) -> tuple[tuple[int, ...], ...]:
-    """Level k: the elements of W_{J_k} with no right descent in J_{k+1}."""
-    n = len(right)
-    levels = []
-    for k in range(n):
-        levels.append(tuple(
-            idx for idx, w in enumerate(elements)
-            if min(w.word, default=k) >= k
-            and all(elements[right[j][idx]].length > w.length for j in range(k + 1, n))
-        ))
-    return tuple(levels)
-
-
-def weyl_group(rs: RootSystem, max_size: int | None = None) -> WeylGroup:
+def weyl_group(rs: RootSystem) -> WeylGroup:
     """Enumerate the Weyl group by BFS over right multiplication by the s_i.
 
     BFS discovery order with generators tried in increasing index yields the
-    ShortLex-minimal reduced word for every element, so the enumeration is
-    reproducible. The right multiplication table is recorded during the BFS;
-    the left one follows from s_i (v s_j) = (s_i v) s_j along each stored
-    word. Raises :class:`WeylGroupTooLarge` when the group order exceeds
-    ``max_size`` (default :data:`MAX_WEYL_DEFAULT`).
+    ShortLex-minimal reduced word for every element, the word
+    :func:`reduced_word` reads off w(rho), so the enumeration is reproducible.
     """
-    # The cap is checked on every call, cached or not, so whether a call
-    # succeeds never depends on what ran before it.
-    expected = weyl_order(rs.cartan_type)
-    cap = MAX_WEYL_DEFAULT if max_size is None else max_size
-    if expected > cap:
-        raise WeylGroupTooLarge(
-            f"|W({rs.cartan_type})| = {expected} exceeds the cap {cap} on Weyl group enumeration;"
-            " no command-line option raises the cap, only the library call weyl_group(rs, max_size=...)"
-        )
     key = (rs.cartan_type.family, rs.rank)
     cached = _WEYL_CACHE.get(key)
     if cached is not None:
@@ -397,44 +426,17 @@ def weyl_group(rs: RootSystem, max_size: int | None = None) -> WeylGroup:
     ident: Matrix = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     elements: list[WeylElement] = [WeylElement((), ident, 0)]
     index: dict[Matrix, int] = {ident: 0}
-    right: list[list[int]] = [[] for _ in range(n)]
-    head = 0
-    while head < len(elements):
-        w = elements[head]
-        head += 1
+    for w in elements:
         for i in range(n):
             m = _matmul(w.action, gens[i])
             if m not in index:
                 index[m] = len(elements)
                 elements.append(WeylElement(w.word + (i,), m, w.length + 1))
-            right[i].append(index[m])
+    expected = weyl_order(rs.cartan_type)
     if len(elements) != expected:
         raise AssertionError(f"enumerated {len(elements)} elements, expected {expected}")
 
-    left: list[list[int]] = [[right[i][0]] for i in range(n)]
-    for idx in range(1, len(elements)):
-        j = elements[idx].word[-1]
-        parent = right[j][idx]
-        for i in range(n):
-            left[i].append(right[j][left[i][parent]])
-
-    top = [w for w in elements if w.length == elements[-1].length]
-    if len(top) != 1:
-        raise AssertionError("longest element is not unique")
-    group = WeylGroup(
-        tuple(elements), index, top[0],
-        right=tuple(map(tuple, right)),
-        left=tuple(map(tuple, left)),
-        levels=_parabolic_levels(elements, right),
-    )
+    # BFS finds w0, the unique element of greatest length, last.
+    group = WeylGroup(tuple(elements), index, elements[-1])
     _WEYL_CACHE[key] = group
     return group
-
-
-def element_of_word(rs: RootSystem, word: tuple[int, ...] | list[int]) -> WeylElement:
-    """The enumerated element spelled by an arbitrary word of simple reflections."""
-    g = weyl_group(rs)
-    k = 0
-    for i in word:
-        k = g.right[i][k]
-    return g.elements[k]

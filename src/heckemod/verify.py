@@ -45,14 +45,17 @@ from .operators import (
     sum_fraktur,
     t_act,
     t_word,
-    weyl_group,
 )
 from .root_system import (
     Coweight,
     RootSystem,
     build_root_system,
     negate_coweight,
+    orbit,
+    reduced_word,
     reflect,
+    require_walkable,
+    rho,
 )
 
 #: Types exercised by the default verification run.
@@ -144,31 +147,33 @@ def verify_quadratic(eps: HeckeCharacter, monomials, mutate: str | None = None) 
 def verify_braid(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """t_word agrees across all reduced words of every Weyl element."""
     rs = eps.root_system
-    g = weyl_group(rs)
+    require_walkable(rs)
     acting = eps
     if mutate == "mismatched-character":
         acting = next(c for c in characters(rs) if c.name != eps.name)
 
     @cache
-    def reduced_words(idx: int) -> list[tuple[int, ...]]:
-        """Every reduced word of ``g.elements[idx]``, by its left descents."""
-        length = g.elements[idx].length
-        if length == 0:
+    def reduced_words(x: Coweight) -> list[tuple[int, ...]]:
+        """Every reduced word of the w with w(rho) = x, by its left descents,
+        the negative coordinates of x."""
+        if min(x) > 0:
             return [()]
-        return [(i,) + rest for i, row in enumerate(g.left) if g.elements[row[idx]].length == length - 1
-                for rest in reduced_words(row[idx])]
+        return [(i,) + rest for i, c in enumerate(x) if c < 0 for rest in reduced_words(reflect(rs, i, x))]
 
     def cases():
+        # Each w in ShortLex order of its least reduced word, words[0], which
+        # is the order in which BFS enumerates W.
+        points = sorted(orbit(rs, rho(rs)), key=lambda x: (len(reduced_words(x)[0]), reduced_words(x)[0]))
         for mu in monomials:
             f = GroupRingElem.monomial(mu)
-            for idx, w in enumerate(g.elements):
-                words = reduced_words(idx)
+            for x in points:
+                words = reduced_words(x)
                 if len(words) < 2:
                     continue
                 reference = t_word(eps, words[0], f)
                 for word in words[1:]:
                     yield t_word(acting, word, f) == reference, lambda: {
-                        "w": [i + 1 for i in w.word], "word": [i + 1 for i in word], "mu": list(mu)}
+                        "w": [i + 1 for i in words[0]], "word": [i + 1 for i in word], "mu": list(mu)}
 
     return _checks("braid", rs, eps.name, cases())
 
@@ -316,14 +321,14 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
 def verify_q_zero_degeneration(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """At q = 0 the generator sum becomes the full divided-difference operator."""
     rs = eps.root_system
-    w0 = weyl_group(rs).longest
+    w0_word = reduced_word(rs, negate_coweight(rho(rs)))  # w0 maps rho to -rho
     q = 1 if mutate == "wrong-specialization" else 0
 
     def cases():
         for mu in monomials:
             f = GroupRingElem.monomial(mu)
             lhs = specialize_q(sum_fraktur(eps, f), q)
-            rhs = demazure_word(rs, w0.word, f)
+            rhs = demazure_word(rs, w0_word, f)
             yield lhs == rhs, lambda: {"mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
 
     return _checks("q-zero-degeneration", rs, eps.name, cases())
@@ -351,7 +356,7 @@ def verify_casselman_shalika(rs: RootSystem, mutate: str | None = None) -> Verif
             cs = casselman_shalika(rs, lam)
             closed = cs.closed_form
             if mutate == "drop-q-power":
-                closed = closed.scale_q({-weyl_group(rs).longest.length: 1})
+                closed = closed.scale_q({-len(rs.positive_roots): 1})  # l(w0) = |Phi+|
             yield closed == cs.theorem_form, lambda: {
                 "lambda": list(lam), "closed": closed.to_str(), "theorem": cs.theorem_form.to_str()}
 
@@ -369,7 +374,7 @@ def verify_macdonald(rs: RootSystem, mutate: str | None = None) -> VerifyResult:
         for lam in dominant_coweights_up_to_height(rs, 3):
             if mutate == "drop-first-letter":
                 num = multiply_binomials(GroupRingElem.monomial(lam), rs.positive_coroots, 1)
-                lhs = demazure_word(rs, weyl_group(rs).longest.word[1:], num)
+                lhs = demazure_word(rs, reduced_word(rs, negate_coweight(rho(rs)))[1:], num)
             else:
                 lhs = macdonald(rs, lam)
             rhs = theorem_lhs(trv, lam)

@@ -60,7 +60,8 @@ def test_eval_iwahori_image(capsys):
 
 @pytest.mark.parametrize("word", ["1,1", "1,2,1,2"])
 def test_eval_iwahori_image_rejects_non_reduced_word(capsys, word):
-    # element_of_word would collapse the word to a shorter element (1,1 to T_e)
+    # A non-reduced word names a shorter element (1,1 names T_e); t_word
+    # refuses it rather than computing something else.
     code, out, err = run_cli(
         capsys, "eval", "--type", "A2", "--character", "sign", "--lambda", "1,1",
         "--formula", "iwahori-image", "--word", word,
@@ -323,17 +324,16 @@ def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
 
 
 def test_f4_size_guard_names_no_cli_step(capsys):
-    # No command-line option reaches weyl_group's max_size, so the message
-    # must not ask for one; the class and exit code 3 stay.
+    # No command-line option raises the cap, so the message must not ask for
+    # one; the class and exit code 3 stay.
     code, out, err = run_cli(capsys, "verify", "--type", "F4")
     assert (code, out) == (3, "")
-    assert err == ("error: WeylGroupTooLarge: |W(F4)| = 1152 exceeds the cap 500 on Weyl group enumeration; "
-                   "no command-line option raises the cap, only the library call weyl_group(rs, max_size=...)\n")
+    assert err == "error: WeylGroupTooLarge: |W(F4)| = 1152 exceeds the cap 500 on walks over the whole Weyl group\n"
 
 
 def test_eval_alternator_side_on_f4(capsys):
     # The alternator side needs no Weyl group, so it evaluates on F4; the
-    # Hecke side still stops at the size guard.
+    # Hecke sum over all of W still stops at the size guard.
     base = ("eval", "--type", "F4", "--character", "neg-long", "--lambda", "0,0,0,0")
     code, out, err = run_cli(capsys, *base, "--formula", "theorem-rhs")
     assert (code, err) == (0, "")
@@ -359,3 +359,20 @@ def test_eval_alternator_side_on_f4(capsys):
             bottom *= rs.pairing(r, (1, 1, 1, 1))
         assert sum(int(c) for rec in records for _, c in rec["coeff"]) * bottom == top, lam
         assert all(e == 0 for rec in records for e, _ in rec["coeff"]), lam
+        # demazure-char runs Demazure operators along w0's word, read off -rho.
+        code, out, err = run_cli(capsys, "eval", "--type", "F4", "--formula", "demazure-char",
+                                 "--lambda", ",".join(map(str, lam)), "--output", "json")
+        assert (code, err) == (0, ""), lam
+        records = json.loads(out)["value_records"]
+        assert sum(int(c) for rec in records for _, c in rec["coeff"]) * bottom == top, lam
+    # macdonald at lambda = 0 is the Poincare polynomial prod_d (1 - q^d) / (1 - q)
+    # over the degrees of F4.
+    poincare = {0: 1}
+    for d in (2, 6, 8, 12):
+        poincare = {k: sum(c for e, c in poincare.items() if k - d < e <= k) for k in range(max(poincare) + d)}
+    code, out, err = run_cli(capsys, "eval", "--type", "F4", "--formula", "macdonald", "--lambda", "0,0,0,0",
+                             "--output", "json")
+    assert (code, err) == (0, "")
+    ((record,),) = [json.loads(out)["value_records"]]
+    assert record["coweight"] == [0, 0, 0, 0]
+    assert {e: int(c) for e, c in record["coeff"]} == poincare

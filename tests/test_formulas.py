@@ -3,7 +3,7 @@ import pytest
 from heckemod import formulas, operators
 from heckemod.algebra import GroupRingElem, divide_by_binomial, grsum, multiply_binomials, weyl_act
 from heckemod.characters import character_by_name, characters
-from heckemod.errors import NonDominant, WrongFamily
+from heckemod.errors import NonDominant, NonReducedWord, WrongFamily
 from heckemod.formulas import (
     bessel_value,
     casselman_shalika,
@@ -284,14 +284,14 @@ def test_coset_measure():
 
 def test_iwahori_image_identity_and_reflection():
     a1 = build_root_system("A1")
-    g = weyl_group(a1)
     for eps in characters(a1):
-        image = iwahori_image(eps, g.identity, (2,))
+        image = iwahori_image(eps, (), (2,))
         assert image.value == pi(*(2 + eps.rho_eps[0],))
         assert image.measure == {2: 1}
     trv = character_by_name(a1, "triv")
-    s = g.elements[1]
-    assert iwahori_image(trv, s, (0,)).value == pi(0, q=1)
+    assert iwahori_image(trv, (0,), (0,)).value == pi(0, q=1)
+    with pytest.raises(NonReducedWord):
+        iwahori_image(trv, (0, 0), (0,))
 
 
 @pytest.mark.parametrize("name", ["A1", "B2"])
@@ -300,7 +300,7 @@ def test_iwahori_images_sum_to_theorem_value(name):
     g = weyl_group(rs)
     lam = (1,) * rs.rank
     for eps in characters(rs):
-        total = grsum(rs.rank, (iwahori_image(eps, w, lam).value for w in g.elements))
+        total = grsum(rs.rank, (iwahori_image(eps, w.word, lam).value for w in g.elements))
         assert total == theorem_lhs(eps, lam)
         # the conjugated-sum convention differs by the rho_eps shift
         start = GroupRingElem.monomial(tuple(l + 2 * r for l, r in zip(lam, eps.rho_eps)))
@@ -311,7 +311,7 @@ def test_iwahori_image_requires_dominant():
     rs = build_root_system("A1")
     trv = character_by_name(rs, "triv")
     with pytest.raises(NonDominant):
-        iwahori_image(trv, weyl_group(rs).identity, (-1,))
+        iwahori_image(trv, (), (-1,))
 
 
 def test_dominant_coweight_enumeration():

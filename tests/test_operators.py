@@ -309,7 +309,7 @@ def test_dominant_character_fill_walks_no_weyl_group(name, monkeypatch):
 
 def test_alternator_side_on_f4_needs_no_weyl_group(monkeypatch):
     # w0 = -1 on F4, so Omega(pi^{-lambda}) = chi_lambda, whose coefficients sum
-    # to the Weyl dimension; W(F4) stays behind the size guard.
+    # to the Weyl dimension; the Hecke sum over W(F4) stays behind the size guard.
     rs = build_root_system("F4")
     for lam, dimension in [((0, 0, 0, 0), 1), ((1, 0, 0, 0), 26), ((0, 0, 0, 1), 52)]:
         chi = omega_apply(rs, GroupRingElem.monomial(negate_coweight(lam)))

@@ -1,15 +1,28 @@
+import math
+import random
+from functools import reduce
+from itertools import product
+
 import pytest
 
-from heckemod.errors import InvalidCartanType, WeylGroupTooLarge
+from heckemod import root_system
+from heckemod.algebra import GroupRingElem
+from heckemod.errors import InvalidCartanType, NonReducedWord, WeylGroupTooLarge
+from heckemod.formulas import poincare_polynomial
 from heckemod.root_system import (
     CartanType,
+    _matmul,
     build_root_system,
     dominant_conjugate,
-    element_of_word,
     negate_coweight,
     orbit,
+    parabolic_levels,
+    reduced_word,
     reflect,
+    require_reduced,
+    require_walkable,
     rho,
+    simple_reflection_matrix,
     weyl_group,
     weyl_order,
 )
@@ -139,8 +152,8 @@ def test_identity_and_longest():
     for name in ("A2", "B2", "G2"):
         rs = build_root_system(name)
         group = weyl_group(rs)
-        assert group.identity.word == ()
-        assert group.identity.apply((1, 2)) == (1, 2)
+        assert group.elements[0].word == ()
+        assert group.elements[0].apply((1, 2)) == (1, 2)
         w0 = group.longest
         assert w0.apply(rho(rs)) == negate_coweight(rho(rs))
         top = [w for w in group.elements if w.length == w0.length]
@@ -161,8 +174,6 @@ def _all_reduced_words(rs, w):
     if w.length == 0:
         return [()]
     out = []
-    from heckemod.root_system import _matmul, simple_reflection_matrix
-
     for i in range(rs.rank):
         v = group.element_of_matrix(_matmul(simple_reflection_matrix(rs, i), w.action))
         if v.length == w.length - 1:
@@ -215,51 +226,89 @@ def test_braid_orders():
     assert a3.braid_order[(0, 2)] == 2
 
 
-def test_f4_behind_size_guard():
-    rs = build_root_system("F4")
-    assert len(rs.positive_roots) == 24
-    with pytest.raises(WeylGroupTooLarge):
-        weyl_group(rs)
-    group = weyl_group(rs, max_size=1152)
-    assert len(group.elements) == 1152
-    assert group.longest.length == 24
+# The coweight layer against the matrix enumeration, on every type up to F4.
+LAYER_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "D4", "G2", "F4"]
 
 
-def test_f4_guard_holds_after_a_raised_cap_call():
-    rs = build_root_system("F4")
-    assert len(weyl_group(rs, max_size=1152)) == 1152
-    with pytest.raises(WeylGroupTooLarge):
-        weyl_group(rs)
+def _element_of(rs, word):
+    """The enumerated element spelled by any word, by multiplying matrices."""
+    n = rs.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    m = reduce(_matmul, (simple_reflection_matrix(rs, i) for i in word), ident)
+    return weyl_group(rs).element_of_matrix(m)
 
 
-@pytest.mark.parametrize("name, sizes", [("A2", [3, 2]), ("B2", [4, 2]), ("G2", [6, 2]),
-                                         ("A3", [4, 3, 2]), ("B3", [6, 4, 2])])
-def test_tables_and_parabolic_levels(name, sizes):
-    from itertools import product
-
-    from heckemod.root_system import _matmul, simple_reflection_matrix
-
+@pytest.mark.parametrize("name", LAYER_TYPES)
+def test_greedy_word_is_the_stored_word(name):
     rs = build_root_system(name)
     g = weyl_group(rs)
-    for i in range(rs.rank):
-        s = simple_reflection_matrix(rs, i)
-        for idx, w in enumerate(g.elements):
-            assert g.elements[g.right[i][idx]].action == _matmul(w.action, s)
-            assert g.elements[g.left[i][idx]].action == _matmul(s, w.action)
-    assert [len(level) for level in g.levels] == sizes
-    # every w is u_0 u_1 ... u_{n-1}, one u_k per level, lengths adding
+    for w in g.elements:
+        assert reduced_word(rs, w.apply(rho(rs))) == w.word
+    assert reduced_word(rs, negate_coweight(rho(rs))) == g.longest.word
+    assert g.longest.length == len(rs.positive_roots)
+
+
+@pytest.mark.parametrize("name", LAYER_TYPES)
+def test_reducedness_walk_matches_the_matrix_length(name):
+    rs = build_root_system(name)
+    rng = random.Random(f"reduced-{name}")
+    verdicts = set()
+    for _ in range(300):
+        word = [rng.randrange(rs.rank) for _ in range(rng.randint(0, len(rs.positive_roots) + 2))]
+        try:
+            verdict = require_reduced(rs, word) == tuple(word)
+        except NonReducedWord as exc:
+            assert str(exc) == f"word {[i + 1 for i in word]} is not reduced"
+            verdict = False
+        assert verdict == (_element_of(rs, word).length == len(word)), word
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+LEVEL_SIZES = {"A2": [3, 2], "B2": [4, 2], "G2": [6, 2], "A3": [4, 3, 2], "B3": [6, 4, 2], "F4": [24, 8, 3, 2]}
+
+
+@pytest.mark.parametrize("name", LAYER_TYPES)
+def test_levels_factor_the_group(name):
+    # Every w is u_0 u_1 ... u_{n-1}, one u_k per level, lengths adding.
+    rs = build_root_system(name)
+    levels = []
+    for plan in parabolic_levels(rs):
+        words = [()]
+        for i, parent in plan:
+            words.append((i,) + words[parent])
+        levels.append(words)
+    sizes = [len(words) for words in levels]
+    assert math.prod(sizes) == weyl_order(rs.cartan_type)
+    assert sizes == LEVEL_SIZES.get(name, sizes)
     seen = set()
-    for parts in product(*g.levels):
-        w = element_of_word(rs, sum((g.elements[u].word for u in parts), ()))
-        assert w.length == sum(g.elements[u].length for u in parts)
-        seen.add(w.action)
-    assert len(seen) == len(g)
+    for parts in product(*levels):
+        w = _element_of(rs, sum(parts, ()))
+        assert w.length == sum(map(len, parts))
+        seen.add(w.word)
+    assert len(seen) == len(weyl_group(rs))
 
 
-def test_element_of_word_handles_unreduced_spellings():
-    rs = build_root_system("A2")
-    assert element_of_word(rs, (0, 0)).length == 0
-    assert element_of_word(rs, (0, 1, 0)).word == element_of_word(rs, (1, 0, 1)).word
+@pytest.mark.parametrize("name", LAYER_TYPES)
+def test_poincare_polynomial_counts_the_orbit(name):
+    rs = build_root_system(name)
+    counts = {}
+    for w in weyl_group(rs).elements:
+        counts[w.length] = counts.get(w.length, 0) + 1
+    assert poincare_polynomial(rs) == GroupRingElem.monomial((0,) * rs.rank, counts)
+
+
+def test_walk_guard_reads_the_cap_at_call_time(monkeypatch):
+    f4 = build_root_system("F4")
+    require_walkable(build_root_system("B4"))
+    with pytest.raises(WeylGroupTooLarge, match=r"^\|W\(F4\)\| = 1152 exceeds the cap 500"):
+        require_walkable(f4)
+    monkeypatch.setattr(root_system, "MAX_WEYL_DEFAULT", 1152)
+    require_walkable(f4)
+    monkeypatch.undo()
+    # Whether a call succeeds never depends on what ran before it.
+    with pytest.raises(WeylGroupTooLarge):
+        require_walkable(f4)
 
 
 def test_rho_is_all_ones():

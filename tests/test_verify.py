@@ -1,8 +1,10 @@
 """The verification layer: suites pass on theorems, mutations must fail."""
 
+import sys
+
 import pytest
 
-from heckemod import cli
+from heckemod import cli, operators, root_system
 from heckemod.algebra import GroupRingElem
 from heckemod.characters import character_by_name, characters
 from heckemod.operators import s_image, sum_fraktur
@@ -48,6 +50,48 @@ def test_no_generic_ring_product_on_any_path(monkeypatch, capsys):
         if entry.needs_character:
             argv += ["--character", "sign"]
         assert cli.main(argv) == 0, (formula, capsys.readouterr().err)
+
+
+def test_no_enumeration_of_w_on_any_path(monkeypatch, capsys):
+    # Every Weyl-group fact a computing path needs is read off the orbit of
+    # rho; weyl_group is the reference enumeration of alternator and the tests.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("weyl_group called")
+
+    def run_all():
+        suites = [(suite, type_name, mutation, [r.to_json_obj() for r in run_suite(
+                      suite, type_name, radius=1, cap=30, mutate=mutation)])
+                  for suite, entry in SUITES.items() for type_name in ("A1", "B2")
+                  for mutation in (None, entry.mutations[0])]
+        evals = []
+        for formula, entry in cli.FORMULAS.items():
+            argv = ["eval", "--type", "B2", "--formula", formula, "--lambda", "2,1", "--word", "1,2"]
+            if entry.needs_character:
+                argv += ["--character", "sign"]
+            evals.append((cli.main(argv), capsys.readouterr()))
+        return suites, evals
+
+    binding = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "heckemod"
+                     and getattr(module, "weyl_group", None) is root_system.weyl_group)
+    assert binding == ["heckemod", "heckemod.operators", "heckemod.root_system"]
+    for name in binding:
+        monkeypatch.setattr(sys.modules[name], "weyl_group", forbidden)
+    with pytest.raises(AssertionError):
+        operators.alternator(build_root_system("A1"), GroupRingElem.one(1))  # the patch does bite
+    suites, evals = run_all()
+    for suite, type_name, mutation, results in suites:
+        if mutation is None:
+            assert all(r["status"] == "pass" for r in results), (suite, type_name)
+    assert [code for code, _ in evals] == [0] * len(cli.FORMULAS)
+    monkeypatch.undo()
+    assert (suites, evals) == run_all()  # as with the enumeration in reach
+
+
+def test_braid_walks_elements_in_shortlex_order():
+    # ShortLex order reaches s_1 s_3 = s_3 s_1 before s_1 s_2 s_1 = s_2 s_1 s_2,
+    # so the mismatched-character control fails there first.
+    results = run_suite("braid", "A3", radius=1, cap=30, mutate="mismatched-character")
+    assert [(r.checked, r.witness) for r in results] == [(1, {"w": [1, 3], "word": [3, 1], "mu": [-1, -1, -1]})] * 2
 
 
 def test_family_guarded_suites_skip_other_types():
