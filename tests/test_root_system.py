@@ -298,17 +298,27 @@ def test_poincare_polynomial_counts_the_orbit(name):
     assert poincare_polynomial(rs) == GroupRingElem.monomial((0,) * rs.rank, counts)
 
 
-def test_walk_guard_reads_the_cap_at_call_time(monkeypatch):
-    f4 = build_root_system("F4")
+def test_f4_behind_size_guard():
+    rs = build_root_system("F4")
+    assert len(rs.positive_roots) == 24
     require_walkable(build_root_system("B4"))
     with pytest.raises(WeylGroupTooLarge, match=r"^\|W\(F4\)\| = 1152 exceeds the cap 500"):
-        require_walkable(f4)
+        require_walkable(rs)
+    # The reference enumeration itself is unguarded.
+    group = weyl_group(rs)
+    assert len(group.elements) == 1152
+    assert group.longest.length == 24
+
+
+def test_f4_guard_holds_after_a_raised_cap_call(monkeypatch):
+    rs = build_root_system("F4")
     monkeypatch.setattr(root_system, "MAX_WEYL_DEFAULT", 1152)
-    require_walkable(f4)
+    require_walkable(rs)
     monkeypatch.undo()
-    # Whether a call succeeds never depends on what ran before it.
+    # The cap is read at each call: whether a call succeeds never depends on
+    # what ran before it.
     with pytest.raises(WeylGroupTooLarge):
-        require_walkable(f4)
+        require_walkable(rs)
 
 
 def test_rho_is_all_ones():
