@@ -18,6 +18,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -179,6 +180,30 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
     return row, lines
 
 
+def _json_text(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
+    string-keyed documents. With ``indent`` set, ``json`` runs its pure-Python
+    encoder; here each list and dict is one join and strings go through the C
+    string encoder. Scalars other than ``str`` and ``int`` go to
+    ``json.dumps``. ``newline`` is a line break and the indentation of the
+    level ``obj`` sits at."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_json_text(v, inner) for v in obj) + newline + "]"
+    return json.dumps(obj)
+
+
 # --- verify -----------------------------------------------------------------
 
 
@@ -222,7 +247,7 @@ def cmd_verify(args) -> int:
 
     ok = all(r["status"] == "pass" for r in results)
     if args.output == "json":
-        print(json.dumps({"ok": ok, "results": results}, sort_keys=True, indent=2))
+        print(_json_text({"ok": ok, "results": results}))
     else:
         for r in results:
             line = f"{r['status'].upper():4s} {r['identity']:22s} {r['type']:3s} {r['character'] or '-':10s} checks={r['checked']}"
@@ -254,7 +279,7 @@ def cmd_eval(args) -> int:
         lam = _parse_lambda(args.lam, rs.rank)
     row, lines = _evaluate_formula(args.type, formula, args.character, lam, args.word)
     if args.output == "json":
-        print(json.dumps(row, sort_keys=True, indent=2))
+        print(_json_text(row))
     elif args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -335,7 +360,7 @@ def cmd_table(args) -> int:
                 [r["type"], r["character"], ",".join(map(str, r["lambda"])), r["formula"], r["value"]]
             )
         _atomic_write(base + ".csv", buf.getvalue())
-        _atomic_write(base + ".json", json.dumps(rows, sort_keys=True, indent=2) + "\n")
+        _atomic_write(base + ".json", _json_text(rows) + "\n")
     except OSError as exc:
         raise DomainExit(IO_ERROR, f"cannot write table: {exc}")
     print(f"wrote {base}.csv and {base}.json ({len(rows)} rows)")

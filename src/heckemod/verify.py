@@ -44,11 +44,11 @@ from .operators import (
     s_image,
     sum_fraktur,
     t_act,
-    t_word,
 )
 from .root_system import (
     Coweight,
     RootSystem,
+    add_coweights,
     build_root_system,
     negate_coweight,
     orbit,
@@ -145,7 +145,11 @@ def verify_quadratic(eps: HeckeCharacter, monomials, mutate: str | None = None) 
 
 
 def verify_braid(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
-    """t_word agrees across all reduced words of every Weyl element."""
+    """T_w is the same along all reduced words of every Weyl element.
+
+    Each reduced word's operator is one T_i on top of its parent's in the
+    tree of all reduced words, and is compared with the element's reference
+    T_{words[0]} f, itself one T_i on top of a shorter element's reference."""
     rs = eps.root_system
     require_walkable(rs)
     acting = eps
@@ -166,13 +170,31 @@ def verify_braid(eps: HeckeCharacter, monomials, mutate: str | None = None) -> V
         points = sorted(orbit(rs, rho(rs)), key=lambda x: (len(reduced_words(x)[0]), reduced_words(x)[0]))
         for mu in monomials:
             f = GroupRingElem.monomial(mu)
+            # R_x = T_{words[0]} f under eps: words[0] without its first letter
+            # i is the least word of s_i x, so R_x = T_i R_{s_i x}.
+            references = {rho(rs): f}
+
+            def reference(x: Coweight) -> GroupRingElem:
+                if x not in references:
+                    i = reduced_words(x)[0][0]
+                    references[x] = t_act(eps, i, reference(reflect(rs, i, x)))
+                return references[x]
+
+            holds: dict[tuple[Coweight, tuple[int, ...]], bool] = {}
+
+            def walk(word: tuple[int, ...], x: Coweight, value: GroupRingElem) -> None:
+                # (i,) + word is reduced iff x[i] > 0, as in require_reduced.
+                if len(reduced_words(x)) > 1:
+                    holds[x, word] = value == reference(x)
+                for i, c in enumerate(x):
+                    if c > 0:
+                        walk((i,) + word, reflect(rs, i, x), t_act(acting, i, value))
+
+            walk((), rho(rs), f)
             for x in points:
                 words = reduced_words(x)
-                if len(words) < 2:
-                    continue
-                reference = t_word(eps, words[0], f)
                 for word in words[1:]:
-                    yield t_word(acting, word, f) == reference, lambda: {
+                    yield holds[x, word], lambda: {
                         "w": [i + 1 for i in words[0]], "word": [i + 1 for i in word], "mu": list(mu)}
 
     return _checks("braid", rs, eps.name, cases())
@@ -180,7 +202,10 @@ def verify_braid(eps: HeckeCharacter, monomials, mutate: str | None = None) -> V
 
 def verify_bernstein(eps: HeckeCharacter, mus, nus, mutate: str | None = None) -> VerifyResult:
     """T_{s_i} pi^mu = pi^{s_i mu} T_{s_i} + (1-q)(pi^{s_i mu} - pi^mu)/(1 - pi^{-a_i^vee})
-    as operators on the module, checked on the monomial basis pi^nu."""
+    as operators on the module, checked on the monomial basis pi^nu.
+
+    Both sides read T_{s_i} pi^x from one memo per i, the left at x = mu + nu
+    and the right at x = nu, so each is computed once."""
     rs = eps.root_system
     correction_scale = {0: -1, 1: 1} if mutate == "flip-correction-sign" else {0: 1, 1: -1}
 
@@ -188,13 +213,20 @@ def verify_bernstein(eps: HeckeCharacter, mus, nus, mutate: str | None = None) -
         for i in range(rs.rank):
             neg_av = negate_coweight(rs.simple_coroots[i])
             denom = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(neg_av)
+            t_i: dict[Coweight, GroupRingElem] = {}
+
+            def t_i_monomial(x: Coweight) -> GroupRingElem:
+                if x not in t_i:
+                    t_i[x] = t_act(eps, i, GroupRingElem.monomial(x))
+                return t_i[x]
+
             for mu in mus:
                 smu = reflect(rs, i, mu)
                 difference = GroupRingElem.monomial(smu) - GroupRingElem.monomial(mu)
                 correction = exact_div(difference, denom).scale_q(correction_scale)
                 for nu in nus:
-                    lhs = t_act(eps, i, GroupRingElem.monomial(tuple(a + b for a, b in zip(mu, nu))))
-                    rhs = t_act(eps, i, GroupRingElem.monomial(nu)).translated(smu) + correction.translated(nu)
+                    lhs = t_i_monomial(add_coweights(mu, nu))
+                    rhs = t_i_monomial(nu).translated(smu) + correction.translated(nu)
                     yield lhs == rhs, lambda: {
                         "i": i + 1, "mu": list(mu), "nu": list(nu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
 

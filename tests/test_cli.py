@@ -4,8 +4,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heckemod.cli import main
+from heckemod.cli import _json_text, main
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +161,32 @@ def test_table_counts_and_determinism(tmp_path, capsys):
     lines = csv1.decode().strip().splitlines()
     assert lines[0] == "type,character,lambda,formula,value"
     assert len(lines) - 1 == 4 * 2 * 2  # lambdas x characters x formulas
+
+
+_JSON_TEXT = st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud7ff\udc00\U0001f600')
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_JSON_TEXT, inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_json_text_is_json_dumps_indent_2(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_table_json_is_json_dumps_indent_2(tmp_path, capsys):
+    code, _, _ = run_cli(capsys, "table", "--type", "B3", "--height", "3", "--out", str(tmp_path))
+    assert code == 0
+    text = (tmp_path / "table_B3.json").read_text()
+    rows = json.loads(text)
+    assert len(rows) == 160
+    expected = json.dumps(rows, sort_keys=True, indent=2) + "\n"
+    if text != expected:  # pytest's diff of two 20 MB strings would not finish
+        at = next((k for k, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+        pytest.fail(f"table_B3.json differs from json.dumps at character {at}: {text[max(at - 40, 0):at + 40]!r}")
 
 
 def test_table_rows_scale_with_characters(tmp_path, capsys):

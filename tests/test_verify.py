@@ -1,14 +1,15 @@
 """The verification layer: suites pass on theorems, mutations must fail."""
 
 import sys
+from functools import cache
 
 import pytest
 
-from heckemod import cli, operators, root_system
-from heckemod.algebra import GroupRingElem
+from heckemod import cli, operators, root_system, verify
+from heckemod.algebra import GroupRingElem, exact_div
 from heckemod.characters import character_by_name, characters
-from heckemod.operators import s_image, sum_fraktur
-from heckemod.root_system import build_root_system, reflect
+from heckemod.operators import s_image, sum_fraktur, t_act, t_word
+from heckemod.root_system import build_root_system, negate_coweight, orbit, reflect, rho
 from heckemod.verify import (
     MUTATION_SUITES,
     SUITES,
@@ -92,6 +93,109 @@ def test_braid_walks_elements_in_shortlex_order():
     # so the mismatched-character control fails there first.
     results = run_suite("braid", "A3", radius=1, cap=30, mutate="mismatched-character")
     assert [(r.checked, r.witness) for r in results] == [(1, {"w": [1, 3], "word": [3, 1], "mu": [-1, -1, -1]})] * 2
+
+
+def _first_failure(cases):
+    """(checked, witness) of a run of (holds, witness) checks, stopping at the first failure."""
+    checked = 0
+    for holds, explain in cases:
+        checked += 1
+        if not holds:
+            return checked, explain()
+    return checked, None
+
+
+def _braid_by_words(eps, monomials, mutate):
+    """Braid applying all of t_word to every reduced word of every element."""
+    rs = eps.root_system
+    acting = eps
+    if mutate == "mismatched-character":
+        acting = next(c for c in characters(rs) if c.name != eps.name)
+
+    @cache
+    def reduced_words(x):
+        if min(x) > 0:
+            return [()]
+        return [(i,) + rest for i, c in enumerate(x) if c < 0 for rest in reduced_words(reflect(rs, i, x))]
+
+    points = sorted(orbit(rs, rho(rs)), key=lambda x: (len(reduced_words(x)[0]), reduced_words(x)[0]))
+    for mu in monomials:
+        f = GroupRingElem.monomial(mu)
+        for x in points:
+            words = reduced_words(x)
+            if len(words) < 2:
+                continue
+            reference = t_word(eps, words[0], f)
+            for word in words[1:]:
+                yield t_word(acting, word, f) == reference, lambda: {
+                    "w": [i + 1 for i in words[0]], "word": [i + 1 for i in word], "mu": list(mu)}
+
+
+def _bernstein_per_pair(eps, mus, nus, mutate):
+    """Bernstein computing both sides' T_{s_i} afresh for every (mu, nu)."""
+    rs = eps.root_system
+    correction_scale = {0: -1, 1: 1} if mutate == "flip-correction-sign" else {0: 1, 1: -1}
+    for i in range(rs.rank):
+        denom = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(negate_coweight(rs.simple_coroots[i]))
+        for mu in mus:
+            smu = reflect(rs, i, mu)
+            correction = exact_div(GroupRingElem.monomial(smu) - GroupRingElem.monomial(mu), denom)
+            correction = correction.scale_q(correction_scale)
+            for nu in nus:
+                lhs = t_act(eps, i, GroupRingElem.monomial(tuple(a + b for a, b in zip(mu, nu))))
+                rhs = t_act(eps, i, GroupRingElem.monomial(nu)).translated(smu) + correction.translated(nu)
+                yield lhs == rhs, lambda: {
+                    "i": i + 1, "mu": list(mu), "nu": list(nu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
+
+
+@pytest.mark.parametrize("type_name,mutate", [
+    *((t, None) for t in ("A2", "A3", "B2", "G2", "B3")),
+    *((t, "mismatched-character") for t in ("A3", "B2", "G2", "B3")),
+])
+def test_braid_walk_matches_the_per_word_loop(type_name, mutate):
+    rs = build_root_system(type_name)
+    small = monomial_box(rs.rank, 1, 30)[:2]  # run_suite's braid box
+    expected = [_first_failure(_braid_by_words(eps, small, mutate)) for eps in characters(rs)]
+    assert [(r.checked, r.witness) for r in run_suite("braid", type_name, mutate=mutate)] == expected
+    assert all((witness is None) == (mutate is None) for _, witness in expected)
+
+
+@pytest.mark.parametrize("type_name,mutate", [
+    *((t, None) for t in ("A2", "A3", "B2", "G2", "B3")),
+    *((t, "flip-correction-sign") for t in ("A3", "B2", "G2", "B3")),
+])
+def test_bernstein_memo_matches_the_per_pair_loop(type_name, mutate):
+    rs = build_root_system(type_name)
+    mus, nus = monomial_box(rs.rank)[:40], monomial_box(rs.rank, 1, 30)[:9]  # run_suite's bernstein boxes
+    expected = [_first_failure(_bernstein_per_pair(eps, mus, nus, mutate)) for eps in characters(rs)]
+    assert [(r.checked, r.witness) for r in run_suite("bernstein", type_name, mutate=mutate)] == expected
+    assert all((witness is None) == (mutate is None) for _, witness in expected)
+
+
+@pytest.mark.parametrize("suite,calls", [("braid", 1992), ("bernstein", 1116)])
+def test_t_act_calls_on_b3(monkeypatch, suite, calls):
+    # Braid computes each reduced word's operator once, on top of its parent
+    # word's, and bernstein each T_{s_i} pi^x once: on B3 the per-word and
+    # per-pair loops made 10688 and 8640 calls.
+    counted = []
+
+    def counting(eps, i, f):
+        counted.append(i)
+        return t_act(eps, i, f)
+
+    monkeypatch.setattr(verify, "t_act", counting)
+    assert all(r.passed for r in run_suite(suite, "B3"))
+    assert len(counted) == calls
+
+
+@pytest.mark.slow
+def test_braid_passes_on_d4(capsys):
+    assert cli.main(["verify", "--type", "D4", "--suite", "braid"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS braid                  D4  sign       checks=19054",
+        "PASS braid                  D4  triv       checks=19054",
+        "OK: 2/2 identities passed",
+    ]
 
 
 def test_family_guarded_suites_skip_other_types():
