@@ -44,7 +44,6 @@ from .operators import (
     demazure,
     demazure_word,
     fraktur_t,
-    fraktur_word,
     intertwiner_op,
     omega_apply,
     sum_fraktur,

@@ -36,33 +36,36 @@ that can leave the hull of their input:
   shifted key, and :func:`multiply_binomials` every key shifted by a factor; a
   product by prod_{a>0} (1 - q^k pi^{a^vee}) shifts a point by at most |Phi+|
   coroots;
-* :func:`divide_by_binomial` writes only between points of one v-string of
+* :func:`divide_by_binomials` writes only between points of one v-string of
   its input, and ``grsum``, ``scale`` and the like keep their keys.
 
 ``coeffs`` is a tuple-keyed view built on each access, for callers outside
 the ring and operator layers; it holds the element's own q-coefficient maps.
 
-Products and quotients by binomials each have one kernel here:
+Products and quotients by binomials have one pair of kernels here:
 
 * :func:`multiply_binomials` multiplies by prod_{v} (1 - q^k pi^v) over a list
-  of coweights v, one pass over the monomials per factor; the operators,
-  formulas and verifiers form every such product through it;
-* :func:`divide_by_binomial` divides by one binomial 1 - pi^v in one pass: the
-  quotient g satisfies g(mu) = f(mu) + g(mu - v), so each v-string of the
-  support is walked upward once, and a string whose running sum does not
-  close to zero raises :class:`NotDivisible`.
+  of coweights v, one pass over the monomials per factor;
+* :func:`divide_by_binomials` is its inverse, one factor at a time: the
+  quotient g by 1 - q^k pi^v satisfies g(mu) = f(mu) + q^k g(mu - v), so each
+  v-string of the support is walked upward once, and a string whose running
+  sum does not close to zero raises :class:`NotDivisible`.
 
-The rank-one operators do not divide (their closed form is a string sum, see
-:mod:`heckemod.operators`). The generic product ``GroupRingElem.__mul__``
-serves only :class:`RationalElem` and the tests' reference products.
+The operators, formulas and verifiers form every such product and quotient
+through this pair; the rank-one operators divide nothing (their closed form is
+a string sum, see :mod:`heckemod.operators`).
 
-:func:`exact_div` is the generic fallback for any divisor. Monomial exponents
-live in Z^n, where lexicographic order is total but not well-founded, so plain
-leading-monomial elimination need not terminate on non-divisible input. Both
-supports are therefore translated into N^n first (exact, since monomials are
-units); on N^n lexicographic order is a well-order and elimination must halt,
-either with a zero remainder or with a loud :class:`NotDivisible`. It works on
-the tuple-keyed view.
+The generic routes, :func:`exact_div` for any divisor (with
+:func:`qd_div_exact` on the coefficients) and the generic product
+``GroupRingElem.__mul__``, are the tests' reference routes and the targets of
+the benchmark's tracing (``perfbench/tracing.py``); no computation in the
+package calls them. Monomial exponents live in Z^n, where lexicographic order
+is total but not well-founded, so plain leading-monomial elimination need not
+terminate on non-divisible input. :func:`exact_div` therefore translates both
+supports into N^n first (exact, since monomials are units); on N^n
+lexicographic order is a well-order and elimination must halt, either with a
+zero remainder or with a loud :class:`NotDivisible`. It works on the
+tuple-keyed view.
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ def add_term(acc: dict[int, QDict], mu: int, qd: QDict) -> None:
 
 
 def qd_div_exact(a: QDict, b: QDict) -> QDict:
-    """Exact quotient a / b in Z[q, q^-1]; raises NotDivisible otherwise."""
+    """Exact quotient a / b in Z[q, q^-1]; raises NotDivisible otherwise.
+    Used only by :func:`exact_div`, a reference route (module docstring)."""
     if not b:
         raise ZeroDivisionError("division by the zero coefficient")
     if not a:
@@ -267,11 +271,12 @@ class GroupRingElem:
     element and never writes into the coefficient maps of its operands. The
     q-coefficient maps themselves may be shared, within one result and
     between results: ``omega_apply`` stores one map at every point of an
-    orbit, :func:`divide_by_binomial` one running sum at several points of a
-    string, the rank-one kernel one string coefficient along a string, and
-    ``translated``, :func:`weyl_act` and ``s_image`` hand back their operand's
-    maps under new exponents. So nothing may write into a coefficient map it
-    did not build itself.
+    orbit, :func:`divide_by_binomials` one running sum at the points of a
+    gap in a string (only at k = 0, dividing by 1 - pi^v; at k != 0 each point
+    gets its own shifted map), the rank-one kernel one string coefficient
+    along a string, and ``translated``, :func:`weyl_act` and ``s_image`` hand
+    back their operand's maps under new exponents. So nothing may write into a
+    coefficient map it did not build itself.
     """
 
     __slots__ = ("rank", "packed")
@@ -321,6 +326,8 @@ class GroupRingElem:
         return from_packed(self.rank, {k: qd_neg(v) for k, v in self.packed.items()})
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
+        """The generic product: the tests' reference route and a target of the
+        benchmark's tracing; no computation in the package calls it."""
         self._check(other)
         layout = packing(self.rank)
         out: dict[int, dict[int, int]] = {}
@@ -451,6 +458,8 @@ def exact_div(f: GroupRingElem, g: GroupRingElem) -> GroupRingElem:
     Leading-monomial elimination under lexicographic order, run on supports
     translated into N^n (see module docstring). Raises :class:`NotDivisible`
     when no exact quotient exists; never returns a wrong answer silently.
+    The tests' reference route and a target of the benchmark's tracing; the
+    package divides by binomials through :func:`divide_by_binomials`.
     """
     if not g.packed:
         raise ZeroDivisionError("division by the zero element")
@@ -500,42 +509,49 @@ def multiply_binomials(f: GroupRingElem, vs, q_exp: int) -> GroupRingElem:
     return f
 
 
-def divide_by_binomial(f: GroupRingElem, v: Coweight) -> GroupRingElem:
-    """Exact quotient f / (1 - pi^v) for v != 0; raises :class:`NotDivisible`
-    when none exists.
+def divide_by_binomials(f: GroupRingElem, vs, q_exp: int) -> GroupRingElem:
+    """Exact quotient f / prod_{v in vs} (1 - q^{q_exp} pi^v) over nonzero
+    coweights vs; raises :class:`NotDivisible` when none exists. The inverse
+    of :func:`multiply_binomials`. It divides one factor at a time, which is
+    exact whenever the whole quotient is.
 
     The support is grouped into v-strings mu + Z v. Along a string the
-    quotient obeys g(mu) = f(mu) + g(mu - v): a running sum from the lowest
-    point, which must be zero again after the highest. A string is keyed by
-    its point b whose coordinate j, the first of largest |v_j|, is reduced
-    modulo v_j. The coordinates of b are below 2^17 + 2^17 + |v_j| < 2^19 in
-    size, so its key, computed as a packed point minus a multiple of
-    ``pack_step(v)``, is a signed-digit integer with digits under half the
-    field size: distinct strings get distinct keys although b need not be
-    packable. The quotient's points lie between points of its string.
+    quotient obeys g(mu) = f(mu) + q^{q_exp} g(mu - v): a running sum from the
+    lowest point, its exponents shifted by q_exp at each step, which must be
+    zero again after the highest. A string is keyed by its point b whose
+    coordinate j, the first of largest |v_j|, is reduced modulo v_j. The
+    coordinates of b are below 2^17 + 2^17 + |v_j| < 2^19 in size, so its key,
+    computed as a packed point minus a multiple of ``pack_step(v)``, is a
+    signed-digit integer with digits under half the field size: distinct
+    strings get distinct keys although b need not be packable. The quotient's
+    points lie between points of its string.
     """
-    if not any(v):
-        raise ZeroDivisionError("division by 1 - pi^0 = 0")
-    j = max(range(len(v)), key=lambda k: abs(v[k]))
-    vj = v[j]
-    step = pack_step(v)
-    shift = packing(f.rank).shifts[j]
-    strings: dict[int, dict[int, QDict]] = {}
-    for x, qd in f.packed.items():
-        t = (((x >> shift) & VALUE_MASK) - COORD_BOUND) // vj
-        strings.setdefault(x - t * step, {})[t] = qd
-    out: dict[int, QDict] = {}
-    for base, points in strings.items():
-        steps = sorted(points)
-        run: QDict = {}
-        for t, t_next in zip(steps, steps[1:]):
-            run = qd_add(run, points[t])
-            if run:
-                for s in range(t, t_next):
-                    out[base + s * step] = run
-        if qd_add(run, points[steps[-1]]):
-            raise NotDivisible(f"no exact quotient by 1 - pi^{list(v)}")
-    return from_packed(f.rank, out)
+    shifts = packing(f.rank).shifts
+    for v in vs:
+        if not any(v):
+            raise ZeroDivisionError("division by 1 - q^k pi^0")
+        j = max(range(len(v)), key=lambda k: abs(v[k]))
+        vj = v[j]
+        step = pack_step(v)
+        strings: dict[int, dict[int, QDict]] = {}
+        for x, qd in f.packed.items():
+            t = (((x >> shifts[j]) & VALUE_MASK) - COORD_BOUND) // vj
+            strings.setdefault(x - t * step, {})[t] = qd
+        out: dict[int, QDict] = {}
+        for base, points in strings.items():
+            steps = sorted(points)
+            run: QDict = {}
+            for t, t_next in zip(steps, steps[1:]):
+                run = qd_add(run, points[t])
+                if run:
+                    for s in range(t, t_next):
+                        out[base + s * step] = run
+                        if q_exp:
+                            run = {e + q_exp: c for e, c in run.items()}
+            if qd_add(run, points[steps[-1]]):
+                raise NotDivisible(f"no exact quotient by 1 - q^{q_exp} pi^{list(v)}")
+        f = from_packed(f.rank, out)
+    return f
 
 
 def grsum(rank: int, terms) -> GroupRingElem:
@@ -563,66 +579,18 @@ def specialize_q(f: GroupRingElem, v: int | Fraction) -> GroupRingElem:
 
 
 class RationalElem:
-    """Fraction num/den of group-ring elements, compared by cross-multiplication.
-
-    No canonical form is maintained (no gcd); any value reported outside the
-    fraction field must first be cleared to a GroupRingElem via :meth:`clear`.
-    No computation in the package uses it; it stays while the benchmark's
-    tracing (``perfbench/tracing.py``) still wraps :meth:`clear`.
-    """
+    """Fraction num/den of group-ring elements, kept only as the target of the
+    benchmark's tracing (``perfbench/tracing.py`` wraps :meth:`clear`); no
+    computation in the package uses it."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: GroupRingElem, den: GroupRingElem | None = None):
-        if den is None:
-            den = GroupRingElem.one(num.rank)
-        if not den.coeffs:
+    def __init__(self, num: GroupRingElem, den: GroupRingElem):
+        if not den:
             raise ZeroDivisionError("rational element with zero denominator")
         self.num = num
         self.den = den
 
-    @property
-    def rank(self) -> int:
-        return self.num.rank
-
-    def __add__(self, other: "RationalElem") -> "RationalElem":
-        if self.den == other.den:
-            return RationalElem(self.num + other.num, self.den)
-        return RationalElem(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: "RationalElem") -> "RationalElem":
-        return self + (-other)
-
-    def __neg__(self) -> "RationalElem":
-        return RationalElem(-self.num, self.den)
-
-    def __mul__(self, other: "RationalElem") -> "RationalElem":
-        return RationalElem(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: "RationalElem") -> "RationalElem":
-        if not other.num.coeffs:
-            raise ZeroDivisionError("division by a zero rational element")
-        return RationalElem(self.num * other.den, self.den * other.num)
-
-    def scale(self, n: int) -> "RationalElem":
-        return RationalElem(self.num.scale(n), self.den)
-
-    def scale_q(self, qd: QDict) -> "RationalElem":
-        return RationalElem(self.num.scale_q(qd), self.den)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalElem):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def is_zero(self) -> bool:
-        return not self.num.coeffs
-
     def clear(self) -> GroupRingElem:
         """Exact clearing to the group ring; NotDivisible if a denominator survives."""
         return exact_div(self.num, self.den)
-
-    def __repr__(self) -> str:
-        return f"RationalElem(({self.num.to_str()}) / ({self.den.to_str()}))"

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GroupRingElem, QDict, exact_div, multiply_binomials
+from .algebra import GroupRingElem, QDict, divide_by_binomials, multiply_binomials
 from .characters import HeckeCharacter, character_by_name
 from .errors import NonDominant, NotDivisible, WrongFamily
 from .operators import demazure_word, omega_apply, sum_fraktur, t_word
@@ -175,6 +175,9 @@ class BesselValue:
     ``unit_ratio`` is (sign, q_exponent, coweight) when value/quoted clears to
     a single unit monomial, else None. ``q_form_cofactor`` is the exact
     element with value = cofactor * pi^{-rho_eps} prod_{long} (1 - q pi^{a^vee}).
+    Both are quotients of pi^{rho_eps} value by the long binomials
+    1 - q^k pi^{a^vee}, at k = -1 and k = 1, taken by
+    :func:`heckemod.algebra.divide_by_binomials`.
 
     On B_n the cofactor is q^{n-1} (1 + q). This follows from the alternator
     side of the identity at lambda = 0: in epsilon coordinates
@@ -194,12 +197,13 @@ class BesselValue:
     q_form_cofactor: GroupRingElem
 
 
-def _unit_monomial_ratio(value: GroupRingElem, quoted: GroupRingElem):
+def _unit_monomial_ratio(shifted: GroupRingElem, long_coroots):
     """(sign, q-exponent, coweight) of value / quoted when that is a unit
-    monomial, else None. No second division by value is needed: if
-    quoted / value is a unit monomial, value / quoted is its inverse."""
+    monomial, else None, where ``shifted`` is pi^{rho_eps} value. No second
+    division by value is needed: if quoted / value is a unit monomial,
+    value / quoted is its inverse."""
     try:
-        ratio = exact_div(value, quoted)
+        ratio = divide_by_binomials(shifted, long_coroots, -1)
     except NotDivisible:
         return None
     term = ratio.single_term()
@@ -218,17 +222,17 @@ def bessel_value(rs: RootSystem) -> BesselValue:
     The report carries the exact cofactor against the q-side product, which
     does exist in the ring; ``unit_ratio`` is None on every B_n, since that
     cofactor is the non-unit q^{n-1} (1 + q) (see :class:`BesselValue`).
+    ``NotDivisible`` at k = -1 means no unit ratio.
     """
     if not in_family_b(rs):
         raise WrongFamily(f"bessel value is defined for family B, got {rs.cartan_type}")
     eps = character_by_name(rs, "neg-long")
     value = theorem_lhs(eps, (0,) * rs.rank)
     long_coroots = eps.minus_coroots
-    start = GroupRingElem.monomial(negate_coweight(eps.rho_eps))
-    quoted = multiply_binomials(start, long_coroots, -1)
-    unit = _unit_monomial_ratio(value, quoted)
-    q_form = multiply_binomials(start, long_coroots, 1)
-    return BesselValue(value, quoted, unit, exact_div(value, q_form))
+    quoted = multiply_binomials(GroupRingElem.monomial(negate_coweight(eps.rho_eps)), long_coroots, -1)
+    shifted = value.translated(eps.rho_eps)
+    unit = _unit_monomial_ratio(shifted, long_coroots)
+    return BesselValue(value, quoted, unit, divide_by_binomials(shifted, long_coroots, 1))
 
 
 def coset_measure(rs: RootSystem, lam: Coweight) -> QDict:

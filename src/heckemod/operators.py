@@ -37,12 +37,11 @@ W-orbit hull of the input. The root-system layer (``reflect``,
 :func:`omega_apply` unpacks each key once to straighten it and packs the
 orbit points it writes.
 
-The divisions left here, by the Weyl denominator's binomials 1 - pi^v, go
-through :func:`heckemod.algebra.divide_by_binomial`, and the products by
+The one division left here, by the Weyl denominator's binomials 1 - pi^v,
+goes through :func:`heckemod.algebra.divide_by_binomials`, and the products by
 binomials 1 - q^k pi^v (the Weyl denominator itself, the intertwiner's
-(1 - pi^{a^vee}) T_{s_i}) through :func:`heckemod.algebra.multiply_binomials`;
-neither the generic ``exact_div`` nor the generic ring product is used. The
-alternator-side operator is
+(1 - pi^{a^vee}) T_{s_i}) through its inverse
+:func:`heckemod.algebra.multiply_binomials`. The alternator-side operator is
 
     Omega(f) = (-1)^{l(w0)} * A(pi^{-rho} f) / A(pi^{rho}),
 
@@ -82,9 +81,9 @@ from __future__ import annotations
 from functools import cache, lru_cache, reduce
 from operator import mul, or_, sub
 
-from .algebra import (COORD_BOUND, Q_ONE, VALUE_MASK, GroupRingElem, QDict, add_term, check_key, divide_by_binomial,
-                      from_packed, grsum, multiply_binomials, pack, pack_step, packing, qd_add, qd_mul, qd_neg,
-                      unpack, weyl_act)
+from .algebra import (COORD_BOUND, Q_ONE, VALUE_MASK, GroupRingElem, QDict, add_term, check_key,
+                      divide_by_binomials, from_packed, grsum, multiply_binomials, pack, pack_step, packing, qd_add,
+                      qd_mul, qd_neg, unpack, weyl_act)
 from .characters import HeckeCharacter
 from .errors import NotDivisible
 from .root_system import (
@@ -204,13 +203,6 @@ def fraktur_t(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
     return inner.translated(shift)
 
 
-def fraktur_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
-    """Compose the conjugated generators along a reduced word."""
-    shift = eps.rho_eps
-    inner = t_word(eps, word, f.translated(negate_coweight(shift)))
-    return inner.translated(shift)
-
-
 def intertwiner_op(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
     """Normalized rank-one intertwiner (1-q^-1) pi^{a^vee} + q^-1 (1-pi^{a^vee}) T_{s_i}.
 
@@ -266,10 +258,7 @@ def weyl_denominator(rs: RootSystem) -> GroupRingElem:
 
 
 def divide_by_weyl_denominator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
-    # Dividing factor by factor is exact whenever the full division is.
-    out = f
-    for v in rs.positive_coroots:
-        out = divide_by_binomial(out, negate_coweight(v))
+    out = divide_by_binomials(f, [negate_coweight(v) for v in rs.positive_coroots], 0)
     return out.translated(negate_coweight(rho(rs)))
 
 

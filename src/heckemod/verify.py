@@ -21,7 +21,7 @@ from functools import cache
 from itertools import product as iproduct
 from typing import Callable, NamedTuple
 
-from .algebra import GroupRingElem, exact_div, multiply_binomials, specialize_q
+from .algebra import GroupRingElem, divide_by_binomials, multiply_binomials, specialize_q
 from .characters import HeckeCharacter, character_by_name, characters
 from .formulas import (
     bessel_value,
@@ -212,7 +212,6 @@ def verify_bernstein(eps: HeckeCharacter, mus, nus, mutate: str | None = None) -
     def cases():
         for i in range(rs.rank):
             neg_av = negate_coweight(rs.simple_coroots[i])
-            denom = GroupRingElem.one(rs.rank) - GroupRingElem.monomial(neg_av)
             t_i: dict[Coweight, GroupRingElem] = {}
 
             def t_i_monomial(x: Coweight) -> GroupRingElem:
@@ -223,7 +222,7 @@ def verify_bernstein(eps: HeckeCharacter, mus, nus, mutate: str | None = None) -
             for mu in mus:
                 smu = reflect(rs, i, mu)
                 difference = GroupRingElem.monomial(smu) - GroupRingElem.monomial(mu)
-                correction = exact_div(difference, denom).scale_q(correction_scale)
+                correction = divide_by_binomials(difference, [neg_av], 0).scale_q(correction_scale)
                 for nu in nus:
                     lhs = t_i_monomial(add_coweights(mu, nu))
                     rhs = t_i_monomial(nu).translated(smu) + correction.translated(nu)

@@ -1,7 +1,7 @@
 import pytest
 
 from heckemod import formulas, operators
-from heckemod.algebra import GroupRingElem, divide_by_binomial, grsum, multiply_binomials, weyl_act
+from heckemod.algebra import GroupRingElem, divide_by_binomials, grsum, multiply_binomials, weyl_act
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonDominant, NonReducedWord, WrongFamily
 from heckemod.formulas import (
@@ -188,10 +188,7 @@ def common_denominator_macdonald(rs, lam):
     num = multiply_binomials(GroupRingElem.monomial(lam), coroots, 1)
     num_bar = multiply_binomials(num, [negate_coweight(av) for av in coroots], 0)
     out = grsum(rs.rank, (weyl_act(w, num_bar) for w in weyl_group(rs).elements))
-    for root in rs.positive_roots:
-        av = rs.coroot_of[root]
-        out = divide_by_binomial(divide_by_binomial(out, av), negate_coweight(av))
-    return out
+    return divide_by_binomials(out, [v for av in coroots for v in (av, negate_coweight(av))], 0)
 
 
 @pytest.mark.parametrize("name", ["B2", "G2", "B3"])

@@ -13,9 +13,9 @@ outside it, exponents on walls (which contribute 0) and conjugate monomials
 whose signs cancel or add. The same way, with the simple reflections
 read off the Cartan matrix, sympy checks the generator action ``t_act`` (the
 eigenvalue -1 or q of each character is the one input taken from heckemod),
-the Demazure operator and the binomial division ``divide_by_binomial``,
-which must raise ``NotDivisible`` exactly when the cancelled quotient keeps a
-denominator other than a monomial. Last, sympy forms Macdonald's spherical
+the Demazure operator and the binomial division ``divide_by_binomials`` by
+1 - q^k x^v, which must raise ``NotDivisible`` exactly when the cancelled
+quotient keeps a denominator other than a monomial. Last, sympy forms Macdonald's spherical
 sum sum_w w(x^lambda prod_{a>0} (1 - q x^{a^vee}) / (1 - x^{a^vee})) literally
 over the same Weyl matrices, clears it of the denominator prod over all
 coroots of (1 - x^b), and ``macdonald``, which composes Demazure operators
@@ -28,7 +28,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from heckemod.algebra import GroupRingElem, divide_by_binomial  # noqa: E402
+from heckemod.algebra import GroupRingElem, divide_by_binomials  # noqa: E402
 from heckemod.characters import characters  # noqa: E402
 from heckemod.errors import NotDivisible  # noqa: E402
 from heckemod.formulas import macdonald  # noqa: E402
@@ -243,28 +243,29 @@ def test_divide_by_binomial_matches_sympy(name):
     rng = random.Random(f"binomial-{name}")
     columns = [simple_coroot(cartan, i) for i in range(rank)]
     exponents = columns + [[-c for c in col] for col in columns] + [[sum(r) for r in cartan]]
-    seen = {"divisible": 0, "not divisible": 0}
-    for v in map(tuple, exponents):
-        binomial = 1 - monomial(xs, v)
-        for _ in range(3):
-            g = random_terms(rng, rank)
-            # f = g (1 - pi^v), multiplied out by hand
-            product = dict(g)
-            for (mu, e), c in g.items():
-                key = (tuple(m + d for m, d in zip(mu, v)), e)
-                product[key] = product.get(key, 0) - c
-            for terms in ({k: c for k, c in product.items() if c}, random_terms(rng, rank)):
-                quotient = sympy.cancel(terms_to_sympy(terms, xs, q) / binomial)
-                _, den = sympy.fraction(quotient)
-                f = element_of(terms, rank)
-                if sympy.Poly(den, *xs, q).is_monomial:
-                    seen["divisible"] += 1
-                    got = divide_by_binomial(f, v)
-                    assert sympy.expand(quotient - to_sympy(got, xs, q)) == 0, (name, v, terms)
-                else:
-                    seen["not divisible"] += 1
-                    with pytest.raises(NotDivisible):
-                        divide_by_binomial(f, v)
+    seen = {(k, branch): 0 for k in (0, -1, 1) for branch in ("divisible", "not divisible")}
+    for k in (0, -1, 1):
+        for v in map(tuple, exponents):
+            binomial = 1 - q**k * monomial(xs, v)
+            for _ in range(3):
+                g = random_terms(rng, rank)
+                # f = g (1 - q^k pi^v), multiplied out by hand
+                product = dict(g)
+                for (mu, e), c in g.items():
+                    key = (tuple(m + d for m, d in zip(mu, v)), e + k)
+                    product[key] = product.get(key, 0) - c
+                for terms in ({key: c for key, c in product.items() if c}, random_terms(rng, rank)):
+                    quotient = sympy.cancel(terms_to_sympy(terms, xs, q) / binomial)
+                    _, den = sympy.fraction(quotient)
+                    f = element_of(terms, rank)
+                    if sympy.Poly(den, *xs, q).is_monomial:
+                        seen[k, "divisible"] += 1
+                        got = divide_by_binomials(f, [v], k)
+                        assert sympy.expand(quotient - to_sympy(got, xs, q)) == 0, (name, k, v, terms)
+                    else:
+                        seen[k, "not divisible"] += 1
+                        with pytest.raises(NotDivisible):
+                            divide_by_binomials(f, [v], k)
     assert min(seen.values()) > 0, seen
 
 

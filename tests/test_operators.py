@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod import algebra, operators, root_system
-from heckemod.algebra import GroupRingElem, divide_by_binomial, exact_div, grsum, multiply_binomials
+from heckemod.algebra import GroupRingElem, divide_by_binomials, exact_div, grsum, multiply_binomials
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.formulas import (
@@ -26,7 +26,6 @@ from heckemod.operators import (
     demazure,
     demazure_word,
     fraktur_t,
-    fraktur_word,
     intertwiner_op,
     omega_apply,
     s_image,
@@ -166,14 +165,16 @@ def random_poly(rng, rank, terms=3):
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "B3"])
 def test_sum_fraktur_matches_per_element_composition(name):
-    # oracle: compose frak_t along each stored reduced word separately, with
-    # no parabolic factorization
+    # oracle: pi^{rho_eps} T_w pi^{-rho_eps} along each stored reduced word
+    # separately, with no parabolic factorization
     rs = build_root_system(name)
     g = weyl_group(rs)
     rng = random.Random(f"sum-fraktur-{name}")
     for eps in characters(rs):
+        shift = eps.rho_eps
         for f in (GroupRingElem.monomial((1, -1) + (0,) * (rs.rank - 2)), random_poly(rng, rs.rank)):
-            naive = grsum(rs.rank, (fraktur_word(eps, w.word, f) for w in g.elements))
+            inner = f.translated(negate_coweight(shift))
+            naive = grsum(rs.rank, (t_word(eps, w.word, inner).translated(shift) for w in g.elements))
             assert sum_fraktur(eps, f) == naive
 
 
@@ -297,7 +298,7 @@ def test_dominant_character_fill_walks_no_weyl_group(name, monkeypatch):
         raise AssertionError("the dominant-character fill walked W or divided")
 
     for module, attr in [(operators, "alternator"), (operators, "divide_by_weyl_denominator"),
-                         (operators, "divide_by_binomial"), (algebra, "divide_by_binomial"),
+                         (operators, "divide_by_binomials"), (algebra, "divide_by_binomials"),
                          (operators, "demazure"), (operators, "demazure_word"),
                          (operators, "weyl_group"), (root_system, "weyl_group")]:
         monkeypatch.setattr(module, attr, refuse)
@@ -440,20 +441,20 @@ def _assert_untouched(f, before, result):
 def test_t_act_and_demazure_match_their_quotients(name, data):
     # T_i f = eps f^{s_i} + (1 - q) (f^{s_i} - f) / (1 - pi^{-a^vee}) and
     # d_i f = (f^{s_i} - pi^{-a^vee} f) / (1 - pi^{-a^vee}), each division
-    # by divide_by_binomial.
+    # by divide_by_binomials.
     rs = build_root_system(name)
     f = data.draw(kernel_inputs(rs))
     before = {k: dict(v) for k, v in f.coeffs.items()}
     for i in range(rs.rank):
         neg_av = negate_coweight(rs.simple_coroots[i])
         fs = s_image(rs, i, f)
-        quot = divide_by_binomial(fs - f, neg_av)
+        quot = divide_by_binomials(fs - f, [neg_av], 0)
         for eps in _acting_characters(rs):
             got = t_act(eps, i, f)
             assert got == fs.scale_q(eps.eigenvalues[i]) + quot.scale_q({0: 1, 1: -1})
             _assert_untouched(f, before, got)
         got = demazure(rs, i, f)
-        assert got == divide_by_binomial(fs - f.translated(neg_av), neg_av)
+        assert got == divide_by_binomials(fs - f.translated(neg_av), [neg_av], 0)
         _assert_untouched(f, before, got)
 
 
@@ -578,7 +579,7 @@ def test_no_operation_writes_into_its_operands():
         (demazure_word, rs, weyl_group(rs).longest.word, f),
         (multiply_binomials, f, [rs.coroot_of[r] for r in rs.positive_roots], 1),
         (omega_apply, rs, f),
-        (divide_by_binomial, divisible, v),
+        (divide_by_binomials, divisible, [v], 0),
         (grsum, rs.rank, [f, g, f]),
         (GroupRingElem.translated, f, (1, -1)),
         (s_image, rs, 0, f),

@@ -5,7 +5,7 @@ from functools import cache
 
 import pytest
 
-from heckemod import cli, operators, root_system, verify
+from heckemod import algebra, cli, operators, root_system, verify
 from heckemod.algebra import GroupRingElem, exact_div
 from heckemod.characters import character_by_name, characters
 from heckemod.operators import s_image, sum_fraktur, t_act, t_word
@@ -34,14 +34,22 @@ def test_suite_passes_on_small_types(suite):
 
 
 def test_no_generic_ring_product_on_any_path(monkeypatch, capsys):
-    # Every product by binomials 1 - q^k pi^v goes through multiply_binomials;
-    # the generic product is the tests' reference only.
-    def forbidden(self, other):
-        raise AssertionError("GroupRingElem.__mul__ called")
+    # Every product by binomials 1 - q^k pi^v goes through multiply_binomials
+    # and every quotient through divide_by_binomials; the generic product and
+    # exact_div are the tests' reference routes only.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generic product or division called")
 
+    binding = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "heckemod"
+                     and getattr(module, "exact_div", None) is algebra.exact_div)
+    assert binding == ["heckemod", "heckemod.algebra"]
+    for name in binding:
+        monkeypatch.setattr(sys.modules[name], "exact_div", forbidden)
     monkeypatch.setattr(GroupRingElem, "__mul__", forbidden)
     with pytest.raises(AssertionError):
-        GroupRingElem.one(1) * GroupRingElem.one(1)  # the patch does bite
+        GroupRingElem.one(1) * GroupRingElem.one(1)  # the patches do bite
+    with pytest.raises(AssertionError):
+        algebra.RationalElem(GroupRingElem.one(1), GroupRingElem.one(1)).clear()
     for suite in SUITES:
         for type_name in ("A1", "B2"):
             for r in run_suite(suite, type_name, radius=1, cap=30):
@@ -132,7 +140,8 @@ def _braid_by_words(eps, monomials, mutate):
 
 
 def _bernstein_per_pair(eps, mus, nus, mutate):
-    """Bernstein computing both sides' T_{s_i} afresh for every (mu, nu)."""
+    """Bernstein computing both sides' T_{s_i} afresh for every (mu, nu), and
+    its correction by the generic exact_div rather than the binomial kernel."""
     rs = eps.root_system
     correction_scale = {0: -1, 1: 1} if mutate == "flip-correction-sign" else {0: 1, 1: -1}
     for i in range(rs.rank):
