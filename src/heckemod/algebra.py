@@ -13,9 +13,11 @@ Each coordinate owns a 20-bit field, coordinate 0 the highest. The low 18
 bits hold mu_i + 2^17 and the top two are guard bits, zero in every stored
 key. So the packing bound is -2^17 <= mu_i < 2^17 (:data:`COORD_BOUND`); on it
 the packing is injective, and integer order is the lexicographic order of the
-tuples, which ``to_str`` and ``to_json_obj`` sort on. A translation by v adds
-the integer :func:`pack_step` (v), mu_i is a shift and a mask, and
-s_i mu = mu - mu_i alpha_i^vee is ``x - mu_i * pack_step(alpha_i^vee)``.
+tuples, which ``to_str``, ``to_json_obj`` and ``to_json_text`` sort on (the
+JSON writer ``to_json_text`` reads each coordinate straight off the packed
+key, without building the records). A translation by v adds the integer
+:func:`pack_step` (v), mu_i is a shift and a mask, and s_i mu =
+mu - mu_i alpha_i^vee is ``x - mu_i * pack_step(alpha_i^vee)``.
 
 Why the bound holds. :func:`pack` raises :class:`CoweightOutOfRange` on a
 coordinate outside the bound, and the constructor and ``monomial`` pack
@@ -267,6 +269,11 @@ class GroupRingElem:
     :class:`CoweightOutOfRange` outside the packing bound;
     :func:`from_packed` wraps a map whose keys are packed already.
 
+    An element writes itself: ``to_str`` is its text form, ``to_json_obj``
+    its JSON records (the reference), and ``to_json_text`` the indented JSON
+    text of those records, written from the packed keys; the CLI puts
+    elements in its rows and writes them with ``to_json_text``.
+
     Instances are immutable by convention: every operation returns a new
     element and never writes into the coefficient maps of its operands. The
     q-coefficient maps themselves may be shared, within one result and
@@ -429,6 +436,25 @@ class GroupRingElem:
             }
             for k in sorted(self.packed)
         ]
+
+    def to_json_text(self, newline: str = "\n") -> str:
+        """``json.dumps(self.to_json_obj(), sort_keys=True, indent=2)``, byte
+        for byte, written in one pass over the packed keys; ``newline`` is a
+        line break and the indentation of the level the records sit at."""
+        if not self.packed:
+            return "[]"
+        n1 = newline + "  "
+        n2, n3, n4 = n1 + "  ", n1 + "    ", n1 + "      "
+        term = "[" + n4 + "%d," + n4 + '"%s"' + n3 + "]"
+        record = ("{" + n2 + '"coeff": [' + n3 + "%s" + n2 + "]," + n2 + '"coweight": ['
+                  + n3 + ("," + n3).join(["%d"] * self.rank) + n2 + "]" + n1 + "}")
+        sep, shifts, packed = "," + n3, packing(self.rank).shifts, self.packed
+        records = [
+            record % (sep.join([term % ec for ec in sorted(packed[k].items())]),
+                      *[((k >> s) & VALUE_MASK) - COORD_BOUND for s in shifts])
+            for k in sorted(packed)
+        ]
+        return "[" + n1 + ("," + n1).join(records) + newline + "]"
 
     def __repr__(self) -> str:
         return f"GroupRingElem({self.to_str()})"

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .algebra import COORD_BOUND, qd_str
+from .algebra import COORD_BOUND, GroupRingElem, qd_str
 from .characters import character_by_name, characters
 from .errors import HeckemodError, InvalidCartanType, InvalidCharacter
 from .formulas import (
@@ -56,14 +56,14 @@ PARSE_ERROR, DOMAIN_ERROR, IO_ERROR = 2, 3, 4
 def _casselman_shalika(rs, eps, lam, word):
     pair = casselman_shalika(rs, lam)
     theorem = pair.theorem_form
-    return pair.closed_form, {"theorem_form": theorem.to_json_obj()}, lambda: [f"theorem_form: {theorem.to_str()}"]
+    return pair.closed_form, {"theorem_form": theorem}, lambda: [f"theorem_form: {theorem.to_str()}"]
 
 
 def _shalika(rs, eps, lam, word):
     forms = shalika(rs, lam)
     rewritten = forms.rewritten_form
     agree = forms.theorem_form == rewritten
-    fields = {"rewritten_form": rewritten.to_json_obj(), "forms_agree": agree}
+    fields = {"rewritten_form": rewritten, "forms_agree": agree}
     return forms.theorem_form, fields, lambda: [f"rewritten_form: {rewritten.to_str()}", f"forms_agree: {agree}"]
 
 
@@ -71,7 +71,7 @@ def _bessel_value(rs, eps, lam, word):
     report = bessel_value(rs)
     ratio = report.unit_ratio
     fields = {
-        "quoted_product": report.quoted_product.to_json_obj(),
+        "quoted_product": report.quoted_product,
         "quoted_product_str": report.quoted_product.to_str(),
         "unit_ratio_to_quoted": list(ratio[:2]) + [list(ratio[2])] if ratio is not None else None,
         "q_form_cofactor": report.q_form_cofactor.to_str(),
@@ -161,7 +161,8 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
 def _evaluate_formula(type_name: str, formula: str, character: str | None,
                       lam: tuple[int, ...] | None, word_text: str | None) -> tuple[dict, Callable]:
     """One formula evaluation; returns the row dict used by eval and table,
-    and the formula's ``lines`` callable (:class:`Formula`)."""
+    and the formula's ``lines`` callable (:class:`Formula`). The row holds
+    ring elements themselves, which :func:`_json_text` writes as records."""
     rs = build_root_system(type_name)
     needs_char, _, implied = FORMULAS[formula][:3]
     char_name = character if needs_char else (implied or "-")
@@ -174,7 +175,7 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
         "lambda": list(lam) if lam is not None else [],
         "formula": formula,
         "value": value.to_str(),
-        "value_records": value.to_json_obj(),
+        "value_records": value,
     }
     row.update(extra)
     return row, lines
@@ -184,13 +185,17 @@ def _json_text(obj, newline: str = "\n") -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
     string-keyed documents. With ``indent`` set, ``json`` runs its pure-Python
     encoder; here each list and dict is one join and strings go through the C
-    string encoder. Scalars other than ``str`` and ``int`` go to
-    ``json.dumps``. ``newline`` is a line break and the indentation of the
-    level ``obj`` sits at."""
+    string encoder. A :class:`GroupRingElem` writes itself: it stands for its
+    ``to_json_obj()`` records, which ``to_json_text`` writes straight from its
+    packed keys. Scalars other than ``str`` and ``int`` go to ``json.dumps``.
+    ``newline`` is a line break and the indentation of the level ``obj`` sits
+    at."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, int) and not isinstance(obj, bool):
         return int.__repr__(obj)
+    if isinstance(obj, GroupRingElem):
+        return obj.to_json_text(newline)
     inner = newline + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -348,19 +353,21 @@ def cmd_table(args) -> int:
     rows = _run_tasks(_table_row, tasks, args.jobs)
     rows.sort(key=lambda r: (r["type"], r["character"], r["lambda"], r["formula"]))
 
+    # Both texts are built before either file is written, so a failure while
+    # building one leaves neither file behind.
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["type", "character", "lambda", "formula", "value"])
+    for r in rows:
+        writer.writerow([r["type"], r["character"], ",".join(map(str, r["lambda"])), r["formula"], r["value"]])
+    json_text = _json_text(rows) + "\n"
+
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, f"table_{args.type}")
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["type", "character", "lambda", "formula", "value"])
-        for r in rows:
-            writer.writerow(
-                [r["type"], r["character"], ",".join(map(str, r["lambda"])), r["formula"], r["value"]]
-            )
         _atomic_write(base + ".csv", buf.getvalue())
-        _atomic_write(base + ".json", _json_text(rows) + "\n")
+        _atomic_write(base + ".json", json_text)
     except OSError as exc:
         raise DomainExit(IO_ERROR, f"cannot write table: {exc}")
     print(f"wrote {base}.csv and {base}.json ({len(rows)} rows)")

@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckemod.cli import _json_text, main
+from heckemod.algebra import COORD_BOUND, GroupRingElem, specialize_q
+from heckemod.cli import FORMULAS, _json_text, main
 
 
 def run_cli(capsys, *argv):
@@ -164,17 +166,44 @@ def test_table_counts_and_determinism(tmp_path, capsys):
 
 
 _JSON_TEXT = st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud7ff\udc00\U0001f600')
+# Ring elements of rank 1-4 with coordinates up to the packing bound, and
+# coefficients past 2^64 of both signs at negative q-exponents; an empty term
+# map is the zero element.
+_COORD = st.integers(-COORD_BOUND, COORD_BOUND - 1) | st.sampled_from([-COORD_BOUND, COORD_BOUND - 1])
+_COEFF = st.integers(-(2**80), 2**80).filter(bool) | st.sampled_from([2**64 + 1, -(2**64) - 1])
+_ELEMENTS = st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[_COORD] * n), st.dictionaries(st.integers(-6, 6), _COEFF, min_size=1, max_size=4), max_size=4,
+).map(lambda terms: GroupRingElem(n, terms)))
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT,
+    st.none() | st.booleans() | st.integers() | st.floats() | _JSON_TEXT | _ELEMENTS,
     lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(_JSON_TEXT, inner),
     max_leaves=40,
 )
+# An element as eval's value, in a row, and in a table of rows.
+_ROWS = st.builds(lambda row, f: {**row, "value_records": f},
+                  st.dictionaries(_JSON_TEXT, _JSON_TEXT | st.integers() | st.lists(st.integers()) | _ELEMENTS,
+                                  max_size=4),
+                  _ELEMENTS)
+_DOCUMENTS = _JSON_VALUES | _ELEMENTS | _ROWS | st.lists(_ROWS, max_size=3)
+
+
+def _records(value):
+    """The document json.dumps sees: each ring element as its records."""
+    if isinstance(value, GroupRingElem):
+        return value.to_json_obj()
+    if isinstance(value, dict):
+        return {k: _records(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_records(v) for v in value]
+    return value
 
 
 @settings(max_examples=150, deadline=None)
-@given(_JSON_VALUES)
+@given(_DOCUMENTS)
+@example([{"value_records": specialize_q(
+    GroupRingElem(2, {(1, -1): {-2: 3, 1: -1}, (0, 0): {0: 1, 3: 2**70}}), Fraction(1, 2))}])
 def test_json_text_is_json_dumps_indent_2(value):
-    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+    assert _json_text(value) == json.dumps(_records(value), sort_keys=True, indent=2)
 
 
 def test_table_json_is_json_dumps_indent_2(tmp_path, capsys):
@@ -198,12 +227,56 @@ def test_table_rows_scale_with_characters(tmp_path, capsys):
 
 
 def test_table_jobs_parallelism_is_deterministic(tmp_path, capsys):
-    seq = tmp_path / "seq"
-    par = tmp_path / "par"
-    run_cli(capsys, "table", "--type", "A1", "--height", "2", "--out", str(seq))
-    run_cli(capsys, "table", "--type", "A1", "--height", "2", "--out", str(par), "--jobs", "2")
-    assert (seq / "table_A1.csv").read_bytes() == (par / "table_A1.csv").read_bytes()
-    assert (seq / "table_A1.json").read_bytes() == (par / "table_A1.json").read_bytes()
+    # The B2 rows carry ring elements besides the value (theorem_form,
+    # rewritten_form, quoted_product), pickled back from the workers.
+    for type_name, formulas in (("A1", ()),
+                                ("B2", ("--formulas", "casselman-shalika,shalika,bessel-value,macdonald"))):
+        seq = tmp_path / type_name / "seq"
+        par = tmp_path / type_name / "par"
+        for out, jobs in ((seq, "1"), (par, "2")):
+            code, _, _ = run_cli(capsys, "table", "--type", type_name, "--height", "2", *formulas,
+                                 "--out", str(out), "--jobs", jobs)
+            assert code == 0
+        for suffix in (".csv", ".json"):
+            name = f"table_{type_name}{suffix}"
+            assert (seq / name).read_bytes() == (par / name).read_bytes(), name
+
+
+def test_table_json_failure_writes_no_csv(tmp_path, capsys, monkeypatch):
+    # Both texts are built before either file is written.
+    import heckemod.cli as cli
+
+    def broken(obj, newline="\n"):
+        raise RuntimeError("json writer broke")
+
+    monkeypatch.setattr(cli, "_json_text", broken)
+    with pytest.raises(RuntimeError, match="json writer broke"):
+        main(["table", "--type", "A1", "--height", "1", "--out", str(tmp_path / "tables")])
+    assert not list(tmp_path.glob("**/table_*"))
+
+
+def test_no_record_tree_on_any_cli_path(tmp_path, capsys, monkeypatch):
+    # Every table and eval JSON writes ring elements from their packed keys;
+    # to_json_obj stays the tests' reference for those records.
+    def refuse(self):
+        raise AssertionError("to_json_obj on a CLI path")
+
+    monkeypatch.setattr(GroupRingElem, "to_json_obj", refuse)
+    code, _, err = run_cli(capsys, "table", "--type", "B2", "--height", "1", "--out", str(tmp_path),
+                           "--formulas", "macdonald,casselman-shalika,shalika,bessel-value")
+    assert (code, err) == (0, "")
+    for formula, entry in FORMULAS.items():
+        type_name, lam = ("A1", "1") if formula == "theorem-lhs" else ("B2", "1,1")
+        argv = ["eval", "--type", type_name, "--formula", formula, "--output", "json"]
+        if entry.needs_character:
+            argv += ["--character", "sign"]
+        if entry.needs_lambda:
+            argv += ["--lambda", lam]
+        if formula == "iwahori-image":
+            argv += ["--word", "1,2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), formula
+        assert json.loads(out)["formula"] == formula
 
 
 def test_table_output_dir_env(tmp_path, capsys, monkeypatch):
