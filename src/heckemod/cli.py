@@ -306,16 +306,33 @@ def _table_row(args):
     return row
 
 
-def _atomic_write(path: str, data: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-heckemod-")
+def _atomic_write(files: dict[str, str]) -> None:
+    """Write each ``path: text`` of ``files``, or stop before renaming any.
+
+    Each text goes to a temp file beside its path, with the mode 0o666 less
+    the umask that a plain ``open`` gives. Only once all are written, and no
+    path is held by anything but a regular file, are they renamed into place."""
+    umask = os.umask(0)
+    os.umask(umask)
+    temps: dict[str, str] = {}
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            fd, temps[path] = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-heckemod-")
+            with os.fdopen(fd, "w") as handle:
+                os.chmod(temps[path], 0o666 & ~umask)
+                # In slices: encoding the whole text at once takes a second
+                # block as large as the text (4 MB for a B3 height-3 JSON).
+                for start in range(0, len(data), 1 << 16):
+                    handle.write(data[start:start + (1 << 16)])
+        for path in files:
+            if os.path.exists(path) and not os.path.isfile(path):
+                raise OSError(f"{path} exists and is not a regular file")
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -366,8 +383,7 @@ def cmd_table(args) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, f"table_{args.type}")
-        _atomic_write(base + ".csv", buf.getvalue())
-        _atomic_write(base + ".json", json_text)
+        _atomic_write({base + ".csv": buf.getvalue(), base + ".json": json_text})
     except OSError as exc:
         raise DomainExit(IO_ERROR, f"cannot write table: {exc}")
     print(f"wrote {base}.csv and {base}.json ({len(rows)} rows)")

@@ -31,6 +31,7 @@ as a separate factor so any other convention is a post-multiplication.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .algebra import GroupRingElem, QDict, divide_by_binomials, multiply_binomials
 from .characters import HeckeCharacter, character_by_name
@@ -275,14 +276,4 @@ def poincare_polynomial(rs: RootSystem) -> GroupRingElem:
 
 def dominant_coweights_up_to_height(rs: RootSystem, height: int) -> list[Coweight]:
     """All dominant coweights with coordinate sum at most ``height``, lex order."""
-    out: list[Coweight] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int) -> None:
-        if len(prefix) == rs.rank:
-            out.append(prefix)
-            return
-        for c in range(remaining + 1):
-            rec(prefix + (c,), remaining - c)
-
-    rec((), height)
-    return sorted(out)
+    return [lam for lam in product(range(height + 1), repeat=rs.rank) if sum(lam) <= height]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import groupby
 from itertools import product as iproduct
 from typing import Callable, NamedTuple
 
@@ -147,9 +148,17 @@ def verify_quadratic(eps: HeckeCharacter, monomials, mutate: str | None = None) 
 def verify_braid(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """T_w is the same along all reduced words of every Weyl element.
 
-    Each reduced word's operator is one T_i on top of its parent's in the
-    tree of all reduced words, and is compared with the element's reference
-    T_{words[0]} f, itself one T_i on top of a shorter element's reference."""
+    The elements x = w(rho) come in ShortLex order of their least reduced
+    word, words[0], and R_x = T_{words[0]} f is T_i R_{s_i x} with
+    i = words[0][0]. Each other word (i,) + rest of x is checked as
+    T_i R_{s_i x} = R_x. By induction on length this covers the whole word:
+    rest is a reduced word of the shorter s_i x, all of whose words gave
+    R_{s_i x} before x came up (the word property; Matsumoto 1964,
+    Bjorner-Brenti, Combinatorics of Coxeter Groups, 3.3). One memo per
+    monomial holds R^c_x under a character c, and each T_i R^c_{s_i x} is
+    computed once. The control's word side acts by another character, which
+    satisfies the braid relations too, so its checks fail where a check of
+    every word's full T_w f would."""
     rs = eps.root_system
     require_walkable(rs)
     acting = eps
@@ -158,44 +167,34 @@ def verify_braid(eps: HeckeCharacter, monomials, mutate: str | None = None) -> V
 
     @cache
     def reduced_words(x: Coweight) -> list[tuple[int, ...]]:
-        """Every reduced word of the w with w(rho) = x, by its left descents,
-        the negative coordinates of x."""
+        """Every reduced word of the w with w(rho) = x in lex order, by its
+        left descents, the negative coordinates of x."""
         if min(x) > 0:
             return [()]
         return [(i,) + rest for i, c in enumerate(x) if c < 0 for rest in reduced_words(reflect(rs, i, x))]
 
     def cases():
-        # Each w in ShortLex order of its least reduced word, words[0], which
-        # is the order in which BFS enumerates W.
         points = sorted(orbit(rs, rho(rs)), key=lambda x: (len(reduced_words(x)[0]), reduced_words(x)[0]))
         for mu in monomials:
             f = GroupRingElem.monomial(mu)
-            # R_x = T_{words[0]} f under eps: words[0] without its first letter
-            # i is the least word of s_i x, so R_x = T_i R_{s_i x}.
-            references = {rho(rs): f}
 
-            def reference(x: Coweight) -> GroupRingElem:
-                if x not in references:
-                    i = reduced_words(x)[0][0]
-                    references[x] = t_act(eps, i, reference(reflect(rs, i, x)))
-                return references[x]
+            @cache
+            def reference(c: HeckeCharacter, x: Coweight) -> GroupRingElem:
+                """R^c_x, T_w f under c along x's least word."""
+                return f if min(x) > 0 else step(c, x, reduced_words(x)[0][0])
 
-            holds: dict[tuple[Coweight, tuple[int, ...]], bool] = {}
+            def step(c: HeckeCharacter, x: Coweight, i: int) -> GroupRingElem:
+                """T_i R^c_{s_i x}."""
+                return t_act(c, i, reference(c, reflect(rs, i, x)))
 
-            def walk(word: tuple[int, ...], x: Coweight, value: GroupRingElem) -> None:
-                # (i,) + word is reduced iff x[i] > 0, as in require_reduced.
-                if len(reduced_words(x)) > 1:
-                    holds[x, word] = value == reference(x)
-                for i, c in enumerate(x):
-                    if c > 0:
-                        walk((i,) + word, reflect(rs, i, x), t_act(acting, i, value))
-
-            walk((), rho(rs), f)
             for x in points:
                 words = reduced_words(x)
-                for word in words[1:]:
-                    yield holds[x, word], lambda: {
-                        "w": [i + 1 for i in words[0]], "word": [i + 1 for i in word], "mu": list(mu)}
+                # The words with one first letter i are adjacent and share T_i R_{s_i x}.
+                for i, group in groupby(words[1:], key=lambda word: word[0]):
+                    side = reference(acting, x) if i == words[0][0] else step(acting, x, i)
+                    for word in group:
+                        yield side == reference(eps, x), lambda: {
+                            "w": [j + 1 for j in words[0]], "word": [j + 1 for j in word], "mu": list(mu)}
 
     return _checks("braid", rs, eps.name, cases())
 

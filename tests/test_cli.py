@@ -255,6 +255,29 @@ def test_table_json_failure_writes_no_csv(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.glob("**/table_*"))
 
 
+def test_table_onto_a_directory_renames_neither_file(tmp_path, capsys):
+    # Both temp files are written and both targets checked before either
+    # rename, so the directory named like the JSON stops the CSV too.
+    (tmp_path / "table_A1.json").mkdir()
+    code, out, err = run_cli(capsys, "table", "--type", "A1", "--height", "1", "--out", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert "is not a regular file" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table_A1.json"]
+    assert not list((tmp_path / "table_A1.json").iterdir())
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_table_files_take_their_mode_from_the_umask(tmp_path, capsys, umask, mode):
+    old = os.umask(umask)
+    try:
+        code, _, _ = run_cli(capsys, "table", "--type", "A1", "--height", "1", "--out", str(tmp_path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()} == {
+        "table_A1.csv": mode, "table_A1.json": mode}
+
+
 def test_no_record_tree_on_any_cli_path(tmp_path, capsys, monkeypatch):
     # Every table and eval JSON writes ring elements from their packed keys;
     # to_json_obj stays the tests' reference for those records.

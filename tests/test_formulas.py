@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from heckemod import formulas, operators
@@ -317,3 +319,10 @@ def test_dominant_coweight_enumeration():
     b2 = build_root_system("B2")
     lams = dominant_coweights_up_to_height(b2, 2)
     assert lams == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    for type_name in ("A1", "B3", "F4"):
+        rs = build_root_system(type_name)
+        for height in range(5):
+            lams = dominant_coweights_up_to_height(rs, height)
+            assert lams == sorted(set(lams))
+            assert len(lams) == comb(height + rs.rank, rs.rank)  # the points of a simplex
+            assert all(min(lam) >= 0 and sum(lam) <= height for lam in lams)

@@ -158,8 +158,8 @@ def _bernstein_per_pair(eps, mus, nus, mutate):
 
 
 @pytest.mark.parametrize("type_name,mutate", [
-    *((t, None) for t in ("A2", "A3", "B2", "G2", "B3")),
-    *((t, "mismatched-character") for t in ("A3", "B2", "G2", "B3")),
+    *((t, None) for t in ("A2", "A3", "B2", "G2", "B3", "C3")),
+    *((t, "mismatched-character") for t in ("A3", "B2", "G2", "B3", "C3")),
 ])
 def test_braid_walk_matches_the_per_word_loop(type_name, mutate):
     rs = build_root_system(type_name)
@@ -181,11 +181,8 @@ def test_bernstein_memo_matches_the_per_pair_loop(type_name, mutate):
     assert all((witness is None) == (mutate is None) for _, witness in expected)
 
 
-@pytest.mark.parametrize("suite,calls", [("braid", 1992), ("bernstein", 1116)])
-def test_t_act_calls_on_b3(monkeypatch, suite, calls):
-    # Braid computes each reduced word's operator once, on top of its parent
-    # word's, and bernstein each T_{s_i} pi^x once: on B3 the per-word and
-    # per-pair loops made 10688 and 8640 calls.
+def _count_t_act(monkeypatch) -> list[int]:
+    """The list to which every t_act call of the verifiers appends its i."""
     counted = []
 
     def counting(eps, i, f):
@@ -193,8 +190,29 @@ def test_t_act_calls_on_b3(monkeypatch, suite, calls):
         return t_act(eps, i, f)
 
     monkeypatch.setattr(verify, "t_act", counting)
+    return counted
+
+
+@pytest.mark.parametrize("suite,calls", [("braid", 576), ("bernstein", 1116)])
+def test_t_act_calls_on_b3(monkeypatch, suite, calls):
+    # Braid computes T_i R_{s_i x} once for each element x and left descent
+    # i, 48 * 3 / 2 = 72 per monomial and character on B3, and bernstein
+    # each T_{s_i} pi^x once: the per-word and per-pair loops made 10688 and
+    # 8640 calls.
+    counted = _count_t_act(monkeypatch)
     assert all(r.passed for r in run_suite(suite, "B3"))
     assert len(counted) == calls
+
+
+def test_braid_control_stops_at_its_first_check_on_d4(monkeypatch):
+    # The control computes only what its first check reads, s_1 s_3 = s_3 s_1
+    # along one word under each character: 2 t_act calls per side, for each
+    # of the 2 characters.
+    counted = _count_t_act(monkeypatch)
+    results = run_suite("braid", "D4", mutate="mismatched-character")
+    assert [(r.checked, r.witness) for r in results] == [
+        (1, {"w": [1, 3], "word": [3, 1], "mu": [-1, -1, -1, -1]})] * 2
+    assert len(counted) == 8
 
 
 @pytest.mark.slow
