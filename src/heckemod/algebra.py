@@ -30,19 +30,19 @@ reaches only the fields above it), so one AND with the guard mask finds it
 and the operation raises rather than wraps. The kernels check only the keys
 that can leave the hull of their input:
 
-* the rank-one kernel of :mod:`heckemod.operators` checks s_i mu, once per
-  monomial. The points it writes lie on the alpha_i^vee-string from mu to
-  s_i mu, where each coordinate runs linearly between its two ends, so they
-  stay inside the W-orbit hull of the input's points;
-* ``s_image`` checks every image, ``translated`` and the generic product every
-  shifted key, and :func:`multiply_binomials` every key shifted by a factor; a
-  product by prod_{a>0} (1 - q^k pi^{a^vee}) shifts a point by at most |Phi+|
-  coroots;
+* the rank-one kernel :func:`rank_one` checks s_i mu, once per monomial. The
+  points it writes lie on the alpha_i^vee-string from mu to s_i mu, where
+  each coordinate runs linearly between its two ends, so they stay inside the
+  W-orbit hull of the input's points;
+* :func:`s_image` checks every image, ``translated`` and the generic product
+  every shifted key, and :func:`multiply_binomials` every key shifted by a
+  factor; a product by prod_{a>0} (1 - q^k pi^{a^vee}) shifts a point by at
+  most |Phi+| coroots;
 * :func:`divide_by_binomials` writes only between points of one v-string of
   its input, and ``grsum``, ``scale`` and the like keep their keys.
 
 ``coeffs`` is a tuple-keyed view built on each access, for callers outside
-the ring and operator layers; it holds the element's own q-coefficient maps.
+the ring layer; it holds the element's own q-coefficient maps.
 
 Products and quotients by binomials have one pair of kernels here:
 
@@ -54,8 +54,14 @@ Products and quotients by binomials have one pair of kernels here:
   sum does not close to zero raises :class:`NotDivisible`.
 
 The operators, formulas and verifiers form every such product and quotient
-through this pair; the rank-one operators divide nothing (their closed form is
-a string sum, see :mod:`heckemod.operators`).
+through this pair. The rank-one operators of :mod:`heckemod.operators` divide
+nothing: their kernel :func:`rank_one` writes G_i(f) = (f^{s_i} - f) /
+(1 - pi^{-a}), for a = alpha_i^vee and p = <alpha_i, mu> = mu_i, as a sum
+along the a-string from mu to s_i mu (Brubaker-Bump-Licata, arXiv:1111.4230):
+
+    G_i(pi^mu) = - sum_{j=0}^{p-1} pi^{mu - j a}   if p > 0,
+                 + sum_{j=1}^{-p}  pi^{mu + j a}   if p < 0,
+                   0                               if p = 0.
 
 The generic routes, :func:`exact_div` for any divisor (with
 :func:`qd_div_exact` on the coefficients) and the generic product
@@ -78,7 +84,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .errors import CoweightOutOfRange, NegativeQExponentAtZero, NotDivisible
-from .root_system import Coweight, WeylElement
+from .root_system import Coweight, RootSystem, WeylElement
 
 # A q-Laurent coefficient: {q_exponent: integer}, no zero values stored.
 QDict = dict[int, int]
@@ -578,6 +584,67 @@ def divide_by_binomials(f: GroupRingElem, vs, q_exp: int) -> GroupRingElem:
                 raise NotDivisible(f"no exact quotient by 1 - q^{q_exp} pi^{list(v)}")
         f = from_packed(f.rank, out)
     return f
+
+
+@cache
+def _simple_steps(rs: RootSystem) -> tuple[tuple[int, int, int], ...]:
+    """Per simple root i: the bit offset of coordinate i in a packed key, the
+    packed step of alpha_i^vee and the guard mask (module docstring)."""
+    layout = packing(rs.rank)
+    return tuple((layout.shifts[i], pack_step(a), layout.guard) for i, a in enumerate(rs.simple_coroots))
+
+
+def s_image(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
+    """f^{s_i}: relabel exponents by the simple reflection, x - mu[i] * a on
+    each packed key x."""
+    shift, step, guard = _simple_steps(rs)[i]
+    out = {x - (((x >> shift) & VALUE_MASK) - COORD_BOUND) * step: v for x, v in f.packed.items()}
+    check_key(reduce(or_, out, 0), guard)
+    return from_packed(f.rank, out)
+
+
+def rank_one(rs: RootSystem, i: int, f: GroupRingElem, flip: bool, scalar: QDict, along: QDict) -> GroupRingElem:
+    """scalar * f^{s_i} (or scalar * f, if not flip) + along * G_i(f), for
+    q-scalars scalar and along, in one pass over the monomials of f.
+
+    Per monomial c pi^mu, with p = mu[i] read off its packed key x: c * scalar
+    at s_i mu = x - p * a for a = pack_step(alpha_i^vee) (or at mu), and
+    c * along, negated when p > 0, at each of the |p| points of G_i(pi^mu)
+    (module docstring), one integer add apart. Every map in the output is
+    built here, so a point already present is summed into in place. s_i mu
+    bounds the string, so checking it covers every point written.
+    """
+    shift, step, guard = _simple_steps(rs)[i]
+    neg_along = qd_neg(along)
+    out: dict[int, QDict] = {}
+    get = out.get
+    reflected = 0
+    for x, qd in f.packed.items():
+        p = ((x >> shift) & VALUE_MASK) - COORD_BOUND
+        y = x - p * step
+        reflected |= y
+        add_term(out, y if flip else x, qd_mul(qd, scalar))
+        if p > 0:
+            c, d, point = qd_mul(qd, neg_along), -step, x
+        elif p < 0:
+            c, d, point = qd_mul(qd, along), step, x + step
+        else:
+            continue
+        for _ in range(abs(p)):
+            # add_term(out, point, c), inlined: this runs once per string point.
+            tgt = get(point)
+            if tgt is None:
+                out[point] = c.copy()
+            else:
+                for e, v in c.items():
+                    s = tgt.get(e, 0) + v
+                    if s:
+                        tgt[e] = s
+                    else:
+                        del tgt[e]
+            point += d
+    check_key(reflected, guard)
+    return from_packed(f.rank, {k: v for k, v in out.items() if v})
 
 
 def grsum(rank: int, terms) -> GroupRingElem:

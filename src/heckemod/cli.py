@@ -44,6 +44,8 @@ from .verify import (
     BOX_RADIUS_DEFAULT,
     DEFAULT_TYPES,
     _any_type,
+    _registered,
+    result_order,
     run_suite,
     suite_tasks,
 )
@@ -133,6 +135,13 @@ class DomainExit(Exception):
         self.code = code
 
 
+def _formula(name: str) -> Formula:
+    try:
+        return _registered(FORMULAS, name, "formula")
+    except ValueError as exc:
+        raise DomainExit(PARSE_ERROR, str(exc))
+
+
 def _parse_lambda(text: str, rank: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(c.strip()) for c in text.split(","))
@@ -209,12 +218,21 @@ def _json_text(obj, newline: str = "\n") -> str:
     return json.dumps(obj)
 
 
+def _csv_text(rows) -> str:
+    """The CSV text of eval and table rows: a header, then one line per row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["type", "character", "lambda", "formula", "value"])
+    writer.writerows([r["type"], r["character"], ",".join(map(str, r["lambda"])), r["formula"], r["value"]] for r in rows)
+    return buf.getvalue()
+
+
 # --- verify -----------------------------------------------------------------
 
 
 def _suite_task(args):
     suite, type_name, radius, cap, mutate = args
-    return [r.to_json_obj() for r in run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate)]
+    return run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate)
 
 
 def _require_at_least(args, minimums: dict[str, int]) -> None:
@@ -247,8 +265,7 @@ def cmd_verify(args) -> int:
         owning = f" and registers mutation {args.mutate!r}" if args.mutate is not None else ""
         raise DomainExit(PARSE_ERROR, f"nothing to verify: no selected suite applies to the selected types{owning}")
     chunks = _run_tasks(_suite_task, tasks, args.jobs)
-    results = [r for chunk in chunks for r in chunk]
-    results.sort(key=lambda r: (r["identity"], r["type"], r["character"] or ""))
+    results = [r.to_json_obj() for r in sorted((r for chunk in chunks for r in chunk), key=result_order)]
 
     ok = all(r["status"] == "pass" for r in results)
     if args.output == "json":
@@ -271,10 +288,8 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     formula = args.formula
-    if formula not in FORMULAS:
-        raise DomainExit(PARSE_ERROR, f"unknown formula {formula!r}; known: {sorted(FORMULAS)}")
+    entry = _formula(formula)
     rs = build_root_system(args.type)
-    entry = FORMULAS[formula]
     if entry.needs_character and args.character is None:
         raise DomainExit(PARSE_ERROR, f"formula {formula} requires --character")
     lam = None
@@ -286,11 +301,7 @@ def cmd_eval(args) -> int:
     if args.output == "json":
         print(_json_text(row))
     elif args.output == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["type", "character", "lambda", "formula", "value"])
-        writer.writerow([row["type"], row["character"], ",".join(map(str, row["lambda"])), row["formula"], row["value"]])
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(_csv_text([row]))
     else:
         print("\n".join([row["value"], *lines()]))
     return 0
@@ -302,8 +313,7 @@ def cmd_eval(args) -> int:
 def _table_row(args):
     type_name, char_name, lam, formula = args
     needs_char = FORMULAS[formula].needs_character
-    row, _ = _evaluate_formula(type_name, formula, char_name if needs_char else None, lam, "")
-    return row
+    return _evaluate_formula(type_name, formula, char_name if needs_char else None, lam, "")[0]
 
 
 def _atomic_write(files: dict[str, str]) -> None:
@@ -348,8 +358,7 @@ def cmd_table(args) -> int:
             character_by_name(rs, c)
     formulas = list(dict.fromkeys(f.strip() for f in args.formulas.split(",")))
     for f in formulas:
-        if f not in FORMULAS:
-            raise DomainExit(PARSE_ERROR, f"unknown formula {f!r}; known: {sorted(FORMULAS)}")
+        _formula(f)
         if f == "iwahori-image":
             raise DomainExit(PARSE_ERROR, "iwahori-image needs --word; use eval for it")
 
@@ -372,18 +381,14 @@ def cmd_table(args) -> int:
 
     # Both texts are built before either file is written, so a failure while
     # building one leaves neither file behind.
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["type", "character", "lambda", "formula", "value"])
-    for r in rows:
-        writer.writerow([r["type"], r["character"], ",".join(map(str, r["lambda"])), r["formula"], r["value"]])
+    csv_text = _csv_text(rows)
     json_text = _json_text(rows) + "\n"
 
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
         base = os.path.join(out_dir, f"table_{args.type}")
-        _atomic_write({base + ".csv": buf.getvalue(), base + ".json": json_text})
+        _atomic_write({base + ".csv": csv_text, base + ".json": json_text})
     except OSError as exc:
         raise DomainExit(IO_ERROR, f"cannot write table: {exc}")
     print(f"wrote {base}.csv and {base}.json ({len(rows)} rows)")

@@ -43,9 +43,9 @@ from .root_system import (
     add_coweights,
     dominant_conjugate,
     is_dominant,
+    longest_word,
     negate_coweight,
     orbit,
-    reduced_word,
     rho,
 )
 
@@ -95,8 +95,7 @@ def weyl_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
 def demazure_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     """chi_lambda by composing Demazure operators along w0, applied to pi^{w0 lambda}."""
     _require_dominant(lam, "demazure_character")
-    w0_word = reduced_word(rs, negate_coweight(rho(rs)))  # w0 maps rho to -rho
-    return demazure_word(rs, w0_word, GroupRingElem.monomial(_w0_image(rs, lam)))
+    return demazure_word(rs, longest_word(rs), GroupRingElem.monomial(_w0_image(rs, lam)))
 
 
 @dataclass
@@ -137,7 +136,7 @@ def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     """
     _require_dominant(lam, "macdonald")
     num = multiply_binomials(GroupRingElem.monomial(lam), rs.positive_coroots, 1)
-    return demazure_word(rs, reduced_word(rs, negate_coweight(rho(rs))), num)
+    return demazure_word(rs, longest_word(rs), num)
 
 
 @dataclass

@@ -16,26 +16,9 @@ satisfy 1 + frak_t_i = (1 - q pi^{alpha_i^vee}) d_i on the -1 classes and
 d_i (1 - q pi^{alpha_i^vee}) on the q classes; the verifiers in
 :mod:`heckemod.verify` machine-check these identities.
 
-Neither rank-one operator divides. On one monomial G_i is a geometric sum
-along the alpha_i^vee-string from mu to s_i mu (Brubaker-Bump-Licata,
-arXiv:1111.4230): with a = alpha_i^vee and p = <alpha_i, mu> = mu[i],
-
-    G_i(pi^mu) = - sum_{j=0}^{p-1} pi^{mu - j a}   if p > 0,
-                 + sum_{j=1}^{-p}  pi^{mu + j a}   if p < 0,
-                   0                               if p = 0.
-
-One private kernel, ``_rank_one``, computes c f^{s_i} + c' G_i(f) or
-c f + c' G_i(f) for q-scalars c and c' in one pass over the monomials of f,
-and both operators call it:
-T_{s_i} f = eps(T_{s_i}) f^{s_i} + (1 - q) G_i(f), and d_i f = f + G_i(f).
-It works on the packed keys of :mod:`heckemod.algebra`: mu[i] is a shift and
-a mask, s_i mu is x - mu[i] * a for the packed step a of alpha_i^vee, and a
-step along the string is one integer add. It checks each s_i mu against the
-packing bound; the string points lie between mu and s_i mu, so inside the
-W-orbit hull of the input. The root-system layer (``reflect``,
-``dominant_conjugate``, ``orbit``, the memo below) stays on tuples;
-:func:`omega_apply` unpacks each key once to straighten it and packs the
-orbit points it writes.
+Neither rank-one operator divides: T_{s_i} and d_i f = f + G_i(f) are one call
+each into the string-sum kernel :func:`heckemod.algebra.rank_one`, whose module
+holds the closed form of G_i and the packed keys it runs on.
 
 The one division left here, by the Weyl denominator's binomials 1 - pi^v,
 goes through :func:`heckemod.algebra.divide_by_binomials`, and the products by
@@ -78,12 +61,11 @@ spherical sum.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
-from operator import mul, or_, sub
+from functools import lru_cache
+from operator import mul, sub
 
-from .algebra import (COORD_BOUND, Q_ONE, VALUE_MASK, GroupRingElem, QDict, add_term, check_key,
-                      divide_by_binomials, from_packed, grsum, multiply_binomials, pack, pack_step, packing, qd_add,
-                      qd_mul, qd_neg, unpack, weyl_act)
+from .algebra import (Q_ONE, GroupRingElem, QDict, divide_by_binomials, grsum, multiply_binomials, qd_add, qd_neg,
+                      rank_one, weyl_act)
 from .characters import HeckeCharacter
 from .errors import NotDivisible
 from .root_system import (
@@ -103,72 +85,11 @@ from .root_system import (
 _ONE_MINUS_Q: QDict = {0: 1, 1: -1}
 
 
-@cache
-def _simple_steps(rs: RootSystem) -> tuple[tuple[int, int, int], ...]:
-    """Per simple root i: the bit offset of coordinate i in a packed key, the
-    packed step of alpha_i^vee and the guard mask (:mod:`heckemod.algebra`)."""
-    layout = packing(rs.rank)
-    return tuple((layout.shifts[i], pack_step(a), layout.guard) for i, a in enumerate(rs.simple_coroots))
-
-
-def s_image(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
-    """f^{s_i}: relabel exponents by the simple reflection, x - mu[i] * a on
-    each packed key x."""
-    shift, step, guard = _simple_steps(rs)[i]
-    out = {x - (((x >> shift) & VALUE_MASK) - COORD_BOUND) * step: v for x, v in f.packed.items()}
-    check_key(reduce(or_, out, 0), guard)
-    return from_packed(f.rank, out)
-
-
-def _rank_one(rs: RootSystem, i: int, f: GroupRingElem, flip: bool, scalar: QDict, along: QDict) -> GroupRingElem:
-    """scalar * f^{s_i} (or scalar * f, if not flip) + along * G_i(f), for
-    q-scalars scalar and along, in one pass over the monomials of f.
-
-    Per monomial c pi^mu, with p = mu[i] read off its packed key x: c * scalar
-    at s_i mu = x - p * a for a = pack_step(alpha_i^vee) (or at mu), and
-    c * along, negated when p > 0, at each of the |p| points of G_i(pi^mu)
-    (module docstring), one integer add apart. Every map in the output is
-    built here, so a point already present is summed into in place. s_i mu
-    bounds the string, so checking it covers every point written.
-    """
-    shift, step, guard = _simple_steps(rs)[i]
-    neg_along = qd_neg(along)
-    out: dict[int, QDict] = {}
-    get = out.get
-    reflected = 0
-    for x, qd in f.packed.items():
-        p = ((x >> shift) & VALUE_MASK) - COORD_BOUND
-        y = x - p * step
-        reflected |= y
-        add_term(out, y if flip else x, qd_mul(qd, scalar))
-        if p > 0:
-            c, d, point = qd_mul(qd, neg_along), -step, x
-        elif p < 0:
-            c, d, point = qd_mul(qd, along), step, x + step
-        else:
-            continue
-        for _ in range(abs(p)):
-            # add_term(out, point, c), inlined: this runs once per string point.
-            tgt = get(point)
-            if tgt is None:
-                out[point] = c.copy()
-            else:
-                for e, v in c.items():
-                    s = tgt.get(e, 0) + v
-                    if s:
-                        tgt[e] = s
-                    else:
-                        del tgt[e]
-            point += d
-    check_key(reflected, guard)
-    return from_packed(f.rank, {k: v for k, v in out.items() if v})
-
-
 def t_act(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingElem:
     """Left action of the generator T_{s_i} on f in the module of eps:
     eps(T_{s_i}) f^{s_i} + (1 - q) G_i(f), in one pass over the monomials of f
     with no division (module docstring)."""
-    return _rank_one(eps.root_system, i, f, True, eps.eigenvalues[i], _ONE_MINUS_Q)
+    return rank_one(eps.root_system, i, f, True, eps.eigenvalues[i], _ONE_MINUS_Q)
 
 
 def t_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
@@ -186,7 +107,7 @@ def t_word(eps: HeckeCharacter, word, f: GroupRingElem) -> GroupRingElem:
 def demazure(rs: RootSystem, i: int, f: GroupRingElem) -> GroupRingElem:
     """Demazure operator d_i f = f + G_i(f), in one pass over the monomials of
     f with no division (module docstring)."""
-    return _rank_one(rs, i, f, False, Q_ONE, Q_ONE)
+    return rank_one(rs, i, f, False, Q_ONE, Q_ONE)
 
 
 def demazure_word(rs: RootSystem, word, f: GroupRingElem) -> GroupRingElem:
@@ -330,8 +251,8 @@ def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
     # l(w0) is the number of positive roots.
     flip = len(rs.positive_roots) % 2
     by_lambda: dict[Coweight, QDict] = {}
-    for x, qd in f.packed.items():
-        straight = _straighten(rs, unpack(x, rs.rank))
+    for mu, qd in f.coeffs.items():
+        straight = _straighten(rs, mu)
         if straight is None:
             continue
         sign, lam = straight
@@ -344,9 +265,9 @@ def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
             continue
         for nu, m in _dominant_character(rs, lam):
             dominant[nu] = qd_add(dominant.get(nu, {}), {e: m * v for e, v in c.items()})
-    out: dict[int, QDict] = {}
+    out: dict[Coweight, QDict] = {}
     for nu, c in dominant.items():
         if c:
             for mu in orbit(rs, nu):
-                out[pack(mu)] = c
-    return from_packed(rs.rank, out)
+                out[mu] = c
+    return GroupRingElem(rs.rank, out)

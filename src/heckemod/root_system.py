@@ -299,6 +299,11 @@ def reduced_word(rs: RootSystem, x: Coweight) -> tuple[int, ...]:
     return tuple(word)
 
 
+def longest_word(rs: RootSystem) -> tuple[int, ...]:
+    """The ShortLex-minimal reduced word of w0, which maps rho to -rho."""
+    return reduced_word(rs, negate_coweight(rho(rs)))
+
+
 def require_reduced(rs: RootSystem, word) -> tuple[int, ...]:
     """The word as a tuple; :class:`NonReducedWord` unless it is reduced.
 

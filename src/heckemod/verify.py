@@ -22,7 +22,7 @@ from itertools import groupby
 from itertools import product as iproduct
 from typing import Callable, NamedTuple
 
-from .algebra import GroupRingElem, divide_by_binomials, multiply_binomials, specialize_q
+from .algebra import GroupRingElem, divide_by_binomials, multiply_binomials, s_image, specialize_q
 from .characters import HeckeCharacter, character_by_name, characters
 from .formulas import (
     bessel_value,
@@ -42,7 +42,6 @@ from .operators import (
     demazure_word,
     fraktur_t,
     intertwiner_op,
-    s_image,
     sum_fraktur,
     t_act,
 )
@@ -51,9 +50,9 @@ from .root_system import (
     RootSystem,
     add_coweights,
     build_root_system,
+    longest_word,
     negate_coweight,
     orbit,
-    reduced_word,
     reflect,
     require_walkable,
     rho,
@@ -107,6 +106,11 @@ class VerifyResult:
         if self.witness is not None:
             out["witness"] = self.witness
         return out
+
+
+def result_order(r: VerifyResult) -> tuple[str, str, str]:
+    """The order results are reported in: by identity, type, then character."""
+    return r.identity, r.cartan, r.character or ""
 
 
 def _checks(identity: str, rs: RootSystem, character: str | None, cases) -> VerifyResult:
@@ -351,7 +355,7 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
 def verify_q_zero_degeneration(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
     """At q = 0 the generator sum becomes the full divided-difference operator."""
     rs = eps.root_system
-    w0_word = reduced_word(rs, negate_coweight(rho(rs)))  # w0 maps rho to -rho
+    w0_word = longest_word(rs)
     q = 1 if mutate == "wrong-specialization" else 0
 
     def cases():
@@ -404,7 +408,7 @@ def verify_macdonald(rs: RootSystem, mutate: str | None = None) -> VerifyResult:
         for lam in dominant_coweights_up_to_height(rs, 3):
             if mutate == "drop-first-letter":
                 num = multiply_binomials(GroupRingElem.monomial(lam), rs.positive_coroots, 1)
-                lhs = demazure_word(rs, reduced_word(rs, negate_coweight(rho(rs)))[1:], num)
+                lhs = demazure_word(rs, longest_word(rs)[1:], num)
             else:
                 lhs = macdonald(rs, lam)
             rhs = theorem_lhs(trv, lam)
@@ -587,8 +591,6 @@ def run_verification(
     max_rank: int | None = None,
 ) -> list[VerifyResult]:
     """Run suites over types; with a mutation, only the selected suites owning it run."""
-    results: list[VerifyResult] = []
-    for suite, type_name in suite_tasks(types, suites, mutate, max_rank):
-        results.extend(run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate))
-    results.sort(key=lambda r: (r.identity, r.cartan, r.character or ""))
-    return results
+    results = [r for suite, type_name in suite_tasks(types, suites, mutate, max_rank)
+               for r in run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate)]
+    return sorted(results, key=result_order)

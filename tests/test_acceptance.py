@@ -125,7 +125,8 @@ def test_criterion_05_macdonald():
 def test_criterion_06_bessel_intertwiner():
     """Under neg-long: spherical branch at short simple roots, Whittaker branch
     at long ones, on the full monomial box."""
-    from heckemod.operators import intertwiner_op, s_image
+    from heckemod.algebra import s_image
+    from heckemod.operators import intertwiner_op
 
     checked = 0
     for name in ("B2", "B3"):

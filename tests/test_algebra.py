@@ -15,13 +15,14 @@ from heckemod.algebra import (
     multiply_binomials,
     pack,
     qd_str,
+    s_image,
     specialize_q,
     unpack,
     weyl_act,
 )
 from heckemod.characters import character_by_name
 from heckemod.errors import CoweightOutOfRange, NegativeQExponentAtZero, NotDivisible
-from heckemod.operators import alternator, demazure, s_image, t_act, weyl_denominator
+from heckemod.operators import alternator, demazure, t_act, weyl_denominator
 from heckemod.root_system import build_root_system, negate_coweight, rho, weyl_group
 
 

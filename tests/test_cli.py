@@ -242,6 +242,17 @@ def test_table_jobs_parallelism_is_deterministic(tmp_path, capsys):
             assert (seq / name).read_bytes() == (par / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("mutate", [(), ("--mutate", "swap-cases")])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_verify_jobs_parallelism_is_deterministic(capsys, output, mutate):
+    # A passing run on two types, and a failing control that prints witnesses.
+    types = ("--type", "B2") if mutate else ("--type", "A2", "--type", "B2")
+    runs = [run_cli(capsys, "verify", *types, *mutate, "--box", "1", "--output", output, "--jobs", jobs)
+            for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (1 if mutate else 0)
+
+
 def test_table_json_failure_writes_no_csv(tmp_path, capsys, monkeypatch):
     # Both texts are built before either file is written.
     import heckemod.cli as cli

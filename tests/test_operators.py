@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod import algebra, operators, root_system
-from heckemod.algebra import GroupRingElem, divide_by_binomials, exact_div, grsum, multiply_binomials
+from heckemod.algebra import GroupRingElem, divide_by_binomials, exact_div, grsum, multiply_binomials, s_image
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.formulas import (
@@ -28,7 +28,6 @@ from heckemod.operators import (
     fraktur_t,
     intertwiner_op,
     omega_apply,
-    s_image,
     sum_fraktur,
     t_act,
     t_word,
@@ -590,3 +589,11 @@ def test_no_operation_writes_into_its_operands():
     for fn, *args in cases:
         fn(*args)
         assert [x.coeffs for x in operands] == before, fn.__name__
+
+
+def test_operators_leave_the_packed_key_to_the_ring_layer():
+    # The key layout, its bound check and the rank-one kernel's q-map merging
+    # live in heckemod.algebra alone; the operators call its kernels.
+    layout = {"COORD_BOUND", "VALUE_MASK", "pack", "unpack", "pack_step", "packing", "check_key", "from_packed",
+              "add_term", "qd_mul"}
+    assert layout.isdisjoint(vars(operators)), sorted(layout & set(vars(operators)))

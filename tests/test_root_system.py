@@ -14,6 +14,7 @@ from heckemod.root_system import (
     _matmul,
     build_root_system,
     dominant_conjugate,
+    longest_word,
     negate_coweight,
     orbit,
     parabolic_levels,
@@ -245,6 +246,7 @@ def test_greedy_word_is_the_stored_word(name):
     for w in g.elements:
         assert reduced_word(rs, w.apply(rho(rs))) == w.word
     assert reduced_word(rs, negate_coweight(rho(rs))) == g.longest.word
+    assert longest_word(rs) == g.longest.word
     assert g.longest.length == len(rs.positive_roots)
 
 

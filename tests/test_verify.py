@@ -6,9 +6,9 @@ from functools import cache
 import pytest
 
 from heckemod import algebra, cli, operators, root_system, verify
-from heckemod.algebra import GroupRingElem, exact_div
+from heckemod.algebra import GroupRingElem, exact_div, s_image
 from heckemod.characters import character_by_name, characters
-from heckemod.operators import s_image, sum_fraktur, t_act, t_word
+from heckemod.operators import sum_fraktur, t_act, t_word
 from heckemod.root_system import build_root_system, negate_coweight, orbit, reflect, rho
 from heckemod.verify import (
     MUTATION_SUITES,
