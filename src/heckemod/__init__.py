@@ -22,6 +22,7 @@ from .errors import (
     NonReducedWord,
     NotDivisible,
     RhoEpsNotIntegral,
+    UnknownName,
     WeylGroupTooLarge,
     WrongFamily,
 )

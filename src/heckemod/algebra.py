@@ -105,6 +105,11 @@ def qd_add(a: QDict, b: QDict) -> QDict:
     return out
 
 
+def qd_nonzero(a: QDict) -> QDict:
+    """a less its zero entries: a itself when it holds none, else a new map."""
+    return a if all(a.values()) else {e: c for e, c in a.items() if c}
+
+
 def qd_neg(a: QDict) -> QDict:
     return {k: -v for k, v in a.items()}
 
@@ -270,9 +275,10 @@ class GroupRingElem:
     """Sparse exact element of Z[q, q^-1][P^vee].
 
     ``packed`` maps packed coweight keys (module docstring) to q-coefficient
-    maps; ``coeffs`` is the tuple-keyed view of the same terms. The
-    constructor takes tuple keys and packs them, so it raises
-    :class:`CoweightOutOfRange` outside the packing bound;
+    maps; ``coeffs`` is the tuple-keyed view of the same terms. No zero is
+    stored: no zero q-coefficient and no empty map. The constructor drops
+    both, copying a map only when it holds a zero, and packs the tuple keys,
+    so it raises :class:`CoweightOutOfRange` outside the packing bound;
     :func:`from_packed` wraps a map whose keys are packed already.
 
     An element writes itself: ``to_str`` is its text form, ``to_json_obj``
@@ -298,7 +304,8 @@ class GroupRingElem:
         if any(len(mu) != rank for mu in coeffs):
             raise ValueError(f"coweights of rank {rank} expected")
         self.rank = rank
-        self.packed = {pack(mu): qd for mu, qd in coeffs.items()}
+        nonzero = ((mu, qd_nonzero(qd)) for mu, qd in coeffs.items())
+        self.packed = {pack(mu): qd for mu, qd in nonzero if qd}
 
     @property
     def coeffs(self) -> dict[Coweight, QDict]:
@@ -320,9 +327,7 @@ class GroupRingElem:
     @classmethod
     def monomial(cls, mu: Coweight, coeff: QDict | int = 1) -> "GroupRingElem":
         """The term coeff * pi^mu; zero entries of a q-coefficient are dropped."""
-        if isinstance(coeff, int):
-            coeff = {0: coeff}
-        coeff = {e: c for e, c in coeff.items() if c}
+        coeff = qd_nonzero({0: coeff} if isinstance(coeff, int) else coeff)
         key = pack(mu)
         return from_packed(len(mu), {key: coeff} if coeff else {})
 
@@ -366,6 +371,7 @@ class GroupRingElem:
 
     def scale_q(self, qd: QDict) -> "GroupRingElem":
         """Multiply by a scalar from Z[q, q^-1]."""
+        qd = qd_nonzero(qd)
         if not qd:
             return GroupRingElem.zero(self.rank)
         return from_packed(self.rank, {k: qd_mul(v, qd) for k, v in self.packed.items()})

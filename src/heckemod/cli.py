@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .algebra import COORD_BOUND, GroupRingElem, qd_str
 from .characters import character_by_name, characters
-from .errors import HeckemodError, InvalidCartanType, InvalidCharacter
+from .errors import HeckemodError, InvalidCartanType, InvalidCharacter, UnknownName
 from .formulas import (
     bessel_value,
     casselman_shalika,
@@ -57,51 +57,44 @@ PARSE_ERROR, DOMAIN_ERROR, IO_ERROR = 2, 3, 4
 
 def _casselman_shalika(rs, eps, lam, word):
     pair = casselman_shalika(rs, lam)
-    theorem = pair.theorem_form
-    return pair.closed_form, {"theorem_form": theorem}, lambda: [f"theorem_form: {theorem.to_str()}"]
+    return pair.closed_form, {"theorem_form": pair.theorem_form}
 
 
 def _shalika(rs, eps, lam, word):
     forms = shalika(rs, lam)
     rewritten = forms.rewritten_form
-    agree = forms.theorem_form == rewritten
-    fields = {"rewritten_form": rewritten, "forms_agree": agree}
-    return forms.theorem_form, fields, lambda: [f"rewritten_form: {rewritten.to_str()}", f"forms_agree: {agree}"]
+    return forms.theorem_form, {"rewritten_form": rewritten, "forms_agree": forms.theorem_form == rewritten}
 
 
 def _bessel_value(rs, eps, lam, word):
     report = bessel_value(rs)
     ratio = report.unit_ratio
-    fields = {
+    return report.theorem_value, {
         "quoted_product": report.quoted_product,
         "quoted_product_str": report.quoted_product.to_str(),
         "unit_ratio_to_quoted": list(ratio[:2]) + [list(ratio[2])] if ratio is not None else None,
         "q_form_cofactor": report.q_form_cofactor.to_str(),
     }
-    return report.theorem_value, fields, lambda: [
-        f"quoted_product: {fields['quoted_product_str']}",
-        f"unit_ratio_to_quoted: {fields['unit_ratio_to_quoted']}",
-        f"q_form_cofactor: {fields['q_form_cofactor']}",
-    ]
 
 
 def _iwahori_image(rs, eps, lam, word):
     # t_word refuses a non-reduced word, which would name a shorter element.
     image = iwahori_image(eps, _parse_word(word or "", rs.rank), lam)
-    measure = qd_str(image.measure)
-    return image.value, {"measure": measure}, lambda: [f"measure: {measure}"]
+    return image.value, {"measure": qd_str(image.measure)}
 
 
 class Formula(NamedTuple):
     """One evaluable formula.
 
-    ``evaluate(rs, eps, lam, word)`` returns ``(value, extra row fields,
-    lines)``, where ``lines()`` makes the text lines ``eval`` prints under
-    the value (a table never calls it); ``eps`` is the named character, or
-    None when none is named, ``lam`` the parsed coweight, or None when the
-    formula takes none, and ``word`` is the raw ``--word`` text. ``applies``
-    says which types a table includes the formula for. Formulas are looked
-    up by name on each call.
+    ``evaluate(rs, eps, lam, word)`` returns ``(value, fields)``: the value
+    and the formula's own row fields, which ``eval`` prints under the value
+    as ``name: text`` lines in row order (an element by ``to_str()``,
+    anything else by ``str()``). A field ``<name>_str`` is the JSON text of
+    the element field ``<name>``, so text output does not print it again.
+    ``eps`` is the named character, or None when none is named, ``lam`` the
+    parsed coweight, or None when the formula takes none, and ``word`` is
+    the raw ``--word`` text. ``applies`` says which types a table includes
+    the formula for. Formulas are looked up by name on each call.
     """
 
     needs_character: bool
@@ -113,16 +106,16 @@ class Formula(NamedTuple):
 
 FORMULAS: dict[str, Formula] = {
     "theorem-lhs": Formula(True, True, None, _any_type,
-                           lambda rs, eps, lam, word: (theorem_lhs(eps, lam), {}, list)),
+                           lambda rs, eps, lam, word: (theorem_lhs(eps, lam), {})),
     "theorem-rhs": Formula(True, True, None, _any_type,
-                           lambda rs, eps, lam, word: (theorem_rhs(eps, lam), {}, list)),
+                           lambda rs, eps, lam, word: (theorem_rhs(eps, lam), {})),
     "weyl-char": Formula(False, True, None, _any_type,
-                         lambda rs, eps, lam, word: (weyl_character(rs, lam), {}, list)),
+                         lambda rs, eps, lam, word: (weyl_character(rs, lam), {})),
     "demazure-char": Formula(False, True, None, _any_type,
-                             lambda rs, eps, lam, word: (demazure_character(rs, lam), {}, list)),
+                             lambda rs, eps, lam, word: (demazure_character(rs, lam), {})),
     "casselman-shalika": Formula(False, True, "sign", _any_type, _casselman_shalika),
     "macdonald": Formula(False, True, "triv", _any_type,
-                         lambda rs, eps, lam, word: (macdonald(rs, lam), {}, list)),
+                         lambda rs, eps, lam, word: (macdonald(rs, lam), {})),
     "shalika": Formula(False, True, "neg-short", in_family_b, _shalika),
     "bessel-value": Formula(False, False, "neg-long", in_family_b, _bessel_value),
     "iwahori-image": Formula(True, True, None, _any_type, _iwahori_image),
@@ -133,13 +126,6 @@ class DomainExit(Exception):
     def __init__(self, code: int, message: str):
         super().__init__(message)
         self.code = code
-
-
-def _formula(name: str) -> Formula:
-    try:
-        return _registered(FORMULAS, name, "formula")
-    except ValueError as exc:
-        raise DomainExit(PARSE_ERROR, str(exc))
 
 
 def _parse_lambda(text: str, rank: int) -> tuple[int, ...]:
@@ -168,26 +154,27 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _evaluate_formula(type_name: str, formula: str, character: str | None,
-                      lam: tuple[int, ...] | None, word_text: str | None) -> tuple[dict, Callable]:
+                      lam: tuple[int, ...] | None, word_text: str | None) -> tuple[dict, dict]:
     """One formula evaluation; returns the row dict used by eval and table,
-    and the formula's ``lines`` callable (:class:`Formula`). The row holds
-    ring elements themselves, which :func:`_json_text` writes as records."""
+    and the formula's own fields (:class:`Formula`), which close the row.
+    ``character`` is the named one, or None; a formula that takes none is
+    labelled by the character it implies, or ``-``. The row holds ring
+    elements themselves, which :func:`_json_text` writes as records."""
     rs = build_root_system(type_name)
-    needs_char, _, implied = FORMULAS[formula][:3]
-    char_name = character if needs_char else (implied or "-")
+    entry = FORMULAS[formula]
     # A named character must exist for the type even where the formula takes none.
     eps = character_by_name(rs, character) if character is not None else None
-    value, extra, lines = FORMULAS[formula].evaluate(rs, eps, lam, word_text)
+    value, fields = entry.evaluate(rs, eps, lam, word_text)
     row = {
         "type": type_name,
-        "character": char_name,
+        "character": character if entry.needs_character else (entry.implied_character or "-"),
         "lambda": list(lam) if lam is not None else [],
         "formula": formula,
         "value": value.to_str(),
         "value_records": value,
     }
-    row.update(extra)
-    return row, lines
+    row.update(fields)
+    return row, fields
 
 
 def _json_text(obj, newline: str = "\n") -> str:
@@ -256,10 +243,7 @@ def cmd_verify(args) -> int:
     types = args.type or list(DEFAULT_TYPES)
     for t in types:  # a bad type is reported before a bad suite or mutation
         build_root_system(t)
-    try:
-        pairs = suite_tasks(types, args.suite, args.mutate, args.max_rank)
-    except ValueError as exc:
-        raise DomainExit(PARSE_ERROR, str(exc))
+    pairs = suite_tasks(types, args.suite, args.mutate, args.max_rank)
     tasks = [(s, t, args.box, args.cap, args.mutate) for s, t in pairs]
     if not tasks:
         owning = f" and registers mutation {args.mutate!r}" if args.mutate is not None else ""
@@ -288,7 +272,7 @@ def cmd_verify(args) -> int:
 
 def cmd_eval(args) -> int:
     formula = args.formula
-    entry = _formula(formula)
+    entry = _registered(FORMULAS, formula, "formula")
     rs = build_root_system(args.type)
     if entry.needs_character and args.character is None:
         raise DomainExit(PARSE_ERROR, f"formula {formula} requires --character")
@@ -297,13 +281,16 @@ def cmd_eval(args) -> int:
         if args.lam is None:
             raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
         lam = _parse_lambda(args.lam, rs.rank)
-    row, lines = _evaluate_formula(args.type, formula, args.character, lam, args.word)
+    row, fields = _evaluate_formula(args.type, formula, args.character, lam, args.word)
     if args.output == "json":
         print(_json_text(row))
     elif args.output == "csv":
         sys.stdout.write(_csv_text([row]))
     else:
-        print("\n".join([row["value"], *lines()]))
+        print(row["value"])
+        for name, v in fields.items():
+            if not (name.endswith("_str") and name[:-4] in fields):
+                print(f"{name}: {v.to_str() if isinstance(v, GroupRingElem) else v}")
     return 0
 
 
@@ -311,9 +298,7 @@ def cmd_eval(args) -> int:
 
 
 def _table_row(args):
-    type_name, char_name, lam, formula = args
-    needs_char = FORMULAS[formula].needs_character
-    return _evaluate_formula(type_name, formula, char_name if needs_char else None, lam, "")[0]
+    return _evaluate_formula(*args)[0]
 
 
 def _atomic_write(files: dict[str, str]) -> None:
@@ -358,21 +343,19 @@ def cmd_table(args) -> int:
             character_by_name(rs, c)
     formulas = list(dict.fromkeys(f.strip() for f in args.formulas.split(",")))
     for f in formulas:
-        _formula(f)
+        _registered(FORMULAS, f, "formula")
         if f == "iwahori-image":
             raise DomainExit(PARSE_ERROR, "iwahori-image needs --word; use eval for it")
 
     lambdas = dominant_coweights_up_to_height(rs, args.height)
     tasks = []
     for formula in formulas:
-        needs_char, needs_lam, implied, applies, _ = FORMULAS[formula]
-        if not applies(rs):
+        entry = FORMULAS[formula]
+        if not entry.applies(rs):
             continue
-        per_chars = char_names if needs_char else [implied or "-"]
-        per_lams = lambdas if needs_lam else [None]
-        for char_name in per_chars:
-            for lam in per_lams:
-                tasks.append((args.type, char_name, lam, formula))
+        for char_name in char_names if entry.needs_character else [None]:
+            for lam in lambdas if entry.needs_lambda else [None]:
+                tasks.append((args.type, formula, char_name, lam, ""))
     if not tasks:
         raise DomainExit(PARSE_ERROR, f"nothing to tabulate: no selected formula applies to {args.type}")
 
@@ -460,7 +443,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except DomainExit as exc:
         code, message = exc.code, str(exc)
-    except (InvalidCartanType, InvalidCharacter) as exc:
+    except (InvalidCartanType, InvalidCharacter, UnknownName) as exc:
         code, message = PARSE_ERROR, str(exc)
     except HeckemodError as exc:
         code, message = DOMAIN_ERROR, f"{type(exc).__name__}: {exc}"

@@ -9,6 +9,10 @@ class InvalidCartanType(HeckemodError):
     """Family/rank combination outside the admissible list."""
 
 
+class UnknownName(HeckemodError, ValueError):
+    """A suite, mutation or formula name its registry (or the named suite) lacks."""
+
+
 class WeylGroupTooLarge(HeckemodError):
     """A walk over the whole Weyl group refused because |W| exceeds the cap."""
 

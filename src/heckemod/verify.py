@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cache
 from itertools import groupby
-from itertools import product as iproduct
 from typing import Callable, NamedTuple
 
 from .algebra import GroupRingElem, divide_by_binomials, multiply_binomials, s_image, specialize_q
 from .characters import HeckeCharacter, character_by_name, characters
+from .errors import UnknownName
 from .formulas import (
     bessel_value,
     casselman_shalika,
@@ -69,17 +69,19 @@ def monomial_box(rank: int, radius: int = BOX_RADIUS_DEFAULT, cap: int = BOX_CAP
     """Lex-ordered coweights in [-radius, radius]^rank, deterministically
     subsampled by a fixed stride when the box exceeds ``cap``.
 
+    Only the kept points are built: the k-th in lex order has the base
+    2 * radius + 1 digits of k, each less ``radius``, as its coordinates.
+
     Raises ``ValueError`` for ``radius < 0`` or ``cap < 1``: neither gives a box.
     """
     if radius < 0:
         raise ValueError(f"box radius must be at least 0, got {radius}")
     if cap < 1:
         raise ValueError(f"box cap must be at least 1, got {cap}")
-    box = list(iproduct(range(-radius, radius + 1), repeat=rank))
-    if len(box) <= cap:
-        return box
-    stride = -(-len(box) // cap)  # ceil
-    return box[::stride]
+    side = 2 * radius + 1
+    places = [side**j for j in reversed(range(rank))]
+    stride = -(-side**rank // cap)  # ceil; 1 when the whole box fits
+    return [tuple(k // p % side - radius for p in places) for k in range(0, side**rank, stride)]
 
 
 @dataclass
@@ -320,7 +322,8 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
     (1 - q pi^{a_i^vee}) s_i(Theta pi^mu) = (1 - q pi^{-a_i^vee}) Theta pi^mu
     when alpha_i is in Phi_{-1}, and s_i(Theta pi^mu) = Theta pi^mu otherwise.
     Right: Theta(g pi^{s_i mu}) = -Theta(g pi^{mu + a_i^vee}), with g = 1 on the
-    -1 classes and g = 1 - q pi^{-a_i^vee} on the q classes.
+    -1 classes and g = 1 - q pi^{-a_i^vee} on the q classes. Theta is linear,
+    so each right check is one walk: Theta(g (pi^{s_i mu} + pi^{mu + a_i^vee})) = 0.
     ``mutate="drop-right-sign"`` drops the minus sign of the right symmetry;
     ``mutate="unreflected-left"`` leaves the left factor unreflected on the
     right of the left symmetry.
@@ -341,10 +344,10 @@ def verify_omega_symmetry(eps: HeckeCharacter, monomials, mutate: str | None = N
             av = rs.simple_coroots[i]
             g_coroots = [] if eps.neg_at[i] else [negate_coweight(av)]
             for mu in monomials:
-                lhs = sum_fraktur(eps, multiply_binomials(GroupRingElem.monomial(reflect(rs, i, mu)), g_coroots, 1))
-                start = GroupRingElem.monomial(tuple(a + b for a, b in zip(mu, av)))
-                rhs = sum_fraktur(eps, multiply_binomials(start, g_coroots, 1)).scale(right_sign)
-                yield lhs == rhs, lambda: {"side": "right", "i": i + 1, "mu": list(mu)}
+                start = (GroupRingElem.monomial(reflect(rs, i, mu))
+                         + GroupRingElem.monomial(add_coweights(mu, av), -right_sign))
+                yield not sum_fraktur(eps, multiply_binomials(start, g_coroots, 1)), lambda: {
+                    "side": "right", "i": i + 1, "mu": list(mu)}
 
     return _checks("omega-symmetry", rs, eps.name, cases())
 
@@ -530,11 +533,11 @@ MUTATION_SUITES: dict[str, tuple[str, ...]] = {
 
 
 def _registered(registry: dict, name: str, what: str):
-    """registry[name]; ``ValueError`` naming the known entries when it has none."""
+    """registry[name]; :class:`UnknownName` naming the known entries when it has none."""
     try:
         return registry[name]
     except KeyError:
-        raise ValueError(f"unknown {what} {name!r}; known: {sorted(registry)}") from None
+        raise UnknownName(f"unknown {what} {name!r}; known: {sorted(registry)}") from None
 
 
 def run_suite(
@@ -547,11 +550,11 @@ def run_suite(
     """Run one named suite on one type; returns one result per character when
     the suite is character-indexed, and none when it does not apply. An
     unknown suite, or a mutation the suite does not register, raises
-    ``ValueError``."""
+    :class:`UnknownName`."""
     rs = build_root_system(type_name)
     entry = _registered(SUITES, suite, "suite")
     if mutate is not None and mutate not in entry.mutations:
-        raise ValueError(f"suite {suite!r} registers no mutation {mutate!r}; registered: {list(entry.mutations)}")
+        raise UnknownName(f"suite {suite!r} registers no mutation {mutate!r}; registered: {list(entry.mutations)}")
     if not entry.applies(rs):
         return []
     box = monomial_box(rs.rank, radius, cap)
@@ -565,7 +568,7 @@ def suite_tasks(types, suites=None, mutate: str | None = None, max_rank: int | N
     it applies to. ``suites`` defaults to all of them; a mutation keeps only
     the selected suites that own it. Repeated types (``A1`` and ``a1`` are
     the same) and suites count once, in first-seen order. An unknown
-    mutation or suite raises ``ValueError``; the mutation is checked first."""
+    mutation or suite raises :class:`UnknownName`; the mutation is checked first."""
     owners = SUITES if mutate is None else _registered(MUTATION_SUITES, mutate, "mutation")
     suites = list(SUITES) if suites is None else list(dict.fromkeys(suites))
     for s in suites:

@@ -58,6 +58,42 @@ def test_monomial_drops_zero_coefficients():
     assert GroupRingElem.monomial((1,), {0: 0, 2: 3}).coeffs == {(1,): {2: 3}}
 
 
+def test_constructor_drops_an_empty_coefficient_map():
+    # An empty map used to be stored: its JSON text was a record with no
+    # coefficients, while its JSON records said the same as zero's.
+    got = GroupRingElem(1, {(0,): {}})
+    assert got == GroupRingElem.zero(1) and not got
+    assert got.to_json_text() == json.dumps(got.to_json_obj(), indent=2) == "[]"
+
+
+def test_constructor_drops_zero_entries():
+    # A zero entry used to be stored: the element printed as (2*q + 0) and
+    # differed from the monomial it equals.
+    got = GroupRingElem(2, {(0, 0): {0: 0, 1: 2}, (1, 0): {0: 0}})
+    assert got.to_str() == "2*q"
+    assert got == GroupRingElem.monomial((0, 0), {1: 2})
+
+
+def test_constructor_copies_only_a_map_that_holds_a_zero():
+    clean, dirty = {1: 2}, {0: 0, 1: 2}
+    got = GroupRingElem(1, {(0,): clean, (1,): dirty})
+    assert got.packed[pack((0,))] is clean
+    assert dirty == {0: 0, 1: 2} and got.packed[pack((1,))] == {1: 2}
+
+
+@pytest.mark.parametrize("scalar", [{0: 0}, {0: 0, 3: 0}])
+def test_scale_q_by_zero_is_zero(scalar):
+    # A zero scalar used to give an element that printed 0 but was truthy.
+    got = GroupRingElem.one(1).scale_q(scalar)
+    assert got == GroupRingElem.zero(1) and not got and got.to_str() == "0"
+
+
+def test_scale_q_drops_the_zero_entries_of_a_scalar():
+    f = GroupRingElem.monomial((1,), {0: 1, 1: 1})
+    assert f.scale_q({0: 0, 1: 2}) == f.scale_q({1: 2})
+    assert f.scale_q({0: 0, 1: 2}).packed == {pack((1,)): {1: 2, 2: 2}}
+
+
 def test_exact_div_geometric():
     one = GroupRingElem.one(1)
     quotient = exact_div(one - mono(-4), one - mono(-2))

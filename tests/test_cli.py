@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from heckemod.algebra import COORD_BOUND, GroupRingElem, specialize_q
 from heckemod.cli import FORMULAS, _json_text, main
+from heckemod.verify import SUITES
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,41 @@ def test_eval_shalika_both_forms(capsys):
     assert "forms_agree: True" in out
 
 
+_CS_B2 = ("-q*pi^[-3,1] + q^2*pi^[-3,2] + pi^[-1,-1] + (q^2 - q)*pi^[-1,0] + (-q^3 + q^2)*pi^[-1,1]"
+          " - q^3*pi^[-1,2] - q*pi^[1,-2] + (q^2 - q)*pi^[1,-1] + (-q^3 + q^2)*pi^[1,0] + q^4*pi^[1,1]"
+          " + q^2*pi^[3,-2] - q^3*pi^[3,-1]")
+_SHALIKA_B2 = "(-q^3 - q^2)*pi^[-2,1] + (q^2 + q)*pi^[0,-1] + (q^4 + q^3)*pi^[0,1] + (-q^3 - q^2)*pi^[2,-1]"
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (("--formula", "casselman-shalika", "--lambda", "0,0"), [_CS_B2, f"theorem_form: {_CS_B2}"]),
+    (("--formula", "shalika", "--lambda", "0,0"),
+     [_SHALIKA_B2, f"rewritten_form: {_SHALIKA_B2}", "forms_agree: True"]),
+    (("--formula", "bessel-value"), [
+        "(q^2 + q)*pi^[-1,0] + (-q^3 - q^2)*pi^[-1,1] + (-q^3 - q^2)*pi^[1,-1] + (q^4 + q^3)*pi^[1,0]",
+        "quoted_product: pi^[-1,0] - q^-1*pi^[-1,1] - q^-1*pi^[1,-1] + q^-2*pi^[1,0]",
+        "unit_ratio_to_quoted: None",
+        "q_form_cofactor: (q^2 + q)",
+    ]),
+    (("--formula", "iwahori-image", "--character", "sign", "--lambda", "0,0", "--word", "1,2"), [
+        "pi^[-3,2] + (-q + 1)*pi^[-1,1] + (-q + 1)*pi^[-1,2] + (-q + 1)*pi^[1,0]"
+        " + (q^2 - 2*q + 1)*pi^[1,1] + (-q + 1)*pi^[3,-1]",
+        "measure: 1",
+    ]),
+])
+def test_eval_text_lines_golden(capsys, argv, lines):
+    # Every line in order: the value, then one line per field of the row,
+    # with no line for a field that is another field's JSON text.
+    assert run_cli(capsys, "eval", "--type", "B2", *argv) == (0, "\n".join(lines) + "\n", "")
+
+
+def test_unknown_formula_exits_2_in_eval_and_table(capsys, tmp_path):
+    message = "error: unknown formula 'nope'; known: " + str(sorted(FORMULAS)) + "\n"
+    assert run_cli(capsys, "eval", "--type", "B2", "--formula", "nope") == (2, "", message)
+    assert run_cli(capsys, "table", "--type", "B2", "--formulas", "nope", "--out", str(tmp_path)) == (2, "", message)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_lambda_with_negative_first_coordinate(capsys):
     base = ("eval", "--type", "B2", "--character", "triv", "--formula", "theorem-lhs")
     code, out, err = run_cli(capsys, *base, "--lambda", "-1,2")
@@ -148,6 +184,9 @@ def test_verify_unknown_suite_or_mutation(capsys):
     # with both unknown, the mutation is named
     code, _, err = run_cli(capsys, "verify", "--type", "A1", "--suite", "nope", "--mutate", "nope2")
     assert code == 2 and err.startswith("error: unknown mutation 'nope2'")
+    # the message of the library's UnknownName, as it is
+    assert run_cli(capsys, "verify", "--type", "A1", "--suite", "nope") == (
+        2, "", f"error: unknown suite 'nope'; known: {sorted(SUITES)}\n")
 
 
 def test_table_counts_and_determinism(tmp_path, capsys):

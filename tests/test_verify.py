@@ -1,13 +1,16 @@
 """The verification layer: suites pass on theorems, mutations must fail."""
 
 import sys
+import tracemalloc
 from functools import cache
+from itertools import product
 
 import pytest
 
 from heckemod import algebra, cli, operators, root_system, verify
 from heckemod.algebra import GroupRingElem, exact_div, s_image
 from heckemod.characters import character_by_name, characters
+from heckemod.errors import HeckemodError, UnknownName
 from heckemod.operators import sum_fraktur, t_act, t_word
 from heckemod.root_system import build_root_system, negate_coweight, orbit, reflect, rho
 from heckemod.verify import (
@@ -281,6 +284,20 @@ def test_run_suite_refuses_an_unknown_suite():
         run_suite("quadratc", "A1")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: run_suite("quadratc", "A1"),
+    lambda: run_suite("quadratic", "A1", mutate="no-such-thing"),
+    lambda: suite_tasks(("A1",), mutate="no-such-thing"),
+    lambda: suite_tasks(("A1",), suites=("quadratc",)),
+])
+def test_unknown_names_raise_unknown_name(call):
+    # One error type for every unknown suite, mutation or unregistered
+    # mutation; still a ValueError for callers that catch that.
+    with pytest.raises(UnknownName) as info:
+        call()
+    assert isinstance(info.value, ValueError) and isinstance(info.value, HeckemodError)
+
+
 def test_run_verification_refuses_unknown_names():
     # A misspelled mutation used to die with a bare KeyError; a misspelled
     # suite beside a mutation was dropped silently.
@@ -430,6 +447,26 @@ def test_monomial_box_deterministic_subsampling():
     assert len(capped) <= 200
     assert capped == monomial_box(4, 2, cap=200)
     assert all(all(-2 <= c <= 2 for c in mu) for mu in capped)
+
+
+@pytest.mark.parametrize("rank, radius, cap", [
+    (1, 0, 1), (1, 3, 7), (1, 3, 2), (2, 2, 200), (2, 2, 7), (2, 3, 10), (3, 1, 30), (3, 2, 13), (4, 2, 200),
+])
+def test_monomial_box_is_the_strided_product(rank, radius, cap):
+    box = list(product(range(-radius, radius + 1), repeat=rank))
+    assert monomial_box(rank, radius, cap) == box[::-(-len(box) // cap)]
+
+
+def test_monomial_box_builds_only_the_points_it_keeps():
+    # The whole box of 121^3 points took 139 MB before it was thinned to 200.
+    tracemalloc.start()
+    try:
+        box = monomial_box(3, 60, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(box) <= 200 and box[0] == (-60, -60, -60)
+    assert peak < 5_000_000
 
 
 @pytest.mark.parametrize("radius, cap", [(2, 0), (2, -3), (-1, 200)])
