@@ -50,7 +50,6 @@ from .operators import (
     sum_fraktur,
     t_act,
     t_word,
-    weyl_denominator,
 )
 from .root_system import (
     CartanType,

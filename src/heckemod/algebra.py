@@ -39,7 +39,7 @@ that can leave the hull of their input:
   factor; a product by prod_{a>0} (1 - q^k pi^{a^vee}) shifts a point by at
   most |Phi+| coroots;
 * :func:`divide_by_binomials` writes only between points of one v-string of
-  its input, and ``grsum``, ``scale`` and the like keep their keys.
+  its input, and ``grsum``, ``scale_q`` and the like keep their keys.
 
 ``coeffs`` is a tuple-keyed view built on each access, for callers outside
 the ring layer; it holds the element's own q-coefficient maps.
@@ -115,20 +115,20 @@ def qd_neg(a: QDict) -> QDict:
 
 
 def qd_mul(a: QDict, b: QDict) -> QDict:
-    """a * b as a new map: one shifted and scaled copy of a per term of b."""
-    if not b:
-        return {}
-    terms = iter(b.items())
-    k, c = next(terms)
-    out = {e + k: c * v for e, v in a.items()}
-    for k, c in terms:
-        for e, v in a.items():
-            e += k
-            s = out.get(e, 0) + c * v
-            if s:
-                out[e] = s
-            else:
-                del out[e]
+    """a * b as a new map: one shifted and scaled copy of a per term of b.
+    A zero term of either operand contributes nothing, so every product
+    merged in is nonzero and a sum that cancels deletes a key it set."""
+    out: QDict = {}
+    for k, c in b.items():
+        if c:
+            for e, v in a.items():
+                if v:
+                    e += k
+                    s = out.get(e, 0) + c * v
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
     return out
 
 
@@ -364,15 +364,9 @@ class GroupRingElem:
                             del tgt[e]
         return from_packed(self.rank, {k: v for k, v in out.items() if v})
 
-    def scale(self, n: int) -> "GroupRingElem":
-        if n == 0:
-            return GroupRingElem.zero(self.rank)
-        return from_packed(self.rank, {k: {e: n * c for e, c in v.items()} for k, v in self.packed.items()})
-
     def scale_q(self, qd: QDict) -> "GroupRingElem":
         """Multiply by a scalar from Z[q, q^-1]."""
-        qd = qd_nonzero(qd)
-        if not qd:
+        if not any(qd.values()):
             return GroupRingElem.zero(self.rank)
         return from_packed(self.rank, {k: qd_mul(v, qd) for k, v in self.packed.items()})
 
@@ -384,9 +378,6 @@ class GroupRingElem:
         return from_packed(self.rank, out)
 
     # -- predicates and access ---------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.packed
 
     def __bool__(self) -> bool:
         return bool(self.packed)

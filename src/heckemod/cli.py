@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 from typing import Callable, NamedTuple
 
@@ -79,7 +78,7 @@ def _bessel_value(rs, eps, lam, word):
 
 def _iwahori_image(rs, eps, lam, word):
     # t_word refuses a non-reduced word, which would name a shorter element.
-    image = iwahori_image(eps, _parse_word(word or "", rs.rank), lam)
+    image = iwahori_image(eps, word, lam)
     return image.value, {"measure": qd_str(image.measure)}
 
 
@@ -92,9 +91,10 @@ class Formula(NamedTuple):
     anything else by ``str()``). A field ``<name>_str`` is the JSON text of
     the element field ``<name>``, so text output does not print it again.
     ``eps`` is the named character, or None when none is named, ``lam`` the
-    parsed coweight, or None when the formula takes none, and ``word`` is
-    the raw ``--word`` text. ``applies`` says which types a table includes
-    the formula for. Formulas are looked up by name on each call.
+    parsed coweight, or None when the formula takes none, and ``word`` the
+    parsed ``--word`` (0-based indices; ``()`` when none is given).
+    ``applies`` says which types a table includes the formula for. Formulas
+    are looked up by name on each call.
     """
 
     needs_character: bool
@@ -154,7 +154,7 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
 
 
 def _evaluate_formula(type_name: str, formula: str, character: str | None,
-                      lam: tuple[int, ...] | None, word_text: str | None) -> tuple[dict, dict]:
+                      lam: tuple[int, ...] | None, word: tuple[int, ...]) -> tuple[dict, dict]:
     """One formula evaluation; returns the row dict used by eval and table,
     and the formula's own fields (:class:`Formula`), which close the row.
     ``character`` is the named one, or None; a formula that takes none is
@@ -164,7 +164,7 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
     entry = FORMULAS[formula]
     # A named character must exist for the type even where the formula takes none.
     eps = character_by_name(rs, character) if character is not None else None
-    value, fields = entry.evaluate(rs, eps, lam, word_text)
+    value, fields = entry.evaluate(rs, eps, lam, word)
     row = {
         "type": type_name,
         "character": character if entry.needs_character else (entry.implied_character or "-"),
@@ -233,6 +233,9 @@ def _run_tasks(fn, tasks: list, jobs: int) -> list:
     """fn over tasks in order, on at most one worker process per task and per CPU."""
     workers = min(jobs, os.cpu_count() or 1, len(tasks))
     if workers > 1:
+        # Imported here: it loads multiprocessing, which a serial run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -281,7 +284,8 @@ def cmd_eval(args) -> int:
         if args.lam is None:
             raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
         lam = _parse_lambda(args.lam, rs.rank)
-    row, fields = _evaluate_formula(args.type, formula, args.character, lam, args.word)
+    word = _parse_word(args.word, rs.rank)
+    row, fields = _evaluate_formula(args.type, formula, args.character, lam, word)
     if args.output == "json":
         print(_json_text(row))
     elif args.output == "csv":
@@ -355,7 +359,7 @@ def cmd_table(args) -> int:
             continue
         for char_name in char_names if entry.needs_character else [None]:
             for lam in lambdas if entry.needs_lambda else [None]:
-                tasks.append((args.type, formula, char_name, lam, ""))
+                tasks.append((args.type, formula, char_name, lam, ()))
     if not tasks:
         raise DomainExit(PARSE_ERROR, f"nothing to tabulate: no selected formula applies to {args.type}")
 

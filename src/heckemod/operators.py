@@ -22,9 +22,10 @@ holds the closed form of G_i and the packed keys it runs on.
 
 The one division left here, by the Weyl denominator's binomials 1 - pi^v,
 goes through :func:`heckemod.algebra.divide_by_binomials`, and the products by
-binomials 1 - q^k pi^v (the Weyl denominator itself, the intertwiner's
-(1 - pi^{a^vee}) T_{s_i}) through its inverse
-:func:`heckemod.algebra.multiply_binomials`. The alternator-side operator is
+binomials 1 - q^k pi^v (the intertwiner's (1 - pi^{a^vee}) T_{s_i}, and in the
+tests the Weyl denominator A(pi^{rho}) = pi^{rho} prod_{a>0} (1 - pi^{-a^vee}))
+through its inverse :func:`heckemod.algebra.multiply_binomials`. The
+alternator-side operator is
 
     Omega(f) = (-1)^{l(w0)} * A(pi^{-rho} f) / A(pi^{rho}),
 
@@ -170,12 +171,6 @@ def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
         rs.rank,
         (weyl_act(w, f) if w.length % 2 == 0 else -weyl_act(w, f) for w in g.elements),
     )
-
-
-def weyl_denominator(rs: RootSystem) -> GroupRingElem:
-    """pi^{rho} prod_{a > 0} (1 - pi^{-a^vee}); equals alternator(pi^{rho})."""
-    return multiply_binomials(
-        GroupRingElem.monomial(rho(rs)), [negate_coweight(v) for v in rs.positive_coroots], 0)
 
 
 def divide_by_weyl_denominator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:

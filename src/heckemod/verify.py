@@ -146,7 +146,7 @@ def verify_quadratic(eps: HeckeCharacter, monomials, mutate: str | None = None) 
                 f = GroupRingElem.monomial(mu)
                 tf = t_act(acting, i, f)
                 lhs = t_act(acting, i, tf) + tf.scale_q({0: 1, 1: -1}) - f.scale_q({1: 1})
-                yield lhs.is_zero(), lambda: {"i": i + 1, "mu": list(mu), "residual": lhs.to_str()}
+                yield not lhs, lambda: {"i": i + 1, "mu": list(mu), "residual": lhs.to_str()}
 
     return _checks("quadratic", rs, eps.name, cases())
 
@@ -584,16 +584,3 @@ def suite_tasks(types, suites=None, mutate: str | None = None, max_rank: int | N
         tasks.extend((suite, type_name) for suite in suites if SUITES[suite].applies(rs))
     return tasks
 
-
-def run_verification(
-    types=DEFAULT_TYPES,
-    suites=None,
-    radius: int = BOX_RADIUS_DEFAULT,
-    cap: int = BOX_CAP_DEFAULT,
-    mutate: str | None = None,
-    max_rank: int | None = None,
-) -> list[VerifyResult]:
-    """Run suites over types; with a mutation, only the selected suites owning it run."""
-    results = [r for suite, type_name in suite_tasks(types, suites, mutate, max_rank)
-               for r in run_suite(suite, type_name, radius=radius, cap=cap, mutate=mutate)]
-    return sorted(results, key=result_order)

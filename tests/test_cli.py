@@ -75,6 +75,26 @@ def test_eval_iwahori_image_rejects_non_reduced_word(capsys, word):
     assert "NonReducedWord" in err
 
 
+@pytest.mark.parametrize("formula, rest", [
+    ("weyl-char", ("--lambda", "1,0")),
+    ("macdonald", ("--lambda", "1,0")),
+    ("theorem-lhs", ("--character", "sign", "--lambda", "1,0")),
+    ("bessel-value", ()),
+])
+def test_eval_checks_the_word_of_every_formula(capsys, formula, rest):
+    # --word is parsed at the edge like --lambda, so a bad one is refused even
+    # where the formula takes no word; a valid one it does not use changes nothing.
+    type_name = "B2" if formula == "bessel-value" else "A2"
+    base = ("eval", "--type", type_name, "--formula", formula, *rest)
+    for word, message in (("9", "has indices outside 1..2"), ("x", "cannot parse word")):
+        code, out, err = run_cli(capsys, *base, "--word", word)
+        assert (code, out) == (2, ""), word
+        assert message in err, word
+    code, out, err = run_cli(capsys, *base)
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *base, "--word", "2,1") == (0, out, "")
+
+
 def test_eval_shalika_both_forms(capsys):
     code, out, _ = run_cli(capsys, "eval", "--type", "B2", "--lambda", "0,1", "--formula", "shalika")
     assert code == 0
@@ -369,6 +389,15 @@ def test_console_entry_point():
     assert proc.stdout.strip() == "(q + 1)"
 
 
+def test_cli_import_loads_no_process_pool():
+    # A serial run never starts a pool, so it should not pay for importing one.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, heckemod.cli; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
 def test_perfbench_tracing_installs():
     # The benchmark's tracer wraps package functions and methods by name, so a
     # rename in the package breaks traced runs; installing it must still work.
@@ -481,7 +510,7 @@ class _RecordingPool:
 def test_jobs_clamped_to_tasks_and_cpus(capsys, tmp_path, monkeypatch):
     import heckemod.cli as cli
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
     code, _, _ = run_cli(capsys, "verify", "--type", "A1", "--suite", "rho-pairing",

@@ -160,10 +160,10 @@ def test_omega_vanishes_on_walls(name):
         orbit = sorted(orbit_with_signs(cartan, x))
         picks = rng.sample(orbit, min(3, len(orbit)))
         terms = {(plus_rho(nu), rng.randint(-1, 1)): rng.choice([-2, 1, 3]) for nu in picks}
-        assert assert_omega_matches_oracle(name, terms).is_zero(), terms
+        assert not assert_omega_matches_oracle(name, terms), terms
         # Beside one regular monomial the wall terms add nothing.
         terms[(plus_rho(tuple(rng.randint(1, 3) for _ in range(rank))), 0)] = 1
-        assert not assert_omega_matches_oracle(name, terms).is_zero(), terms
+        assert assert_omega_matches_oracle(name, terms), terms
 
 
 @pytest.mark.parametrize("name", sorted(CARTAN))
@@ -181,11 +181,11 @@ def test_omega_conjugate_monomials_cancel_or_add(name):
         a, b = rng.choice(odd), rng.choice(even)
         e = rng.randint(-1, 1)
         cancelling = {(plus_rho(a), e): 2, (plus_rho(b), e): 2}
-        assert assert_omega_matches_oracle(name, cancelling).is_zero(), cancelling
+        assert not assert_omega_matches_oracle(name, cancelling), cancelling
         partial = {(plus_rho(a), e): 2, (plus_rho(b), e): 3, (plus_rho(b), e + 1): -1}
-        assert not assert_omega_matches_oracle(name, partial).is_zero(), partial
+        assert assert_omega_matches_oracle(name, partial), partial
         adding = {(plus_rho(b), e): 1, (plus_rho(rng.choice(even)), e + 1): 1}
-        assert not assert_omega_matches_oracle(name, adding).is_zero(), adding
+        assert assert_omega_matches_oracle(name, adding), adding
 
 
 def element_of(terms, rank):

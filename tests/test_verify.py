@@ -1,5 +1,6 @@
 """The verification layer: suites pass on theorems, mutations must fail."""
 
+import json
 import sys
 import tracemalloc
 from functools import cache
@@ -18,7 +19,6 @@ from heckemod.verify import (
     SUITES,
     monomial_box,
     run_suite,
-    run_verification,
     suite_tasks,
     verify_omega_symmetry,
     verify_operator_identity,
@@ -255,10 +255,12 @@ def test_bessel_value_suite_holds_beyond_b3():
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATION_SUITES))
-def test_mutations_fail(mutation):
-    results = run_verification(types=("A1", "B2"), radius=1, cap=30, mutate=mutation)
-    assert results, mutation
-    assert any(not r.passed for r in results), mutation
+def test_mutations_fail(mutation, capsys):
+    # Exit 1 is a failed run; a mutation that no selected suite owns exits 2.
+    code = cli.main(["verify", "--type", "A1", "--type", "B2", "--box", "1", "--cap", "30", "--mutate", mutation])
+    out = capsys.readouterr().out
+    assert code == 1, mutation
+    assert any(line.startswith("FAIL ") for line in out.splitlines()), mutation
 
 
 @pytest.mark.parametrize(
@@ -298,17 +300,15 @@ def test_unknown_names_raise_unknown_name(call):
     assert isinstance(info.value, ValueError) and isinstance(info.value, HeckemodError)
 
 
-def test_run_verification_refuses_unknown_names():
+def test_suite_tasks_refuses_unknown_names():
     # A misspelled mutation used to die with a bare KeyError; a misspelled
     # suite beside a mutation was dropped silently.
     with pytest.raises(ValueError, match="unknown mutation 'no-such-thing'; known: .*'q-squared'"):
-        run_verification(types=("A1",), mutate="no-such-thing")
-    with pytest.raises(ValueError, match="unknown mutation"):
         suite_tasks(("A1",), mutate="no-such-thing")
     with pytest.raises(ValueError, match="unknown suite 'quadratc'"):
         suite_tasks(("A1",), suites=("quadratc",))
     with pytest.raises(ValueError, match="unknown suite 'quadratc'"):
-        run_verification(types=("A1",), suites=("quadratc",), mutate="q-squared")
+        suite_tasks(("A1",), suites=("quadratc",), mutate="q-squared")
 
 
 WITNESS_KEYS = {
@@ -351,7 +351,8 @@ def test_every_suite_registers_a_control():
 
 def test_shared_mutation_runs_every_owner():
     assert MUTATION_SUITES["swap-cases"] == ("deformed-demazure", "intertwiner", "bessel-intertwiner")
-    results = run_verification(types=("B2",), radius=0, cap=1, mutate="swap-cases")
+    results = [r for suite, t in suite_tasks(("B2",), mutate="swap-cases")
+               for r in run_suite(suite, t, radius=0, cap=1, mutate="swap-cases")]
     assert {r.identity for r in results} == set(MUTATION_SUITES["swap-cases"])
 
 
@@ -479,14 +480,19 @@ def test_monomial_box_rejects_bad_sizes(radius, cap):
         run_suite("quadratic", "A1", radius=radius, cap=cap)
 
 
-def test_run_verification_max_rank_filter():
-    results = run_verification(types=("A1", "A3"), suites=["rho-pairing"], max_rank=2)
-    assert {r.cartan for r in results} == {"A1"}
+def test_verify_max_rank_filter(capsys):
+    code = cli.main(["verify", "--type", "A1", "--type", "A3", "--suite", "rho-pairing",
+                     "--max-rank", "2", "--output", "json"])
+    assert code == 0
+    assert {r["type"] for r in json.loads(capsys.readouterr().out)["results"]} == {"A1"}
 
 
-def test_results_sorted_deterministically():
-    a = run_verification(types=("B2", "A1"), suites=["rho-pairing", "quadratic"], radius=1, cap=10)
-    b = run_verification(types=("A1", "B2"), suites=["quadratic", "rho-pairing"], radius=1, cap=10)
-    assert [(r.identity, r.cartan, r.character) for r in a] == [
-        (r.identity, r.cartan, r.character) for r in b
-    ]
+def test_results_sorted_deterministically(capsys):
+    outputs = []
+    for types, suites in ((("B2", "A1"), ("rho-pairing", "quadratic")), (("A1", "B2"), ("quadratic", "rho-pairing"))):
+        argv = ["verify", "--box", "1", "--cap", "10"]
+        argv += [a for t in types for a in ("--type", t)] + [a for s in suites for a in ("--suite", s)]
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert " B2 " in outputs[0] and "rho-pairing" in outputs[0] and "quadratic" in outputs[0]
