@@ -11,13 +11,12 @@ emission.
 
 __version__ = "0.1.0"
 
-from .algebra import GroupRingElem, exact_div, grsum, specialize_q, weyl_act
+from .algebra import GroupRingElem, exact_div, grsum, weyl_act
 from .characters import HeckeCharacter, character_by_name, characters
 from .errors import (
     HeckemodError,
     InvalidCartanType,
     InvalidCharacter,
-    NegativeQExponentAtZero,
     NonDominant,
     NonReducedWord,
     NotDivisible,

@@ -78,12 +78,11 @@ tuple-keyed view.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .errors import CoweightOutOfRange, NegativeQExponentAtZero, NotDivisible
+from .errors import CoweightOutOfRange, NotDivisible
 from .root_system import Coweight, RootSystem, WeylElement
 
 # A q-Laurent coefficient: {q_exponent: integer}, no zero values stored.
@@ -178,19 +177,6 @@ def qd_div_exact(a: QDict, b: QDict) -> QDict:
             else:
                 rem.pop(kk, None)
     return quot
-
-
-def qd_specialize(a: QDict, v: int | Fraction):
-    """Evaluate a q-Laurent coefficient at q = v, exactly."""
-    if v == 0:
-        if any(k < 0 for k in a):
-            raise NegativeQExponentAtZero("q^-k term present at q = 0")
-        return a.get(0, 0)
-    total = Fraction(0)
-    fv = Fraction(v)
-    for k, c in a.items():
-        total += c * fv**k
-    return int(total) if total.denominator == 1 else total
 
 
 def qd_str(a: QDict) -> str:
@@ -653,23 +639,8 @@ def grsum(rank: int, terms) -> GroupRingElem:
     return from_packed(rank, {k: v for k, v in acc.items() if v})
 
 
-def specialize_q(f: GroupRingElem, v: int | Fraction) -> GroupRingElem:
-    """Substitute q <- v exactly, leaving constant coefficients.
-
-    With v = 0 the element must contain no negative q-exponents
-    (:class:`NegativeQExponentAtZero`). Non-integer rational values may leave
-    Fraction constants in the coefficient maps.
-    """
-    out: dict[int, QDict] = {}
-    for k, qd in f.packed.items():
-        val = qd_specialize(qd, v)
-        if val:
-            out[k] = {0: val}
-    return from_packed(f.rank, out)
-
-
 class RationalElem:
-    """Fraction num/den of group-ring elements, kept only as the target of the
+    """Quotient num/den of group-ring elements, kept only as the target of the
     benchmark's tracing (``perfbench/tracing.py`` wraps :meth:`clear`); no
     computation in the package uses it."""
 

@@ -21,10 +21,6 @@ class NotDivisible(HeckemodError):
     """Exact division asked for a quotient that does not exist in the ring."""
 
 
-class NegativeQExponentAtZero(HeckemodError):
-    """Specialization q -> 0 applied to an element with a q^-k term."""
-
-
 class NonReducedWord(HeckemodError):
     """A word of simple reflections is longer than the element it spells."""
 

@@ -140,17 +140,19 @@ def intertwiner_op(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingEl
     return first + second
 
 
-def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
-    """Sum of frak_t_w over the whole Weyl group, applied to f.
+def level_walk(eps: HeckeCharacter, act, f: GroupRingElem) -> GroupRingElem:
+    """Sum of pi^{rho_eps} act_w pi^{-rho_eps} over the whole Weyl group,
+    applied to f, where ``act(i, g)`` is a generator's action on g and
+    act_w composes it along a reduced word of w.
 
     The sum factors as the product of the sums over the parabolic levels of
     :func:`heckemod.root_system.parabolic_levels`, applied innermost level
     first. Each level is an orbit of a fundamental coweight, walked by dynamic
-    programming: the value at s_i x is frak_t_i of the value at its parent x.
-    One generator application per non-identity level point: 9 on B3 instead
-    of |W| - 1 = 47. Every frak_t_w is pi^{rho_eps} T_w pi^{-rho_eps}, so the
-    walk runs ``t_act`` between one translation by -rho_eps in and one by
-    +rho_eps out. Above the size cap it raises ``WeylGroupTooLarge``.
+    programming: the value at s_i x is ``act(i, .)`` of the value at its
+    parent x. One generator application per non-identity level point: 9 on
+    B3 instead of |W| - 1 = 47. The walk runs between one translation by
+    -rho_eps in and one by +rho_eps out. Above the size cap it raises
+    ``WeylGroupTooLarge``.
     """
     rs = eps.root_system
     require_walkable(rs)
@@ -159,9 +161,15 @@ def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
     for level in reversed(parabolic_levels(rs)):
         values = [f]
         for i, parent in level:
-            values.append(t_act(eps, i, values[parent]))
+            values.append(act(i, values[parent]))
         f = grsum(rs.rank, values)
     return f.translated(shift)
+
+
+def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
+    """Sum of frak_t_w = pi^{rho_eps} T_w pi^{-rho_eps} over the whole Weyl
+    group, applied to f: :func:`level_walk` with ``t_act``."""
+    return level_walk(eps, lambda i, g: t_act(eps, i, g), f)
 
 
 def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:

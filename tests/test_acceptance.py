@@ -11,7 +11,7 @@ q^{n-1} (1 + q) on B_n. The derivation is in the criterion-7 docstring and in
 ``heckemod.formulas.BesselValue``.
 """
 
-from heckemod.algebra import GroupRingElem, specialize_q
+from heckemod.algebra import GroupRingElem
 from heckemod.characters import character_by_name, characters
 from heckemod.formulas import (
     bessel_value,
@@ -66,9 +66,18 @@ def test_criterion_02_sign_correction_negative_control():
     _report("criterion 2: negative control", "suite fails with the 1+q vs -(1+q) witness")
 
 
+def _at_q_zero(f):
+    """f with q set to 0: each coefficient's constant term. f must hold no
+    negative power of q, which q = 0 would not define."""
+    assert all(e >= 0 for qd in f.coeffs.values() for e in qd)
+    return GroupRingElem(f.rank, {mu: {0: qd[0]} for mu, qd in f.coeffs.items() if 0 in qd})
+
+
 def test_criterion_03_q_zero_degeneration():
     """q = 0 collapses the generator sum to the full divided difference, and
-    the divided difference on pi^{w0 lambda} is the highest-weight character."""
+    the divided difference on pi^{w0 lambda} is the highest-weight character.
+    This test sets q = 0 after the full q-polynomial walk, independently of
+    the suite, whose walk runs at q = 0 from the start."""
     checked = 0
     for name in ACCEPTANCE_TYPES:
         rs = build_root_system(name)
@@ -77,7 +86,7 @@ def test_criterion_03_q_zero_degeneration():
         for eps in characters(rs):
             for mu in box:
                 f = GroupRingElem.monomial(mu)
-                assert specialize_q(sum_fraktur(eps, f), 0) == demazure_word(rs, w0.word, f)
+                assert _at_q_zero(sum_fraktur(eps, f)) == demazure_word(rs, w0.word, f)
                 checked += 1
     for name in ACCEPTANCE_TYPES:
         rs = build_root_system(name)

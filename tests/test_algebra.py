@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,12 +16,11 @@ from heckemod.algebra import (
     qd_mul,
     qd_str,
     s_image,
-    specialize_q,
     unpack,
     weyl_act,
 )
 from heckemod.characters import character_by_name
-from heckemod.errors import CoweightOutOfRange, NegativeQExponentAtZero, NotDivisible
+from heckemod.errors import CoweightOutOfRange, NotDivisible
 from heckemod.operators import alternator, demazure, t_act
 from heckemod.root_system import build_root_system, negate_coweight, rho, weyl_group
 
@@ -250,25 +248,6 @@ def test_rational_clear_and_zero_den():
     assert RationalElem(f, g).clear() == mono(2) + GroupRingElem.one(1)
     with pytest.raises(ZeroDivisionError):
         RationalElem(f, GroupRingElem.zero(1))
-
-
-def test_specialize_q():
-    one = GroupRingElem.one(1)
-    f = one - GroupRingElem.monomial((2,), {1: 1})  # 1 - q pi^a
-    assert specialize_q(f, 0) == one
-    poincare = GroupRingElem.monomial((0,), {0: 1, 1: 2, 2: 2, 3: 1})  # A2 Poincare
-    assert specialize_q(poincare, 1) == GroupRingElem.monomial((0,), {0: 6})
-    with pytest.raises(NegativeQExponentAtZero):
-        specialize_q(GroupRingElem.monomial((-2,), {-1: 1}), 0)
-    half = specialize_q(GroupRingElem.monomial((0,), {1: 2}), Fraction(1, 2))
-    assert half == GroupRingElem.monomial((0,), {0: 1})
-    third = specialize_q(GroupRingElem.monomial((0,), {1: 1}), Fraction(1, 3))
-    assert third.coeffs[(0,)][0] == Fraction(1, 3)
-
-
-def test_specialize_q_at_zero_keeps_constant_term():
-    f = GroupRingElem.monomial((1,), {0: 3, 2: 5})
-    assert specialize_q(f, 0) == GroupRingElem.monomial((1,), {0: 3})
 
 
 def test_grsum_matches_folded_addition():

@@ -99,6 +99,26 @@ def test_no_enumeration_of_w_on_any_path(monkeypatch, capsys):
     assert (suites, evals) == run_all()  # as with the enumeration in reach
 
 
+@pytest.mark.parametrize("type_name", ["B2", "G2"])
+def test_q_zero_degeneration_walks_without_t_act(monkeypatch, type_name):
+    # The suite walks at q = 0 (and its control at q = 1) from the start, so
+    # no q-polynomial generator runs.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("t_act called")
+
+    binding = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "heckemod"
+                     and getattr(module, "t_act", None) is operators.t_act)
+    assert binding == ["heckemod", "heckemod.operators", "heckemod.verify"]
+    for name in binding:
+        monkeypatch.setattr(sys.modules[name], "t_act", forbidden)
+    with pytest.raises(AssertionError):
+        sum_fraktur(character_by_name(build_root_system("A1"), "triv"), GroupRingElem.one(1))  # the patch does bite
+    passing = run_suite("q-zero-degeneration", type_name)
+    assert passing and all(r.passed for r in passing)
+    controls = run_suite("q-zero-degeneration", type_name, mutate="wrong-specialization")
+    assert controls and not any(r.passed for r in controls)
+
+
 def test_braid_walks_elements_in_shortlex_order():
     # ShortLex order reaches s_1 s_3 = s_3 s_1 before s_1 s_2 s_1 = s_2 s_1 s_2,
     # so the mismatched-character control fails there first.
@@ -313,7 +333,6 @@ def test_suite_tasks_refuses_unknown_names():
 
 WITNESS_KEYS = {
     ("bernstein", "flip-correction-sign"): {"i", "mu", "nu", "lhs", "rhs"},
-    ("bessel-intertwiner", "swap-cases"): {"i", "mu", "lhs", "rhs"},
     ("bessel-value", "drop-cofactor"): {"cofactor", "expected", "unit_ratio_to_quoted"},
     ("braid", "mismatched-character"): {"mu", "w", "word"},
     ("casselman-shalika", "drop-q-power"): {"closed", "lambda", "theorem"},
@@ -350,7 +369,7 @@ def test_every_suite_registers_a_control():
 
 
 def test_shared_mutation_runs_every_owner():
-    assert MUTATION_SUITES["swap-cases"] == ("deformed-demazure", "intertwiner", "bessel-intertwiner")
+    assert MUTATION_SUITES["swap-cases"] == ("deformed-demazure", "intertwiner")
     results = [r for suite, t in suite_tasks(("B2",), mutate="swap-cases")
                for r in run_suite(suite, t, radius=0, cap=1, mutate="swap-cases")]
     assert {r.identity for r in results} == set(MUTATION_SUITES["swap-cases"])
