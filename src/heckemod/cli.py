@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from json.encoder import encode_basestring_ascii
@@ -27,6 +28,7 @@ from .errors import HeckemodError, InvalidCartanType, InvalidCharacter, UnknownN
 from .formulas import (
     bessel_value,
     casselman_shalika,
+    coset_measure,
     demazure_character,
     dominant_coweights_up_to_height,
     in_family_b,
@@ -54,11 +56,6 @@ OUTPUT_DIR_ENV = "HECKEMOD_OUTPUT_DIR"
 PARSE_ERROR, DOMAIN_ERROR, IO_ERROR = 2, 3, 4
 
 
-def _casselman_shalika(rs, eps, lam, word):
-    pair = casselman_shalika(rs, lam)
-    return pair.closed_form, {"theorem_form": pair.theorem_form}
-
-
 def _shalika(rs, eps, lam, word):
     forms = shalika(rs, lam)
     rewritten = forms.rewritten_form
@@ -78,8 +75,7 @@ def _bessel_value(rs, eps, lam, word):
 
 def _iwahori_image(rs, eps, lam, word):
     # t_word refuses a non-reduced word, which would name a shorter element.
-    image = iwahori_image(eps, word, lam)
-    return image.value, {"measure": qd_str(image.measure)}
+    return iwahori_image(eps, word, lam), {"measure": qd_str(coset_measure(rs, lam))}
 
 
 class Formula(NamedTuple):
@@ -113,7 +109,8 @@ FORMULAS: dict[str, Formula] = {
                          lambda rs, eps, lam, word: (weyl_character(rs, lam), {})),
     "demazure-char": Formula(False, True, None, _any_type,
                              lambda rs, eps, lam, word: (demazure_character(rs, lam), {})),
-    "casselman-shalika": Formula(False, True, "sign", _any_type, _casselman_shalika),
+    "casselman-shalika": Formula(False, True, "sign", _any_type,
+                                 lambda rs, eps, lam, word: (casselman_shalika(rs, lam), {})),
     "macdonald": Formula(False, True, "triv", _any_type,
                          lambda rs, eps, lam, word: (macdonald(rs, lam), {})),
     "shalika": Formula(False, True, "neg-short", in_family_b, _shalika),
@@ -128,9 +125,22 @@ class DomainExit(Exception):
         self.code = code
 
 
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def _ascii_ints(text: str) -> tuple[int, ...]:
+    """The comma-separated entries of ``text`` as ints; ValueError unless each
+    stripped entry is an ASCII integer (``int`` alone also reads ``1_0`` as
+    10 and full-width digits as digits) that ``int`` accepts."""
+    entries = [c.strip() for c in text.split(",")]
+    if not all(_ASCII_INT.fullmatch(c) for c in entries):
+        raise ValueError(f"not comma-separated ASCII integers: {text!r}")
+    return tuple(map(int, entries))
+
+
 def _parse_lambda(text: str, rank: int) -> tuple[int, ...]:
     try:
-        coords = tuple(int(c.strip()) for c in text.split(","))
+        coords = _ascii_ints(text)
     except ValueError:
         raise DomainExit(PARSE_ERROR, f"cannot parse coweight {text!r}: expected comma-separated integers")
     if len(coords) != rank:
@@ -145,7 +155,7 @@ def _parse_word(text: str, rank: int) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        word = tuple(int(c.strip()) - 1 for c in text.split(","))
+        word = tuple(i - 1 for i in _ascii_ints(text))
     except ValueError:
         raise DomainExit(PARSE_ERROR, f"cannot parse word {text!r}: expected comma-separated indices")
     if any(i < 0 or i >= rank for i in word):
@@ -166,7 +176,7 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
     eps = character_by_name(rs, character) if character is not None else None
     value, fields = entry.evaluate(rs, eps, lam, word)
     row = {
-        "type": type_name,
+        "type": str(rs.cartan_type),
         "character": character if entry.needs_character else (entry.implied_character or "-"),
         "lambda": list(lam) if lam is not None else [],
         "formula": formula,
@@ -279,13 +289,12 @@ def cmd_eval(args) -> int:
     rs = build_root_system(args.type)
     if entry.needs_character and args.character is None:
         raise DomainExit(PARSE_ERROR, f"formula {formula} requires --character")
-    lam = None
-    if entry.needs_lambda:
-        if args.lam is None:
-            raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
-        lam = _parse_lambda(args.lam, rs.rank)
+    if entry.needs_lambda and args.lam is None:
+        raise DomainExit(PARSE_ERROR, f"formula {formula} requires --lambda")
+    # Both are parsed for every formula, so a bad one exits 2 even where it is unused.
+    lam = _parse_lambda(args.lam, rs.rank) if args.lam is not None else None
     word = _parse_word(args.word, rs.rank)
-    row, fields = _evaluate_formula(args.type, formula, args.character, lam, word)
+    row, fields = _evaluate_formula(args.type, formula, args.character, lam if entry.needs_lambda else None, word)
     if args.output == "json":
         print(_json_text(row))
     elif args.output == "csv":
@@ -361,7 +370,7 @@ def cmd_table(args) -> int:
             for lam in lambdas if entry.needs_lambda else [None]:
                 tasks.append((args.type, formula, char_name, lam, ()))
     if not tasks:
-        raise DomainExit(PARSE_ERROR, f"nothing to tabulate: no selected formula applies to {args.type}")
+        raise DomainExit(PARSE_ERROR, f"nothing to tabulate: no selected formula applies to {rs.cartan_type}")
 
     rows = _run_tasks(_table_row, tasks, args.jobs)
     rows.sort(key=lambda r: (r["type"], r["character"], r["lambda"], r["formula"]))
@@ -374,7 +383,7 @@ def cmd_table(args) -> int:
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or "."
     try:
         os.makedirs(out_dir, exist_ok=True)
-        base = os.path.join(out_dir, f"table_{args.type}")
+        base = os.path.join(out_dir, f"table_{rs.cartan_type}")
         _atomic_write({base + ".csv": csv_text, base + ".json": json_text})
     except OSError as exc:
         raise DomainExit(IO_ERROR, f"cannot write table: {exc}")

@@ -98,24 +98,16 @@ def demazure_character(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     return demazure_word(rs, longest_word(rs), GroupRingElem.monomial(_w0_image(rs, lam)))
 
 
-@dataclass
-class CasselmanShalikaValue:
-    """Whittaker closed form together with the operator-sum value it must equal."""
+def casselman_shalika(rs: RootSystem, lam: Coweight) -> GroupRingElem:
+    """Whittaker closed form q^{l(w0)} pi^{rho} prod_{a>0} (1 - q^-1 pi^{-a^vee}) chi_lambda.
 
-    closed_form: GroupRingElem
-    theorem_form: GroupRingElem
-
-
-def casselman_shalika(rs: RootSystem, lam: Coweight) -> CasselmanShalikaValue:
-    """q^{l(w0)} pi^{rho} prod_{a>0} (1 - q^-1 pi^{-a^vee}) chi_lambda, plus the
-    sign-character operator-sum value for comparison."""
+    It runs no Hecke walk: the ``casselman-shalika`` suite pairs it with the
+    sign-character operator sum, ``theorem_lhs(sign, lambda)``.
+    """
     _require_dominant(lam, "casselman_shalika")
-    chi = weyl_character(rs, lam)
-    closed = multiply_binomials(chi, [negate_coweight(v) for v in rs.positive_coroots], -1)
+    closed = multiply_binomials(weyl_character(rs, lam), [negate_coweight(v) for v in rs.positive_coroots], -1)
     # l(w0) is the number of positive roots.
-    closed = closed.translated(rho(rs)).scale_q({len(rs.positive_roots): 1})
-    sign_eps = character_by_name(rs, "sign")
-    return CasselmanShalikaValue(closed_form=closed, theorem_form=theorem_lhs(sign_eps, lam))
+    return closed.translated(rho(rs)).scale_q({len(rs.positive_roots): 1})
 
 
 def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
@@ -242,17 +234,10 @@ def coset_measure(rs: RootSystem, lam: Coweight) -> QDict:
     return {exponent: 1}
 
 
-@dataclass
-class IwahoriImage:
-    """Image of one Iwahori-fixed vector: module value and coset measure."""
-
-    value: GroupRingElem
-    measure: QDict
-
-
-def iwahori_image(eps: HeckeCharacter, word, lam: Coweight) -> IwahoriImage:
+def iwahori_image(eps: HeckeCharacter, word, lam: Coweight) -> GroupRingElem:
     """T_w (pi^{lambda + rho_eps}) for the w spelled by a reduced word (else
-    :class:`heckemod.errors.NonReducedWord`), with the measure carried separately.
+    :class:`heckemod.errors.NonReducedWord`); :func:`coset_measure` gives the
+    measure of lambda's double coset.
 
     Summing the values over all w gives theorem_lhs(eps, lambda); equivalently
     pi^{rho_eps} theorem_lhs equals sum_w frak_t_w pi^{lambda + 2 rho_eps}.
@@ -260,7 +245,7 @@ def iwahori_image(eps: HeckeCharacter, word, lam: Coweight) -> IwahoriImage:
     # t_word checks the word, so a bad word is reported before a bad lambda.
     value = t_word(eps, word, GroupRingElem.monomial(add_coweights(lam, eps.rho_eps)))
     _require_dominant(lam, "iwahori_image")
-    return IwahoriImage(value=value, measure=coset_measure(eps.root_system, lam))
+    return value
 
 
 def poincare_polynomial(rs: RootSystem) -> GroupRingElem:

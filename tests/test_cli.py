@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -95,6 +96,42 @@ def test_eval_checks_the_word_of_every_formula(capsys, formula, rest):
     assert run_cli(capsys, *base, "--word", "2,1") == (0, out, "")
 
 
+def test_eval_checks_the_lambda_of_every_formula(capsys):
+    # --lambda is parsed at the edge like --word, so a bad one is refused even
+    # where the formula takes no lambda; a valid one it does not use changes
+    # nothing, and the row still says "lambda": [].
+    base = ("eval", "--type", "B2", "--formula", "bessel-value", "--output", "json")
+    for lam, message in (("garbage", "cannot parse coweight"), ("1", "has 1 coordinates, rank is 2")):
+        code, out, err = run_cli(capsys, *base, "--lambda", lam)
+        assert (code, out) == (2, ""), lam
+        assert message in err, lam
+    code, out, err = run_cli(capsys, *base)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["lambda"] == []
+    assert run_cli(capsys, *base, "--lambda", "1,0") == (0, out, "")
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--lambda", "1_0,0", "cannot parse coweight"),
+    ("--lambda", "\uff11,0", "cannot parse coweight"),
+    ("--word", "1_0", "cannot parse word"),
+    ("--word", "\uff11", "cannot parse word"),
+], ids=["lambda-underscore", "lambda-fullwidth", "word-underscore", "word-fullwidth"])
+def test_eval_accepts_only_ascii_integers(capsys, flag, text, message):
+    # int() alone reads 1_0 as 10 and a full-width 1 as 1.
+    base = ("eval", "--type", "A2", "--formula", "weyl-char", "--lambda", "1,0")
+    code, out, err = run_cli(capsys, *base, flag, text)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} {text!r}: expected comma-separated {'integers' if flag == '--lambda' else 'indices'}\n"
+
+
+def test_eval_signs_and_spaces_still_parse(capsys):
+    base = ("eval", "--type", "A2", "--formula", "weyl-char")
+    code, out, err = run_cli(capsys, *base, "--lambda", "1,0", "--word", "1,2")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, *base, "--lambda", " +1 , 0 ", "--word", " +1, 2") == (0, out, "")
+
+
 def test_eval_shalika_both_forms(capsys):
     code, out, _ = run_cli(capsys, "eval", "--type", "B2", "--lambda", "0,1", "--formula", "shalika")
     assert code == 0
@@ -108,7 +145,7 @@ _SHALIKA_B2 = "(-q^3 - q^2)*pi^[-2,1] + (q^2 + q)*pi^[0,-1] + (q^4 + q^3)*pi^[0,
 
 
 @pytest.mark.parametrize("argv, lines", [
-    (("--formula", "casselman-shalika", "--lambda", "0,0"), [_CS_B2, f"theorem_form: {_CS_B2}"]),
+    (("--formula", "casselman-shalika", "--lambda", "0,0"), [_CS_B2]),
     (("--formula", "shalika", "--lambda", "0,0"),
      [_SHALIKA_B2, f"rewritten_form: {_SHALIKA_B2}", "forms_agree: True"]),
     (("--formula", "bessel-value"), [
@@ -224,6 +261,20 @@ def test_table_counts_and_determinism(tmp_path, capsys):
     assert len(lines) - 1 == 4 * 2 * 2  # lambdas x characters x formulas
 
 
+def test_table_and_eval_use_the_canonical_type_name(tmp_path, capsys):
+    # As verify does: the row's type and the table's file name are str(CartanType).
+    for type_name in ("B2", "b2"):
+        code, out, err = run_cli(capsys, "table", "--type", type_name, "--height", "1",
+                                 "--out", str(tmp_path / type_name))
+        assert (code, err) == (0, "")
+        assert sorted(p.name for p in (tmp_path / type_name).iterdir()) == ["table_B2.csv", "table_B2.json"]
+    for suffix in (".csv", ".json"):
+        name = "table_B2" + suffix
+        assert (tmp_path / "b2" / name).read_bytes() == (tmp_path / "B2" / name).read_bytes(), name
+    base = ("eval", "--formula", "weyl-char", "--lambda", "1", "--output", "csv")
+    assert run_cli(capsys, *base, "--type", " a1") == run_cli(capsys, *base, "--type", "A1")
+
+
 _JSON_TEXT = st.text() | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\ud7ff\udc00\U0001f600')
 # Ring elements of rank 1-4 with coordinates up to the packing bound, and
 # coefficients past 2^64 of both signs at negative q-exponents; an empty term
@@ -285,8 +336,8 @@ def test_table_rows_scale_with_characters(tmp_path, capsys):
 
 
 def test_table_jobs_parallelism_is_deterministic(tmp_path, capsys):
-    # The B2 rows carry ring elements besides the value (theorem_form,
-    # rewritten_form, quoted_product), pickled back from the workers.
+    # The B2 rows carry ring elements besides the value (rewritten_form,
+    # quoted_product), pickled back from the workers.
     for type_name, formulas in (("A1", ()),
                                 ("B2", ("--formulas", "casselman-shalika,shalika,bessel-value,macdonald"))):
         seq = tmp_path / type_name / "seq"
@@ -541,6 +592,20 @@ def test_f4_size_guard_names_no_cli_step(capsys):
     code, out, err = run_cli(capsys, "verify", "--type", "F4")
     assert (code, out) == (3, "")
     assert err == "error: WeylGroupTooLarge: |W(F4)| = 1152 exceeds the cap 500 on walks over the whole Weyl group\n"
+
+
+def test_eval_casselman_shalika_on_f4(capsys):
+    # The closed form walks no Weyl group, so the size guard does not stop it.
+    # At lambda = 0 it is q^24 pi^rho prod_{a>0} (1 - q^-1 pi^{-a^vee}), so
+    # its coefficients summed over the coweights are (q - 1)^24.
+    code, out, err = run_cli(capsys, "eval", "--type", "F4", "--formula", "casselman-shalika",
+                             "--lambda", "0,0,0,0", "--output", "json")
+    assert (code, err) == (0, "")
+    total: dict[int, int] = {}
+    for record in json.loads(out)["value_records"]:
+        for e, c in record["coeff"]:
+            total[e] = total.get(e, 0) + int(c)
+    assert {e: c for e, c in total.items() if c} == {k: comb(24, k) * (-1) ** (24 - k) for k in range(25)}
 
 
 def test_eval_alternator_side_on_f4(capsys):
