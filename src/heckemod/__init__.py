@@ -37,6 +37,7 @@ from .formulas import (
     shalika,
     theorem_lhs,
     theorem_rhs,
+    value_at_zero,
     weyl_character,
 )
 from .operators import (

@@ -67,7 +67,6 @@ def _bessel_value(rs, eps, lam, word):
     ratio = report.unit_ratio
     return report.theorem_value, {
         "quoted_product": report.quoted_product,
-        "quoted_product_str": report.quoted_product.to_str(),
         "unit_ratio_to_quoted": list(ratio[:2]) + [list(ratio[2])] if ratio is not None else None,
         "q_form_cofactor": report.q_form_cofactor.to_str(),
     }
@@ -84,13 +83,12 @@ class Formula(NamedTuple):
     ``evaluate(rs, eps, lam, word)`` returns ``(value, fields)``: the value
     and the formula's own row fields, which ``eval`` prints under the value
     as ``name: text`` lines in row order (an element by ``to_str()``,
-    anything else by ``str()``). A field ``<name>_str`` is the JSON text of
-    the element field ``<name>``, so text output does not print it again.
-    ``eps`` is the named character, or None when none is named, ``lam`` the
-    parsed coweight, or None when the formula takes none, and ``word`` the
-    parsed ``--word`` (0-based indices; ``()`` when none is given).
-    ``applies`` says which types a table includes the formula for. Formulas
-    are looked up by name on each call.
+    anything else by ``str()``). ``eps`` is the named character, or None
+    when none is named, ``lam`` the parsed coweight, or None when the
+    formula takes none, and ``word`` the parsed ``--word`` (0-based indices;
+    ``()`` when none is given). A formula with an ``implied_character``
+    refuses any other named one. ``applies`` says which types a table
+    includes the formula for. Formulas are looked up by name on each call.
     """
 
     needs_character: bool
@@ -172,8 +170,11 @@ def _evaluate_formula(type_name: str, formula: str, character: str | None,
     elements themselves, which :func:`_json_text` writes as records."""
     rs = build_root_system(type_name)
     entry = FORMULAS[formula]
-    # A named character must exist for the type even where the formula takes none.
+    # A named character must exist for the type and be the one the formula implies, if any.
     eps = character_by_name(rs, character) if character is not None else None
+    if character is not None and entry.implied_character not in (None, character):
+        raise DomainExit(PARSE_ERROR, f"formula {formula} is defined for character"
+                                      f" {entry.implied_character!r}, not {character!r}")
     value, fields = entry.evaluate(rs, eps, lam, word)
     row = {
         "type": str(rs.cartan_type),
@@ -302,8 +303,7 @@ def cmd_eval(args) -> int:
     else:
         print(row["value"])
         for name, v in fields.items():
-            if not (name.endswith("_str") and name[:-4] in fields):
-                print(f"{name}: {v.to_str() if isinstance(v, GroupRingElem) else v}")
+            print(f"{name}: {v.to_str() if isinstance(v, GroupRingElem) else v}")
     return 0
 
 

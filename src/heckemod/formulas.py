@@ -121,10 +121,8 @@ def macdonald(rs: RootSystem, lam: Coweight) -> GroupRingElem:
     built with :func:`heckemod.algebra.multiply_binomials` over the positive
     coroots and the Demazure operators run along w0's word; nothing is
     divided. It uses neither ``omega_apply`` nor ``alternator``, so it stays
-    an independent side of the macdonald suite.
-    At lambda = 0 this is the Poincare polynomial sum_w q^{l(w)}. Its
-    negative control, w0's word less its first letter, lives in
-    :func:`heckemod.verify.verify_macdonald`.
+    an independent side of the macdonald suite. Its negative control, w0's
+    word less its first letter, lives in :func:`heckemod.verify.verify_macdonald`.
     """
     _require_dominant(lam, "macdonald")
     num = multiply_binomials(GroupRingElem.monomial(lam), rs.positive_coroots, 1)
@@ -171,16 +169,10 @@ class BesselValue:
     1 - q^k pi^{a^vee}, at k = -1 and k = 1, taken by
     :func:`heckemod.algebra.divide_by_binomials`.
 
-    On B_n the cofactor is q^{n-1} (1 + q). This follows from the alternator
-    side of the identity at lambda = 0: in epsilon coordinates
-    2 rho_eps - rho = (n-2, ..., 0, -1) and the short coroots are 2 e_i, so of
-    the products over subsets S of short roots only S = {1..n-1} and
-    S = {1..n} give an exponent W-conjugate to rho; they contribute
-    (-1)^n q^{n-1} and (-1)^n q^n, and (-1)^{l(w0)} = (-1)^n. Because 1 + q is
-    not a unit, and because the n(n-1) long coroots sum to 2 rho_eps (so the
-    value is (q^{n^2-1} + q^{n^2}) times the quoted product with pi^mu sent to
-    pi^{-mu}), no unit monomial relates the value to the quoted product and
-    ``unit_ratio`` is None.
+    The value is :func:`value_at_zero` of the neg-long character. On B_n its
+    only q-class simple root is the short alpha_n, so W_J is A1 and the
+    cofactor is q^{n-1} P_{A1}(q) = q^{n-1} (1 + q). Since 1 + q is not a
+    unit, ``unit_ratio`` is None.
     """
 
     theorem_value: GroupRingElem
@@ -209,17 +201,13 @@ def _unit_monomial_ratio(shifted: GroupRingElem, long_coroots):
 
 
 def bessel_value(rs: RootSystem) -> BesselValue:
-    """Value of the neg-long character sum at lambda = 0 with a ratio report.
-
-    The report carries the exact cofactor against the q-side product, which
-    does exist in the ring; ``unit_ratio`` is None on every B_n, since that
-    cofactor is the non-unit q^{n-1} (1 + q) (see :class:`BesselValue`).
-    ``NotDivisible`` at k = -1 means no unit ratio.
-    """
+    """:func:`value_at_zero` of the neg-long character, so no Hecke walk runs,
+    with the ratio report of :class:`BesselValue`. ``NotDivisible`` at
+    k = -1 means no unit ratio."""
     if not in_family_b(rs):
         raise WrongFamily(f"bessel value is defined for family B, got {rs.cartan_type}")
     eps = character_by_name(rs, "neg-long")
-    value = theorem_lhs(eps, (0,) * rs.rank)
+    value = value_at_zero(eps)
     long_coroots = eps.minus_coroots
     quoted = multiply_binomials(GroupRingElem.monomial(negate_coweight(eps.rho_eps)), long_coroots, -1)
     shifted = value.translated(eps.rho_eps)
@@ -248,14 +236,36 @@ def iwahori_image(eps: HeckeCharacter, word, lam: Coweight) -> GroupRingElem:
     return value
 
 
-def poincare_polynomial(rs: RootSystem) -> GroupRingElem:
-    """sum_w q^{l(w)} as a constant group-ring element, over the orbit of
-    rho: l(w) = #{a > 0 : <a, w(rho)> < 0}."""
+def poincare_polynomial(rs: RootSystem, simple) -> GroupRingElem:
+    """sum_{w in W_J} q^{l(w)} as a constant group-ring element, for W_J
+    generated by the simple reflections ``simple``, over the orbit of rho:
+    the a > 0 with <a, w(rho)> < 0 are the l(w) inversions of w^{-1}, and w
+    is in W_J exactly when all of them are supported on J."""
     counts: QDict = {}
     for x in orbit(rs, rho(rs)):
-        length = sum(rs.pairing(a, x) < 0 for a in rs.positive_roots)
-        counts[length] = counts.get(length, 0) + 1
+        inversions = [a for a in rs.positive_roots if rs.pairing(a, x) < 0]
+        if all(k in simple for a in inversions for k, c in enumerate(a) if c):
+            counts[len(inversions)] = counts.get(len(inversions), 0) + 1
     return GroupRingElem.monomial((0,) * rs.rank, counts)
+
+
+def value_at_zero(eps: HeckeCharacter) -> GroupRingElem:
+    """theorem_lhs(eps, 0) in closed form, with no walk and no Omega:
+    (-1)^{|Phi_{-1}^+|} q^{|Phi_q^+| - |Phi_J^+|} P_{W_J}(q) pi^{-rho_eps}
+    prod_{a in Phi_{-1}^+} (1 - q pi^{a^vee}), where J is the set of q-class
+    simple roots (<alpha_i, rho_eps> = 0) and |Phi_J^+| the degree of P_{W_J}.
+
+    Hecke side: for i in J, s_i fixes rho_eps, so G_i(pi^{rho_eps}) = 0 and
+    T_i pi^{rho_eps} = q pi^{rho_eps}. As l(uv) = l(u) + l(v) for u minimal in
+    u W_J and v in W_J, theorem_lhs(eps, 0) = sum_w T_w pi^{rho_eps} is
+    P_{W_J}(q) sum_u T_u pi^{rho_eps}. The README ("The value at lambda = 0")
+    derives the rest from the alternator side (Macdonald, Math. Ann. 199, 1972).
+    """
+    rs = eps.root_system
+    poincare = poincare_polynomial(rs, [i for i in range(rs.rank) if not eps.neg_at[i]])
+    degree = max(poincare.single_term()[1])
+    cofactor = poincare.scale_q({len(eps.phi_q) - degree: (-1) ** len(eps.phi_minus)})
+    return multiply_binomials(cofactor.translated(negate_coweight(eps.rho_eps)), eps.minus_coroots, 1)
 
 
 def dominant_coweights_up_to_height(rs: RootSystem, height: int) -> list[Coweight]:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from heckemod.algebra import COORD_BOUND, GroupRingElem
 from heckemod.cli import FORMULAS, _json_text, main
+from heckemod.formulas import bessel_value
+from heckemod.root_system import build_root_system
 from heckemod.verify import SUITES
 
 
@@ -161,8 +163,7 @@ _SHALIKA_B2 = "(-q^3 - q^2)*pi^[-2,1] + (q^2 + q)*pi^[0,-1] + (q^4 + q^3)*pi^[0,
     ]),
 ])
 def test_eval_text_lines_golden(capsys, argv, lines):
-    # Every line in order: the value, then one line per field of the row,
-    # with no line for a field that is another field's JSON text.
+    # Every line in order: the value, then one line per field of the row.
     assert run_cli(capsys, "eval", "--type", "B2", *argv) == (0, "\n".join(lines) + "\n", "")
 
 
@@ -197,11 +198,45 @@ def test_eval_checks_the_character_of_every_formula(capsys, formula):
     )
     assert (code, out) == (2, "")
     assert err == "error: character 'neg-long' not defined for A2\n"
-    # A valid one it does not use changes nothing.
+    # A valid one it does not use changes nothing: the one the formula
+    # implies, or any where it implies none.
     base = ("eval", "--type", "A2", "--formula", formula, "--lambda", "1,0")
-    code, out, err = run_cli(capsys, *base, "--character", "triv")
+    code, out, err = run_cli(capsys, *base, "--character", FORMULAS[formula].implied_character or "triv")
     assert (code, err) == (0, "")
     assert run_cli(capsys, *base) == (0, out, "")
+
+
+@pytest.mark.parametrize("formula, named, rest", [
+    ("casselman-shalika", "triv", ("--lambda", "1,1")),
+    ("macdonald", "sign", ("--lambda", "1,1")),
+    ("shalika", "neg-long", ("--lambda", "1,1")),
+    ("bessel-value", "sign", ()),
+])
+def test_eval_refuses_a_character_the_formula_contradicts(capsys, formula, named, rest):
+    # The row used to carry the named character beside the implied one's value.
+    implied = FORMULAS[formula].implied_character
+    base = ("eval", "--type", "B2", "--formula", formula, *rest)
+    assert run_cli(capsys, *base, "--character", named) == (
+        2, "", f"error: formula {formula} is defined for character {implied!r}, not {named!r}\n")
+    code, out, err = run_cli(capsys, *base, "--output", "csv", "--character", implied)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[1] == implied
+
+
+def test_eval_bessel_value_returns_on_b5(capsys):
+    # The value is the closed form, so the |W| > 500 guard of the walk does not apply.
+    code, out, err = run_cli(capsys, "eval", "--type", "B5", "--formula", "bessel-value")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "q_form_cofactor: (q^5 + q^4)"
+
+
+def test_eval_bessel_json_holds_quoted_product_once(capsys):
+    # As records, like every ring element of a row; its text is the text output's.
+    code, out, _ = run_cli(capsys, "eval", "--type", "B2", "--formula", "bessel-value", "--output", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert "quoted_product_str" not in row
+    assert row["quoted_product"] == bessel_value(build_root_system("B2")).quoted_product.to_json_obj()
 
 
 def test_domain_errors_exit_3(capsys):
@@ -622,8 +657,6 @@ def test_eval_alternator_side_on_f4(capsys):
     # weyl-char reads w0 lambda off the dominant chamber, so it needs no W
     # either; its coefficients sum to Weyl's dimension formula
     # prod_{a>0} <a, lambda + rho> / <a, rho>.
-    from heckemod.root_system import build_root_system
-
     rs = build_root_system("F4")
     for lam in ((0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 0, 0)):
         code, out, err = run_cli(capsys, "eval", "--type", "F4", "--formula", "weyl-char",

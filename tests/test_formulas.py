@@ -18,6 +18,7 @@ from heckemod.formulas import (
     shalika,
     theorem_lhs,
     theorem_rhs,
+    value_at_zero,
     weyl_character,
 )
 from heckemod.operators import sum_fraktur
@@ -154,8 +155,8 @@ def test_macdonald_poincare_values():
     a2 = build_root_system("A2")
     assert macdonald(a2, (0, 0)) == GroupRingElem.monomial((0, 0), {0: 1, 1: 2, 2: 2, 3: 1})
     b2 = build_root_system("B2")
-    assert macdonald(b2, (0, 0)) == poincare_polynomial(b2)
-    assert poincare_polynomial(b2) == GroupRingElem.monomial((0, 0), {0: 1, 1: 2, 2: 2, 3: 2, 4: 1})
+    assert macdonald(b2, (0, 0)) == poincare_polynomial(b2, range(2))
+    assert poincare_polynomial(b2, range(2)) == GroupRingElem.monomial((0, 0), {0: 1, 1: 2, 2: 2, 3: 2, 4: 1})
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2"])
@@ -259,6 +260,33 @@ def test_bessel_value_frozen_cofactors():
     b3 = bessel_value(build_root_system("B3"))
     assert b3.q_form_cofactor == GroupRingElem.monomial((0, 0, 0), {2: 1, 3: 1})
     assert b3.unit_ratio is None
+
+
+def test_bessel_value_runs_no_hecke_walk(monkeypatch):
+    rs = build_root_system("B3")
+    walked = theorem_lhs(character_by_name(rs, "neg-long"), (0, 0, 0))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Hecke walk in bessel_value")
+
+    monkeypatch.setattr(formulas, "theorem_lhs", refuse)
+    monkeypatch.setattr(operators, "t_act", refuse)
+    assert bessel_value(rs).theorem_value == walked
+
+
+# The degrees of the basic invariants of W; P_W(q) = prod_i (1 - q^{d_i}) / (1 - q).
+DEGREES = {"A4": (2, 3, 4, 5), "B5": (2, 4, 6, 8, 10), "C4": (2, 4, 6, 8), "D5": (2, 4, 5, 6, 8),
+           "G2": (2, 6), "F4": (2, 6, 8, 12)}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREES))
+def test_value_at_zero_of_triv_is_the_degree_product(name):
+    # An oracle that walks no orbit: (1 - q^d) / (1 - q) = 1 + q + ... + q^{d-1}.
+    poincare = {0: 1}
+    for d in DEGREES[name]:
+        poincare = {k: sum(c for e, c in poincare.items() if k - d < e <= k) for k in range(max(poincare) + d)}
+    rs = build_root_system(name)
+    assert value_at_zero(character_by_name(rs, "triv")) == GroupRingElem.monomial((0,) * rs.rank, poincare)
 
 
 def test_bessel_value_binomial_expansion_sanity():

@@ -14,7 +14,9 @@ from heckemod.characters import character_by_name, characters
 from heckemod.errors import HeckemodError, UnknownName
 from heckemod.operators import sum_fraktur, t_act, t_word
 from heckemod.root_system import build_root_system, negate_coweight, orbit, reflect, rho
+from heckemod.formulas import bessel_value
 from heckemod.verify import (
+    DEFAULT_TYPES,
     MUTATION_SUITES,
     SUITES,
     monomial_box,
@@ -249,7 +251,6 @@ def test_braid_passes_on_d4(capsys):
 
 
 def test_family_guarded_suites_skip_other_types():
-    assert run_suite("bessel-value", "A2") == []
     assert run_suite("shalika", "G2") == []
     assert run_suite("braid", "A1") == []  # no A1 element has two reduced words
 
@@ -265,13 +266,32 @@ def test_zero_checks_is_not_a_pass():
 
 
 def test_bessel_value_suite_holds_beyond_b3():
-    # The q^{n-1}(1+q) cofactor is derived for every B_n, not frozen per type.
-    (result,) = run_suite("bessel-value", "B4")
-    assert result.passed, result.witness
-    (mutated,) = run_suite("bessel-value", "B4", mutate="drop-cofactor")
-    assert not mutated.passed
-    assert mutated.witness["cofactor"] == "(q^4 + q^3)"
-    assert mutated.witness["expected"] == "1"
+    # The q^{n-1}(1+q) cofactor is derived for every B_n, not frozen per type:
+    # value-at-zero's neg-long row checks the closed form it comes from on B4.
+    results = run_suite("value-at-zero", "B4")
+    assert all(r.passed for r in results), [r.witness for r in results]
+    report = bessel_value(build_root_system("B4"))
+    assert report.q_form_cofactor.to_str() == "(q^4 + q^3)"
+    mutated = {r.character: r for r in run_suite("value-at-zero", "B4", mutate="shift-poincare")}
+    assert not mutated["neg-long"].passed
+    assert mutated["neg-long"].witness["theorem"] == report.theorem_value.to_str()
+
+
+@pytest.mark.parametrize("type_name", DEFAULT_TYPES)
+def test_shift_poincare_fails_on_every_default_row(type_name):
+    # triv and sign make the q exponent of the closed form 0, so a control
+    # that only dropped that power would pass there; multiplying by q does not.
+    results = run_suite("value-at-zero", type_name, mutate="shift-poincare")
+    assert [r.character for r in results] == [eps.name for eps in characters(build_root_system(type_name))]
+    assert not any(r.passed for r in results)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("type_name", ["C3", "B4", "C4", "D4"])
+def test_value_at_zero_passes_beyond_the_default_types(type_name):
+    results = run_suite("value-at-zero", type_name)
+    assert len(results) == len(characters(build_root_system(type_name)))
+    assert all(r.passed for r in results), [r.witness for r in results]
 
 
 @pytest.mark.parametrize("mutation", sorted(MUTATION_SUITES))
@@ -333,13 +353,11 @@ def test_suite_tasks_refuses_unknown_names():
 
 WITNESS_KEYS = {
     ("bernstein", "flip-correction-sign"): {"i", "mu", "nu", "lhs", "rhs"},
-    ("bessel-value", "drop-cofactor"): {"cofactor", "expected", "unit_ratio_to_quoted"},
     ("braid", "mismatched-character"): {"mu", "w", "word"},
     ("casselman-shalika", "drop-q-power"): {"closed", "lambda", "theorem"},
     ("character-formulas", "drop-rho-shift"): {"lambda", "lhs", "rhs"},
     ("deformed-demazure", "swap-cases"): {"i", "mu", "lhs", "rhs"},
     ("intertwiner", "swap-cases"): {"i", "mu", "lhs", "rhs"},
-    ("macdonald", "shift-poincare"): {"expected", "lambda"},
     ("macdonald", "drop-first-letter"): {"lambda", "lhs", "rhs"},
     ("omega-symmetry", "drop-right-sign"): {"i", "mu", "side"},
     ("omega-symmetry", "unreflected-left"): {"i", "mu", "side"},
@@ -348,6 +366,7 @@ WITNESS_KEYS = {
     ("quadratic", "q-squared"): {"i", "mu", "residual"},
     ("rho-pairing", "shift-rho"): {"expected", "rho_eps"},
     ("shalika", "drop-long-q-power"): {"lambda", "rewritten", "theorem"},
+    ("value-at-zero", "shift-poincare"): {"closed", "theorem"},
 }
 
 
