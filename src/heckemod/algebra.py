@@ -30,10 +30,12 @@ reaches only the fields above it), so one AND with the guard mask finds it
 and the operation raises rather than wraps. The kernels check only the keys
 that can leave the hull of their input:
 
-* the rank-one kernel :func:`rank_one` checks s_i mu, once per monomial. The
-  points it writes lie on the alpha_i^vee-string from mu to s_i mu, where
-  each coordinate runs linearly between its two ends, so they stay inside the
-  W-orbit hull of the input's points;
+* the rank-one kernels :func:`rank_one` and :func:`rank_one_int` check s_i mu,
+  once per monomial. The points they write lie on the alpha_i^vee-string from
+  mu to s_i mu, where each coordinate runs linearly between its two ends: a
+  string point's coordinates lie between those of mu, a stored key, and s_i
+  mu, a checked one, so a string point outside the bound would put s_i mu
+  outside it too. They stay inside the W-orbit hull of the input's points;
 * :func:`s_image` checks every image, ``translated`` and the generic product
   every shifted key, and :func:`multiply_binomials` every key shifted by a
   factor; a product by prod_{a>0} (1 - q^k pi^{a^vee}) shifts a point by at
@@ -62,6 +64,17 @@ along the a-string from mu to s_i mu (Brubaker-Bump-Licata, arXiv:1111.4230):
     G_i(pi^mu) = - sum_{j=0}^{p-1} pi^{mu - j a}   if p > 0,
                  + sum_{j=1}^{-p}  pi^{mu + j a}   if p < 0,
                    0                               if p = 0.
+
+Integer-coded coefficients. Setting q to an integer N is a ring map
+Z[q][P^vee] -> Z[P^vee], so a map {packed key: int} holds an element of
+Z[q][P^vee] at q = N, each q-polynomial one Python integer (Kronecker
+substitution again, now in q). :func:`encode_q` takes q^-low f to such a map,
+with low at most f's lowest q-exponent, so Laurent coefficients stay legal;
+:func:`rank_one_int` is the generator form of :func:`rank_one` on it, one
+integer add per string point, and :func:`int_sum` sums such maps. At N = 2^B,
+:func:`decode_q` reads each integer back as balanced base-2^B digits, which
+is exact when every coefficient c of the element has |c| < 2^(B-1); the Hecke
+walk of :mod:`heckemod.operators` picks B from a proved bound.
 
 The generic routes, :func:`exact_div` for any divisor (with
 :func:`qd_div_exact` on the coefficients) and the generic product
@@ -358,10 +371,7 @@ class GroupRingElem:
 
     def translated(self, mu: Coweight) -> "GroupRingElem":
         """Multiply by the monomial pi^mu (exponent shift)."""
-        step = pack_step(mu)
-        out = {k + step: v for k, v in self.packed.items()}
-        check_key(reduce(or_, out, 0), packing(self.rank).guard)
-        return from_packed(self.rank, out)
+        return from_packed(self.rank, shift_keys(self.rank, self.packed, mu))
 
     # -- predicates and access ---------------------------------------------
 
@@ -447,6 +457,15 @@ class GroupRingElem:
 
     def __repr__(self) -> str:
         return f"GroupRingElem({self.to_str()})"
+
+
+def shift_keys(rank: int, packed: dict, mu: Coweight) -> dict:
+    """A packed-key map translated by mu: each key moved by ``pack_step(mu)``,
+    each value kept, and the moved keys checked against the packing bound."""
+    step = pack_step(mu)
+    out = {k + step: v for k, v in packed.items()}
+    check_key(reduce(or_, out, 0), packing(rank).guard)
+    return out
 
 
 def from_packed(rank: int, packed: dict[int, QDict]) -> GroupRingElem:
@@ -628,6 +647,90 @@ def rank_one(rs: RootSystem, i: int, f: GroupRingElem, flip: bool, scalar: QDict
             point += d
     check_key(reflected, guard)
     return from_packed(f.rank, {k: v for k, v in out.items() if v})
+
+
+# -- the integer-coded walk --------------------------------------------------
+#
+# A map {packed key: int} is an element of Z[P^vee] with q set to an integer
+# (module docstring). Nothing below stores a zero.
+
+
+def q_value(qd: QDict, q: int) -> int:
+    """The polynomial qd at the integer q; qd must hold no negative power of q."""
+    if any(e < 0 for e in qd):
+        raise ValueError(f"q^{min(qd)} has no value in Z")
+    return sum(c * q ** e for e, c in qd.items())
+
+
+def encode_q(f: GroupRingElem, q: int, low: int) -> dict[int, int]:
+    """q^-low f at the integer q: each coefficient c(q) becomes the integer
+    sum_e c_e q^(e - low). ``low`` must not exceed f's lowest q-exponent."""
+    out = {x: q_value({e - low: c for e, c in qd.items()}, q) for x, qd in f.packed.items()}
+    return {x: c for x, c in out.items() if c}
+
+
+def decode_q(rank: int, coeffs: dict[int, int], bits: int, low: int) -> GroupRingElem:
+    """The element q^low g whose value at q = 2^bits is ``coeffs``, g in
+    Z[q][P^vee]: each integer's balanced base-2^bits digits, in
+    [-2^(bits-1), 2^(bits-1)), lowest first, are g's coefficients of q^0,
+    q^1, .... Exact when every coefficient c of g has |c| < 2^(bits-1)."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out: dict[int, QDict] = {}
+    for x, v in coeffs.items():
+        qd, e = {}, low
+        while v:
+            d = ((v + half) & mask) - half
+            if d:
+                qd[e] = d
+            v = (v - d) >> bits
+            e += 1
+        out[x] = qd
+    return from_packed(rank, out)
+
+
+def from_integers(rank: int, coeffs: dict[int, int]) -> GroupRingElem:
+    """The element with the constant coefficient ``coeffs[x]`` at each packed key x."""
+    return from_packed(rank, {x: {0: c} for x, c in coeffs.items()})
+
+
+def rank_one_int(rs: RootSystem, i: int, coeffs: dict[int, int], scalar: int, along: int) -> dict[int, int]:
+    """:func:`rank_one`'s generator form, scalar * f^{s_i} + along * G_i(f),
+    on integer coefficients: f, scalar and along with q set to one integer.
+
+    Per monomial c pi^mu: c * scalar at s_i mu, and c * along, negated when
+    p = mu[i] > 0, at each of the |p| string points, one integer add each.
+    The points lie on the alpha_i^vee-string from mu to s_i mu, so checking
+    s_i mu covers every key written, as in :func:`rank_one`.
+    """
+    shift, step, guard = _simple_steps(rs)[i]
+    out: dict[int, int] = {}
+    get = out.get
+    reflected = 0
+    for x, c in coeffs.items():
+        p = ((x >> shift) & VALUE_MASK) - COORD_BOUND
+        y = x - p * step
+        reflected |= y
+        out[y] = get(y, 0) + c * scalar
+        if p > 0:
+            c, points = -c * along, range(x, y, -step)
+        elif p < 0:
+            c, points = c * along, range(x + step, y + step, step)
+        else:
+            continue
+        for point in points:
+            out[point] = get(point, 0) + c
+    check_key(reflected, guard)
+    return {k: v for k, v in out.items() if v}
+
+
+def int_sum(maps) -> dict[int, int]:
+    """The sum of integer-coefficient maps (section comment)."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for m in maps:
+        for k, c in m.items():
+            acc[k] = get(k, 0) + c
+    return {k: v for k, v in acc.items() if v}
 
 
 def grsum(rank: int, terms) -> GroupRingElem:

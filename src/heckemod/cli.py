@@ -356,9 +356,13 @@ def cmd_table(args) -> int:
             character_by_name(rs, c)
     formulas = list(dict.fromkeys(f.strip() for f in args.formulas.split(",")))
     for f in formulas:
-        _registered(FORMULAS, f, "formula")
+        implied = _registered(FORMULAS, f, "formula").implied_character
         if f == "iwahori-image":
             raise DomainExit(PARSE_ERROR, "iwahori-image needs --word; use eval for it")
+        # As in eval, a selection may not contradict the character a formula implies.
+        if args.characters != "all" and implied is not None and implied not in char_names:
+            raise DomainExit(PARSE_ERROR, f"formula {f} is defined for character {implied!r},"
+                                          f" which --characters {args.characters} does not select")
 
     lambdas = dominant_coweights_up_to_height(rs, args.height)
     tasks = []

@@ -20,6 +20,32 @@ Neither rank-one operator divides: T_{s_i} and d_i f = f + G_i(f) are one call
 each into the string-sum kernel :func:`heckemod.algebra.rank_one`, whose module
 holds the closed form of G_i and the packed keys it runs on.
 
+The Hecke walk, the sum of the T_w over W, runs on integer-coded
+coefficients instead (:mod:`heckemod.algebra`): :func:`level_walk` walks the
+parabolic levels at an integer q, each generator one call of
+:func:`heckemod.algebra.rank_one_int` with eps(T_{s_i}) and 1 - q taken at q,
+so each q-polynomial is one integer and each merge one integer add. It has
+two callers:
+
+* :func:`sum_fraktur` walks q^-low f at q = 2^B, low being f's lowest
+  q-exponent, and decodes the result as balanced base-2^B digits;
+* :func:`heckemod.verify.verify_q_zero_degeneration` walks at q = 0 (its
+  control at q = 1), where the integers are the coefficients themselves.
+
+The decode is exact when every coefficient c of the result has
+|c| < 2^(B-1), and :func:`walk_bits` picks B from a bound. Let ||g|| be the
+sum of the absolute values of all integer coefficients of g. Every support of
+the walk lies in the W-orbit hull of its input's points, so |mu[i]| <= P on
+it, P = max |<a, x>| over the positive roots a and the input points x. G_i
+(pi^mu) has |mu[i]| terms of coefficient +-1, so
+||T_{s_i} g|| <= K ||g||, K = max_i ||eps(T_{s_i})|| + 2P, and
+||sum_w T_w f|| <= ||f|| sum_w K^{l(w)}. By the level factorization, with
+lengths adding, sum_w K^{l(w)} is the product over the levels of the sums of
+K^depth over their points. B is the least integer with 2^(B-1) above that
+bound. The public :func:`t_act`, :func:`t_word` and :func:`demazure` keep the
+q-polynomial kernel ``rank_one``, so the two routes stay independent and the
+tests compare them.
+
 The one division left here, by the Weyl denominator's binomials 1 - pi^v,
 goes through :func:`heckemod.algebra.divide_by_binomials`, and the products by
 binomials 1 - q^k pi^v (the intertwiner's (1 - pi^{a^vee}) T_{s_i}, and in the
@@ -65,8 +91,8 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul, sub
 
-from .algebra import (Q_ONE, GroupRingElem, QDict, divide_by_binomials, grsum, multiply_binomials, qd_add, qd_neg,
-                      rank_one, weyl_act)
+from .algebra import (Q_ONE, GroupRingElem, QDict, decode_q, divide_by_binomials, encode_q, grsum, int_sum,
+                      multiply_binomials, q_value, qd_add, qd_neg, rank_one, rank_one_int, shift_keys, weyl_act)
 from .characters import HeckeCharacter
 from .errors import NotDivisible
 from .root_system import (
@@ -140,36 +166,62 @@ def intertwiner_op(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingEl
     return first + second
 
 
-def level_walk(eps: HeckeCharacter, act, f: GroupRingElem) -> GroupRingElem:
-    """Sum of pi^{rho_eps} act_w pi^{-rho_eps} over the whole Weyl group,
-    applied to f, where ``act(i, g)`` is a generator's action on g and
-    act_w composes it along a reduced word of w.
+def level_walk(eps: HeckeCharacter, q: int, coeffs: dict[int, int]) -> dict[int, int]:
+    """Sum of pi^{rho_eps} T_w pi^{-rho_eps} over the whole Weyl group at the
+    integer q, applied to ``coeffs``, an integer-coefficient map
+    (:func:`heckemod.algebra.encode_q`): each generator is
+    :func:`heckemod.algebra.rank_one_int` with eps(T_{s_i}) and 1 - q taken at q.
 
     The sum factors as the product of the sums over the parabolic levels of
     :func:`heckemod.root_system.parabolic_levels`, applied innermost level
     first. Each level is an orbit of a fundamental coweight, walked by dynamic
-    programming: the value at s_i x is ``act(i, .)`` of the value at its
-    parent x. One generator application per non-identity level point: 9 on
-    B3 instead of |W| - 1 = 47. The walk runs between one translation by
-    -rho_eps in and one by +rho_eps out. Above the size cap it raises
-    ``WeylGroupTooLarge``.
+    programming: the value at s_i x is T_{s_i} of the value at its parent x.
+    One generator application per non-identity level point: 9 on B3 instead
+    of |W| - 1 = 47. The walk runs between one translation by -rho_eps in and
+    one by +rho_eps out. Above the size cap it raises ``WeylGroupTooLarge``.
     """
     rs = eps.root_system
     require_walkable(rs)
-    shift = eps.rho_eps
-    f = f.translated(negate_coweight(shift))
+    scalars = [q_value(v, q) for v in eps.eigenvalues]
+    along = 1 - q
+    coeffs = shift_keys(rs.rank, coeffs, negate_coweight(eps.rho_eps))
     for level in reversed(parabolic_levels(rs)):
-        values = [f]
+        values = [coeffs]
         for i, parent in level:
-            values.append(act(i, values[parent]))
-        f = grsum(rs.rank, values)
-    return f.translated(shift)
+            values.append(rank_one_int(rs, i, values[parent], scalars[i], along))
+        coeffs = int_sum(values)
+    return shift_keys(rs.rank, coeffs, eps.rho_eps)
+
+
+def walk_bits(eps: HeckeCharacter, f: GroupRingElem) -> int:
+    """The least B with 2^(B-1) > ||f|| * sum_w K^{l(w)}, which bounds every
+    coefficient of sum_w T_w f (module docstring). ||.|| is the sum of the
+    absolute values of all integer coefficients, K = max_i ||eps(T_{s_i})|| +
+    2P, and P = max |<a, x>| over the positive roots a and the points x of
+    pi^{-rho_eps} f, where the walk starts."""
+    rs = eps.root_system
+    coeffs = f.coeffs
+    points = [tuple(map(sub, mu, eps.rho_eps)) for mu in coeffs]
+    big_p = max((abs(sum(map(mul, a, x))) for a in rs.positive_roots for x in points), default=0)
+    k = max(sum(map(abs, v.values())) for v in eps.eigenvalues) + 2 * big_p
+    total = sum(abs(c) for qd in coeffs.values() for c in qd.values())
+    for level in parabolic_levels(rs):
+        depths = [0]
+        for _, parent in level:
+            depths.append(depths[parent] + 1)
+        total *= sum(k ** d for d in depths)
+    return total.bit_length() + 1
 
 
 def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
     """Sum of frak_t_w = pi^{rho_eps} T_w pi^{-rho_eps} over the whole Weyl
-    group, applied to f: :func:`level_walk` with ``t_act``."""
-    return level_walk(eps, lambda i, g: t_act(eps, i, g), f)
+    group, applied to f: :func:`level_walk` at q = 2^B, B from
+    :func:`walk_bits`, on q^-low f, low being f's lowest q-exponent, then one
+    balanced base-2^B decode (module docstring)."""
+    bits = walk_bits(eps, f)
+    low = min((e for qd in f.coeffs.values() for e in qd), default=0)
+    q = 1 << bits
+    return decode_q(f.rank, level_walk(eps, q, encode_q(f, q, low)), bits, low)
 
 
 def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:

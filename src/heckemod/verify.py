@@ -21,7 +21,7 @@ from functools import cache
 from itertools import groupby
 from typing import Callable, NamedTuple
 
-from .algebra import GroupRingElem, divide_by_binomials, multiply_binomials, rank_one, s_image
+from .algebra import GroupRingElem, divide_by_binomials, encode_q, from_integers, multiply_binomials, s_image
 from .characters import HeckeCharacter, character_by_name, characters
 from .errors import UnknownName
 from .formulas import (
@@ -359,9 +359,9 @@ def verify_q_zero_degeneration(eps: HeckeCharacter, monomials, mutate: str | Non
     """At q = 0 the generator sum becomes the full divided-difference operator
     d_{w0} (Brubaker-Bump-Licata, arXiv:1111.4230).
 
-    The walk runs at q = 0 from the start: the generator is ``rank_one`` with
-    eps(T_{s_i}) at q = 0 (-1 on the -1 classes, 0 on the q classes) and
-    1 - q at q = 0, namely 1. Setting q to a value is a ring map
+    The walk is :func:`heckemod.operators.level_walk` at q = 0 from the
+    start: eps(T_{s_i}) at q = 0 is -1 on the -1 classes and 0 on the q
+    classes, and 1 - q is 1. Setting q to a value is a ring map
     Z[q][P^vee] -> Z[P^vee] that fixes every pi^mu and commutes with s_i and
     with G_i, whose coefficients are integers. Every input monomial, every
     eigenvalue (-1 or q) and 1 - q lies in Z[q], so the map commutes with
@@ -370,18 +370,12 @@ def verify_q_zero_degeneration(eps: HeckeCharacter, monomials, mutate: str | Non
     1, and no G_i term."""
     rs = eps.root_system
     w0_word = longest_word(rs)
-    at_one = mutate == "wrong-specialization"
-    q_value = {0: 1} if at_one else {}
-    scalars = [{0: -1} if neg else q_value for neg in eps.neg_at]
-    along = {} if at_one else {0: 1}
-
-    def act(i: int, g: GroupRingElem) -> GroupRingElem:
-        return rank_one(rs, i, g, True, scalars[i], along)
+    q = 1 if mutate == "wrong-specialization" else 0
 
     def cases():
         for mu in monomials:
             f = GroupRingElem.monomial(mu)
-            lhs = level_walk(eps, act, f)
+            lhs = from_integers(rs.rank, level_walk(eps, q, encode_q(f, q, 0)))
             rhs = demazure_word(rs, w0_word, f)
             yield lhs == rhs, lambda: {"mu": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
 

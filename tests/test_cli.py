@@ -584,6 +584,21 @@ def test_table_without_applicable_formula_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_table_refuses_a_formula_whose_character_is_not_selected(tmp_path, capsys):
+    # macdonald implies triv; as in eval, selecting only sign contradicts it.
+    code, out, err = run_cli(capsys, "table", "--type", "B2", "--characters", "sign", "--formulas", "macdonald",
+                             "--out", str(tmp_path / "refused"))
+    assert (code, out) == (2, "")
+    assert "'triv'" in err
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run_cli(capsys, "table", "--type", "B2", "--height", "1", "--characters", "sign,triv",
+                           "--formulas", "macdonald,casselman-shalika", "--out", str(tmp_path / "kept"))
+    assert code == 0
+    rows = json.loads((tmp_path / "kept" / "table_B2.json").read_text())
+    assert sorted({(r["formula"], r["character"]) for r in rows}) == [("casselman-shalika", "sign"),
+                                                                       ("macdonald", "triv")]
+
+
 class _RecordingPool:
     """In-process stand-in for ProcessPoolExecutor that records max_workers."""
 

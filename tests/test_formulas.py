@@ -146,6 +146,7 @@ def test_casselman_shalika_runs_no_hecke_walk(monkeypatch):
 
     monkeypatch.setattr(formulas, "theorem_lhs", refuse)
     monkeypatch.setattr(operators, "t_act", refuse)
+    monkeypatch.setattr(operators, "level_walk", refuse)
     assert casselman_shalika(rs, (1, 1, 1)) == theorem
 
 
@@ -271,6 +272,7 @@ def test_bessel_value_runs_no_hecke_walk(monkeypatch):
 
     monkeypatch.setattr(formulas, "theorem_lhs", refuse)
     monkeypatch.setattr(operators, "t_act", refuse)
+    monkeypatch.setattr(operators, "level_walk", refuse)
     assert bessel_value(rs).theorem_value == walked
 
 

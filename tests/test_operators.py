@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckemod import algebra, operators, root_system
-from heckemod.algebra import GroupRingElem, divide_by_binomials, exact_div, grsum, multiply_binomials, s_image
+from heckemod.algebra import (GroupRingElem, decode_q, divide_by_binomials, encode_q, exact_div, grsum, multiply_binomials,
+                              rank_one_int, s_image)
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonReducedWord
 from heckemod.formulas import (
@@ -33,7 +34,7 @@ from heckemod.operators import (
     t_word,
 )
 from heckemod.root_system import add_coweights, build_root_system, negate_coweight, orbit, reflect, rho, weyl_group
-from heckemod.verify import monomial_box
+from heckemod.verify import BOX_CAP_DEFAULT, BOX_RADIUS_DEFAULT, DEFAULT_TYPES, monomial_box
 from test_algebra import coeff, one_minus_pi, qexp, ring_elems
 
 
@@ -166,27 +167,24 @@ def test_sum_fraktur_matches_per_element_composition(name):
     # oracle: pi^{rho_eps} T_w pi^{-rho_eps} along each stored reduced word
     # separately, with no parabolic factorization
     rs = build_root_system(name)
-    g = weyl_group(rs)
     rng = random.Random(f"sum-fraktur-{name}")
     for eps in characters(rs):
-        shift = eps.rho_eps
         for f in (GroupRingElem.monomial((1, -1) + (0,) * (rs.rank - 2)), random_poly(rng, rs.rank)):
-            inner = f.translated(negate_coweight(shift))
-            naive = grsum(rs.rank, (t_word(eps, w.word, inner).translated(shift) for w in g.elements))
-            assert sum_fraktur(eps, f) == naive
+            assert sum_fraktur(eps, f) == _sum_of_t_words(eps, f)
 
 
 @pytest.mark.parametrize("name, applications", [("B3", 9), ("A3", 6), ("G2", 6), ("A1", 1)])
 def test_sum_fraktur_applies_one_generator_per_level_element(name, applications, monkeypatch):
-    # sum over the levels of (level size - 1): B3 levels 6, 4, 2; A3 4, 3, 2; G2 6, 2
+    # sum over the levels of (level size - 1): B3 levels 6, 4, 2; A3 4, 3, 2; G2 6, 2;
+    # each application is one call of the walk's integer kernel
     rs = build_root_system(name)
     calls = []
 
-    def counted(eps, i, f):
+    def counted(rs, i, coeffs, scalar, along):
         calls.append(i)
-        return t_act(eps, i, f)
+        return rank_one_int(rs, i, coeffs, scalar, along)
 
-    monkeypatch.setattr(operators, "t_act", counted)
+    monkeypatch.setattr(operators, "rank_one_int", counted)
     for eps in characters(rs):
         calls.clear()
         sum_fraktur(eps, GroupRingElem.one(rs.rank))
@@ -460,6 +458,68 @@ def test_t_act_and_demazure_match_their_quotients(name, data):
         got = demazure(rs, i, f)
         assert got == divide_by_binomials(fs - f.translated(neg_av), [neg_av], 0)
         _assert_untouched(f, before, got)
+
+
+# --- the integer-coded walk against the q-polynomial generators --------------
+
+
+def _sum_of_t_words(eps, f):
+    """sum_w pi^{rho_eps} T_w pi^{-rho_eps} f, one t_word per element of W: no
+    parabolic factorization and no integer coding."""
+    rs = eps.root_system
+    inner = f.translated(negate_coweight(eps.rho_eps))
+    return grsum(rs.rank, (t_word(eps, w.word, inner) for w in weyl_group(rs).elements)).translated(eps.rho_eps)
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_sum_fraktur_matches_the_sum_of_t_words(name, data):
+    # Random Z[q^+-] inputs (the bound's ||f|| and the encoding's lowest
+    # exponent), under every character and the controls with eigenvalue q^2
+    # and 2q - 1 (the bound's max ||eps(T_i)||).
+    rs = build_root_system(name)
+    f = data.draw(kernel_inputs(rs))
+    for eps in _acting_characters(rs):
+        assert sum_fraktur(eps, f) == _sum_of_t_words(eps, f)
+
+
+def test_the_walk_decodes_wrongly_below_its_bound():
+    # The decode is exact because B bounds the coefficients: one bit fewer than
+    # the largest coefficient needs gives a wrong element, where the walk
+    # itself is exact at every q.
+    rs = build_root_system("B3")
+    eps = character_by_name(rs, "sign")
+    f = GroupRingElem.monomial((3, 2, 4))
+    value = sum_fraktur(eps, f)
+    top = max(abs(c) for qd in value.coeffs.values() for c in qd.values())
+    narrow = top.bit_length()
+    assert narrow + 1 <= operators.walk_bits(eps, f)
+    for bits in (narrow, narrow + 1):
+        q = 1 << bits
+        decoded = decode_q(rs.rank, operators.level_walk(eps, q, encode_q(f, q, 0)), bits, 0)
+        assert (decoded == value) == (bits > narrow), bits
+
+
+@pytest.mark.parametrize("type_name", DEFAULT_TYPES)
+def test_walk_bits_exceed_every_true_coefficient(type_name):
+    # On the operator-identity inputs pi^{lambda + 2 rho_eps}, lambda in the
+    # default box: every coefficient c of the value has |c| < 2^(B-1).
+    rs = build_root_system(type_name)
+    for eps in characters(rs):
+        for lam in monomial_box(rs.rank, BOX_RADIUS_DEFAULT, BOX_CAP_DEFAULT):
+            f = GroupRingElem.monomial(add_coweights(lam, add_coweights(eps.rho_eps, eps.rho_eps)))
+            value = sum_fraktur(eps, f)
+            top = max((abs(c) for qd in value.coeffs.values() for c in qd.values()), default=0)
+            assert operators.walk_bits(eps, f) > top.bit_length(), (eps, lam)
+
+
+def test_encode_and_decode_are_inverse_on_laurent_coefficients():
+    # Balanced digits lie in [-2^(bits-1), 2^(bits-1)): -8 is one at 4 bits, 8 is not.
+    f = GroupRingElem(2, {(1, -2): {-3: 5, 0: -1, 2: 8}, (0, 0): {-1: -8}})
+    for bits in (5, 64):
+        assert decode_q(2, encode_q(f, 1 << bits, -3), bits, -3) == f
+    assert decode_q(2, encode_q(f, 1 << 4, -3), 4, -3) != f
 
 
 # --- the fused kernel against the per-monomial string form -------------------

@@ -103,18 +103,33 @@ def test_no_enumeration_of_w_on_any_path(monkeypatch, capsys):
 
 @pytest.mark.parametrize("type_name", ["B2", "G2"])
 def test_q_zero_degeneration_walks_without_t_act(monkeypatch, type_name):
-    # The suite walks at q = 0 (and its control at q = 1) from the start, so
-    # no q-polynomial generator runs.
+    # The suite walks at q = 0 (and its control at q = 1) from the start, on
+    # the walk's integer kernel, so no q-polynomial generator runs: neither
+    # t_act nor a generator (flip) call of rank_one. The suite's right side,
+    # d_{w0}, keeps rank_one's Demazure form.
     def forbidden(*args, **kwargs):
         raise AssertionError("t_act called")
+
+    real_rank_one, real_t_act = algebra.rank_one, operators.t_act
+
+    def generator_forbidden(rs, i, f, flip, scalar, along):
+        if flip:
+            raise AssertionError("rank_one called for a generator")
+        return real_rank_one(rs, i, f, flip, scalar, along)
 
     binding = sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "heckemod"
                      and getattr(module, "t_act", None) is operators.t_act)
     assert binding == ["heckemod", "heckemod.operators", "heckemod.verify"]
     for name in binding:
         monkeypatch.setattr(sys.modules[name], "t_act", forbidden)
-    with pytest.raises(AssertionError):
-        sum_fraktur(character_by_name(build_root_system("A1"), "triv"), GroupRingElem.one(1))  # the patch does bite
+    for name in sorted(name for name, module in sys.modules.items() if name.split(".")[0] == "heckemod"
+                       and getattr(module, "rank_one", None) is real_rank_one):
+        monkeypatch.setattr(sys.modules[name], "rank_one", generator_forbidden)
+    triv = character_by_name(build_root_system("A1"), "triv")
+    with pytest.raises(AssertionError, match="t_act"):
+        operators.fraktur_t(triv, 0, GroupRingElem.one(1))  # the patches do bite
+    with pytest.raises(AssertionError, match="rank_one"):
+        real_t_act(triv, 0, GroupRingElem.one(1))
     passing = run_suite("q-zero-degeneration", type_name)
     assert passing and all(r.passed for r in passing)
     controls = run_suite("q-zero-degeneration", type_name, mutate="wrong-specialization")
@@ -290,6 +305,15 @@ def test_shift_poincare_fails_on_every_default_row(type_name):
 @pytest.mark.parametrize("type_name", ["C3", "B4", "C4", "D4"])
 def test_value_at_zero_passes_beyond_the_default_types(type_name):
     results = run_suite("value-at-zero", type_name)
+    assert len(results) == len(characters(build_root_system(type_name)))
+    assert all(r.passed for r in results), [r.witness for r in results]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("type_name", ["C3", "D4"])
+@pytest.mark.parametrize("suite", ["operator-identity", "q-zero-degeneration", "omega-symmetry"])
+def test_hecke_walk_suites_pass_beyond_the_default_types(suite, type_name):
+    results = run_suite(suite, type_name)
     assert len(results) == len(characters(build_root_system(type_name)))
     assert all(r.passed for r in results), [r.witness for r in results]
 
