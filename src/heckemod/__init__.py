@@ -11,7 +11,7 @@ emission.
 
 __version__ = "0.1.0"
 
-from .algebra import GroupRingElem, exact_div, grsum, weyl_act
+from .algebra import GroupRingElem, grsum
 from .characters import HeckeCharacter, character_by_name, characters
 from .errors import (
     HeckemodError,
@@ -41,7 +41,6 @@ from .formulas import (
     weyl_character,
 )
 from .operators import (
-    alternator,
     demazure,
     demazure_word,
     fraktur_t,
@@ -56,13 +55,10 @@ from .root_system import (
     Coweight,
     Root,
     RootSystem,
-    WeylElement,
-    WeylGroup,
     build_root_system,
     is_dominant,
     reflect,
     rho,
-    weyl_group,
     weyl_order,
 )
 

@@ -68,8 +68,8 @@ along the a-string from mu to s_i mu (Brubaker-Bump-Licata, arXiv:1111.4230):
 Integer-coded coefficients. Setting q to an integer N is a ring map
 Z[q][P^vee] -> Z[P^vee], so a map {packed key: int} holds an element of
 Z[q][P^vee] at q = N, each q-polynomial one Python integer (Kronecker
-substitution again, now in q). :func:`encode_q` takes q^-low f to such a map,
-with low at most f's lowest q-exponent, so Laurent coefficients stay legal;
+substitution again, now in q). :func:`encode_q` takes f in Z[q][P^vee] to
+such a map, refusing a negative power of q, which has no value in Z;
 :func:`rank_one_int` is the generator form of :func:`rank_one` on it, one
 integer add per string point, and :func:`int_sum` sums such maps. At N = 2^B,
 :func:`decode_q` reads each integer back as balanced base-2^B digits, which
@@ -662,22 +662,22 @@ def q_value(qd: QDict, q: int) -> int:
     return sum(c * q ** e for e, c in qd.items())
 
 
-def encode_q(f: GroupRingElem, q: int, low: int) -> dict[int, int]:
-    """q^-low f at the integer q: each coefficient c(q) becomes the integer
-    sum_e c_e q^(e - low). ``low`` must not exceed f's lowest q-exponent."""
-    out = {x: q_value({e - low: c for e, c in qd.items()}, q) for x, qd in f.packed.items()}
+def encode_q(f: GroupRingElem, q: int) -> dict[int, int]:
+    """f at the integer q, each coefficient c(q) one integer; a negative power
+    of q raises ``ValueError`` (:func:`q_value`)."""
+    out = {x: q_value(qd, q) for x, qd in f.packed.items()}
     return {x: c for x, c in out.items() if c}
 
 
-def decode_q(rank: int, coeffs: dict[int, int], bits: int, low: int) -> GroupRingElem:
-    """The element q^low g whose value at q = 2^bits is ``coeffs``, g in
-    Z[q][P^vee]: each integer's balanced base-2^bits digits, in
-    [-2^(bits-1), 2^(bits-1)), lowest first, are g's coefficients of q^0,
-    q^1, .... Exact when every coefficient c of g has |c| < 2^(bits-1)."""
+def decode_q(rank: int, coeffs: dict[int, int], bits: int) -> GroupRingElem:
+    """The element g of Z[q][P^vee] whose value at q = 2^bits is ``coeffs``:
+    each integer's balanced base-2^bits digits, in [-2^(bits-1), 2^(bits-1)),
+    lowest first, are g's coefficients of q^0, q^1, .... Exact when every
+    coefficient c of g has |c| < 2^(bits-1)."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     out: dict[int, QDict] = {}
     for x, v in coeffs.items():
-        qd, e = {}, low
+        qd, e = {}, 0
         while v:
             d = ((v + half) & mask) - half
             if d:

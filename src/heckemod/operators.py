@@ -24,11 +24,12 @@ The Hecke walk, the sum of the T_w over W, runs on integer-coded
 coefficients instead (:mod:`heckemod.algebra`): :func:`level_walk` walks the
 parabolic levels at an integer q, each generator one call of
 :func:`heckemod.algebra.rank_one_int` with eps(T_{s_i}) and 1 - q taken at q,
-so each q-polynomial is one integer and each merge one integer add. It has
-two callers:
+so each q-polynomial is one integer and each merge one integer add. Its
+input lies in Z[q][P^vee], like every eigenvalue and 1 - q, and it has two
+callers:
 
-* :func:`sum_fraktur` walks q^-low f at q = 2^B, low being f's lowest
-  q-exponent, and decodes the result as balanced base-2^B digits;
+* :func:`sum_fraktur` walks f at q = 2^B and decodes the result as balanced
+  base-2^B digits;
 * :func:`heckemod.verify.verify_q_zero_degeneration` walks at q = 0 (its
   control at q = 1), where the integers are the coefficients themselves.
 
@@ -166,9 +167,9 @@ def intertwiner_op(eps: HeckeCharacter, i: int, f: GroupRingElem) -> GroupRingEl
     return first + second
 
 
-def level_walk(eps: HeckeCharacter, q: int, coeffs: dict[int, int]) -> dict[int, int]:
+def level_walk(eps: HeckeCharacter, q: int, f: GroupRingElem) -> dict[int, int]:
     """Sum of pi^{rho_eps} T_w pi^{-rho_eps} over the whole Weyl group at the
-    integer q, applied to ``coeffs``, an integer-coefficient map
+    integer q, applied to f in Z[q][P^vee] and returned as an integer map
     (:func:`heckemod.algebra.encode_q`): each generator is
     :func:`heckemod.algebra.rank_one_int` with eps(T_{s_i}) and 1 - q taken at q.
 
@@ -177,14 +178,16 @@ def level_walk(eps: HeckeCharacter, q: int, coeffs: dict[int, int]) -> dict[int,
     first. Each level is an orbit of a fundamental coweight, walked by dynamic
     programming: the value at s_i x is T_{s_i} of the value at its parent x.
     One generator application per non-identity level point: 9 on B3 instead
-    of |W| - 1 = 47. The walk runs between one translation by -rho_eps in and
-    one by +rho_eps out. Above the size cap it raises ``WeylGroupTooLarge``.
+    of |W| - 1 = 47, 33 on F4. The walk runs between one translation by
+    -rho_eps in and one by +rho_eps out. Above the size cap it raises
+    ``WeylGroupTooLarge``; for the walk the cap stands in for a budget on the
+    support (F4 sign at (1, 1, 1, 1): 219,529 terms).
     """
     rs = eps.root_system
     require_walkable(rs)
     scalars = [q_value(v, q) for v in eps.eigenvalues]
     along = 1 - q
-    coeffs = shift_keys(rs.rank, coeffs, negate_coweight(eps.rho_eps))
+    coeffs = shift_keys(rs.rank, encode_q(f, q), negate_coweight(eps.rho_eps))
     for level in reversed(parabolic_levels(rs)):
         values = [coeffs]
         for i, parent in level:
@@ -215,13 +218,11 @@ def walk_bits(eps: HeckeCharacter, f: GroupRingElem) -> int:
 
 def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
     """Sum of frak_t_w = pi^{rho_eps} T_w pi^{-rho_eps} over the whole Weyl
-    group, applied to f: :func:`level_walk` at q = 2^B, B from
-    :func:`walk_bits`, on q^-low f, low being f's lowest q-exponent, then one
+    group, applied to f in Z[q][P^vee] (multiply Laurent input by q^k first):
+    :func:`level_walk` at q = 2^B, B from :func:`walk_bits`, then one
     balanced base-2^B decode (module docstring)."""
     bits = walk_bits(eps, f)
-    low = min((e for qd in f.coeffs.values() for e in qd), default=0)
-    q = 1 << bits
-    return decode_q(f.rank, level_walk(eps, q, encode_q(f, q, low)), bits, low)
+    return decode_q(f.rank, level_walk(eps, 1 << bits, f), bits)
 
 
 def alternator(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:

@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from heckemod import formulas, operators
+from heckemod import formulas, operators, root_system
 from heckemod.algebra import GroupRingElem, divide_by_binomials, grsum, multiply_binomials, weyl_act
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonDominant, NonReducedWord, WrongFamily
@@ -289,6 +289,16 @@ def test_value_at_zero_of_triv_is_the_degree_product(name):
         poincare = {k: sum(c for e, c in poincare.items() if k - d < e <= k) for k in range(max(poincare) + d)}
     rs = build_root_system(name)
     assert value_at_zero(character_by_name(rs, "triv")) == GroupRingElem.monomial((0,) * rs.rank, poincare)
+
+
+@pytest.mark.slow
+def test_value_at_zero_matches_the_walk_on_f4(monkeypatch):
+    # The Hecke side at lambda = 0, with the cap raised for this test only:
+    # 33 generator applications per walk; sign, the largest, has 15,145 terms.
+    rs = build_root_system("F4")
+    monkeypatch.setattr(root_system, "MAX_WEYL_DEFAULT", 1152)
+    for eps in characters(rs):
+        assert value_at_zero(eps) == theorem_lhs(eps, (0, 0, 0, 0)), eps.name
 
 
 def test_bessel_value_binomial_expansion_sanity():

@@ -170,7 +170,7 @@ def test_sum_fraktur_matches_per_element_composition(name):
     rng = random.Random(f"sum-fraktur-{name}")
     for eps in characters(rs):
         for f in (GroupRingElem.monomial((1, -1) + (0,) * (rs.rank - 2)), random_poly(rng, rs.rank)):
-            assert sum_fraktur(eps, f) == _sum_of_t_words(eps, f)
+            assert _sum_fraktur_of_laurent(eps, f) == _sum_of_t_words(eps, f)
 
 
 @pytest.mark.parametrize("name, applications", [("B3", 9), ("A3", 6), ("G2", 6), ("A1", 1)])
@@ -471,17 +471,33 @@ def _sum_of_t_words(eps, f):
     return grsum(rs.rank, (t_word(eps, w.word, inner) for w in weyl_group(rs).elements)).translated(eps.rho_eps)
 
 
+def _sum_fraktur_of_laurent(eps, f):
+    """sum_fraktur on f in Z[q^+-][P^vee]: the walk takes Z[q] input and is
+    Z[q]-linear, so walk q^k f, k minus f's lowest q-exponent, and divide by q^k."""
+    k = -min((e for qd in f.coeffs.values() for e in qd), default=0)
+    return sum_fraktur(eps, f.scale_q({k: 1})).scale_q({-k: 1})
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_sum_fraktur_matches_the_sum_of_t_words(name, data):
-    # Random Z[q^+-] inputs (the bound's ||f|| and the encoding's lowest
-    # exponent), under every character and the controls with eigenvalue q^2
-    # and 2q - 1 (the bound's max ||eps(T_i)||).
+    # Random Z[q^+-] inputs, scaled into Z[q] (the bound's ||f||), under every
+    # character and the controls with eigenvalue q^2 and 2q - 1 (the bound's
+    # max ||eps(T_i)||).
     rs = build_root_system(name)
     f = data.draw(kernel_inputs(rs))
     for eps in _acting_characters(rs):
-        assert sum_fraktur(eps, f) == _sum_of_t_words(eps, f)
+        assert _sum_fraktur_of_laurent(eps, f) == _sum_of_t_words(eps, f)
+
+
+def test_sum_fraktur_refuses_a_negative_power_of_q():
+    # The walk's input lies in Z[q]: q^-1 has no value at q = 2^B.
+    rs = build_root_system("A2")
+    f = GroupRingElem(2, {(1, 0): {-1: 1, 0: 2}})
+    for eps in characters(rs):
+        with pytest.raises(ValueError, match=r"q\^-1"):
+            sum_fraktur(eps, f)
 
 
 def test_the_walk_decodes_wrongly_below_its_bound():
@@ -497,7 +513,7 @@ def test_the_walk_decodes_wrongly_below_its_bound():
     assert narrow + 1 <= operators.walk_bits(eps, f)
     for bits in (narrow, narrow + 1):
         q = 1 << bits
-        decoded = decode_q(rs.rank, operators.level_walk(eps, q, encode_q(f, q, 0)), bits, 0)
+        decoded = decode_q(rs.rank, operators.level_walk(eps, q, f), bits)
         assert (decoded == value) == (bits > narrow), bits
 
 
@@ -514,12 +530,12 @@ def test_walk_bits_exceed_every_true_coefficient(type_name):
             assert operators.walk_bits(eps, f) > top.bit_length(), (eps, lam)
 
 
-def test_encode_and_decode_are_inverse_on_laurent_coefficients():
+def test_encode_and_decode_are_inverse_on_polynomial_coefficients():
     # Balanced digits lie in [-2^(bits-1), 2^(bits-1)): -8 is one at 4 bits, 8 is not.
-    f = GroupRingElem(2, {(1, -2): {-3: 5, 0: -1, 2: 8}, (0, 0): {-1: -8}})
+    f = GroupRingElem(2, {(1, -2): {0: 5, 3: -1, 5: 8}, (0, 0): {2: -8}})
     for bits in (5, 64):
-        assert decode_q(2, encode_q(f, 1 << bits, -3), bits, -3) == f
-    assert decode_q(2, encode_q(f, 1 << 4, -3), 4, -3) != f
+        assert decode_q(2, encode_q(f, 1 << bits), bits) == f
+    assert decode_q(2, encode_q(f, 1 << 4), 4) != f
 
 
 # --- the fused kernel against the per-monomial string form -------------------
