@@ -37,9 +37,9 @@ that can leave the hull of their input:
   mu, a checked one, so a string point outside the bound would put s_i mu
   outside it too. They stay inside the W-orbit hull of the input's points;
 * :func:`s_image` checks every image, ``translated`` and the generic product
-  every shifted key, and :func:`multiply_binomials` every key shifted by a
-  factor; a product by prod_{a>0} (1 - q^k pi^{a^vee}) shifts a point by at
-  most |Phi+| coroots;
+  every shifted key, and :func:`multiply_binomials` and
+  :func:`multiply_binomials_int` every key shifted by a factor; a product by
+  prod_{a>0} (1 - q^k pi^{a^vee}) shifts a point by at most |Phi+| coroots;
 * :func:`divide_by_binomials` writes only between points of one v-string of
   its input, and ``grsum``, ``scale_q`` and the like keep their keys.
 
@@ -71,10 +71,13 @@ Z[q][P^vee] at q = N, each q-polynomial one Python integer (Kronecker
 substitution again, now in q). :func:`encode_q` takes f in Z[q][P^vee] to
 such a map, refusing a negative power of q, which has no value in Z;
 :func:`rank_one_int` is the generator form of :func:`rank_one` on it, one
-integer add per string point, and :func:`int_sum` sums such maps. At N = 2^B,
-:func:`decode_q` reads each integer back as balanced base-2^B digits, which
+integer add per string point, :func:`multiply_binomials_int` the integer form
+of :func:`multiply_binomials`, one multiply-add per term and factor, and
+:func:`int_sum` sums such maps. At N = 2^B, :func:`decode_digits` and
+:func:`decode_q` read each integer back as balanced base-2^B digits, which
 is exact when every coefficient c of the element has |c| < 2^(B-1); the Hecke
-walk of :mod:`heckemod.operators` picks B from a proved bound.
+walk of :mod:`heckemod.operators` and the alternator side of
+:mod:`heckemod.formulas` pick B from proved bounds.
 
 The generic routes, :func:`exact_div` for any divisor (with
 :func:`qd_div_exact` on the coefficients) and the generic product
@@ -669,13 +672,16 @@ def encode_q(f: GroupRingElem, q: int) -> dict[int, int]:
     return {x: c for x, c in out.items() if c}
 
 
-def decode_q(rank: int, coeffs: dict[int, int], bits: int) -> GroupRingElem:
-    """The element g of Z[q][P^vee] whose value at q = 2^bits is ``coeffs``:
-    each integer's balanced base-2^bits digits, in [-2^(bits-1), 2^(bits-1)),
-    lowest first, are g's coefficients of q^0, q^1, .... Exact when every
-    coefficient c of g has |c| < 2^(bits-1)."""
+def decode_digits(coeffs: dict, bits: int) -> dict:
+    """The q-polynomials whose values at q = 2^bits are ``coeffs``, under the
+    same keys: each integer's balanced base-2^bits digits, in
+    [-2^(bits-1), 2^(bits-1)), lowest first, are the coefficients of q^0,
+    q^1, .... Exact when every true coefficient c has |c| < 2^(bits-1): a
+    nonzero polynomial with such coefficients is nonzero at 2^bits (its
+    lowest nonzero digit is not divisible by 2^bits), so two of them with
+    equal values are equal."""
     half, mask = 1 << (bits - 1), (1 << bits) - 1
-    out: dict[int, QDict] = {}
+    out = {}
     for x, v in coeffs.items():
         qd, e = {}, 0
         while v:
@@ -685,7 +691,14 @@ def decode_q(rank: int, coeffs: dict[int, int], bits: int) -> GroupRingElem:
             v = (v - d) >> bits
             e += 1
         out[x] = qd
-    return from_packed(rank, out)
+    return out
+
+
+def decode_q(rank: int, coeffs: dict[int, int], bits: int) -> GroupRingElem:
+    """The element g of Z[q][P^vee] whose value at q = 2^bits is the packed
+    map ``coeffs``, by :func:`decode_digits`; exact when every coefficient c
+    of g has |c| < 2^(bits-1)."""
+    return from_packed(rank, decode_digits(coeffs, bits))
 
 
 def from_integers(rank: int, coeffs: dict[int, int]) -> GroupRingElem:
@@ -721,6 +734,23 @@ def rank_one_int(rs: RootSystem, i: int, coeffs: dict[int, int], scalar: int, al
             out[point] = get(point, 0) + c
     check_key(reflected, guard)
     return {k: v for k, v in out.items() if v}
+
+
+def multiply_binomials_int(rank: int, coeffs: dict[int, int], vs, c: int) -> dict[int, int]:
+    """:func:`multiply_binomials` on integer coefficients: coeffs *
+    prod_{v in vs} (1 - c pi^v), for c the value of q^k at the integer q. One
+    multiply-add per term and factor; every key shifted by a factor is
+    checked against the packing bound."""
+    guard = packing(rank).guard
+    for v in vs:
+        step = pack_step(v)
+        out = {x + step: -c * a for x, a in coeffs.items()}
+        check_key(reduce(or_, out, 0), guard)
+        get = out.get
+        for x, a in coeffs.items():
+            out[x] = get(x, 0) + a
+        coeffs = out
+    return {k: a for k, a in coeffs.items() if a}
 
 
 def int_sum(maps) -> dict[int, int]:

@@ -9,10 +9,22 @@ The two sides of the character-sum identity are exposed as
       pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)),
       D_(c) = prod_{Phi+_c} (1 - q pi^{a^vee}),
 
-  with Omega = :func:`heckemod.operators.omega_apply`, i.e.
+  with Omega the operator of :func:`heckemod.operators.omega_apply`, i.e.
   (-1)^{l(w0)} A(pi^{-rho} f) / A(pi^{rho}). Products over empty subsets are
   1 and the division by the Weyl denominator is exact because the alternator
   image is skew.
+
+The alternator side runs on integer-coded coefficients, like the Hecke walk.
+:func:`alternator_gather` forms pi^{lambda+2rho_eps} D_(q) and gathers it
+into Omega's map {mu: E_mu}, and bounds the side's coefficients by
+R = 2^{|Phi_-1^+|} sum_mu ||E_mu||_inf maxmult(chi_mu): Omega's integer
+coefficients are at most the sum (:func:`heckemod.operators.omega_bound`),
+and each factor 1 - q pi^{a^vee} of D_(-1) at most doubles the largest one.
+:func:`alternator_at` then accumulates Omega at an integer q, fills the
+orbits and multiplies by D_(-1) there
+(:func:`heckemod.algebra.multiply_binomials_int`). :func:`theorem_rhs` runs it
+at q = 2^B with 2^(B-1) > R and decodes once; the operator-identity suite
+runs it at the q of the Hecke walk and compares the integers.
 
 The global (-1)^{l(w0)} makes lhs and rhs agree on the nose; with that
 convention the sign-character value also equals the classical Whittaker
@@ -20,8 +32,9 @@ closed form q^{l(w0)} pi^{rho} prod (1 - q^-1 pi^{-a^vee}) chi_lambda exactly
 (ratio +1, recorded by the test suite), and the trivial-character value equals
 Macdonald's spherical sum over W, which :func:`macdonald` computes as the
 Demazure operator d_{w0} of its numerator. Every product by binomials
-1 - q^k pi^v here goes through :func:`heckemod.algebra.multiply_binomials`,
-with the coroots negated where a formula has pi^{-a^vee}.
+1 - q^k pi^v here goes through :func:`heckemod.algebra.multiply_binomials`
+(its integer form on the alternator side), with the coroots negated where a
+formula has pi^{-a^vee}.
 
 Double-coset measures are normalized by |I| = 1 and the dominant translation
 coset gets measure q^{<2 rho, lambda>}; values are reported with the measure
@@ -33,10 +46,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import GroupRingElem, QDict, divide_by_binomials, multiply_binomials
+from .algebra import (GroupRingElem, QDict, decode_q, divide_by_binomials, multiply_binomials, multiply_binomials_int,
+                      pack)
 from .characters import HeckeCharacter, character_by_name
 from .errors import NonDominant, NotDivisible, WrongFamily
-from .operators import demazure_word, omega_apply, sum_fraktur, t_word
+from .operators import (demazure_word, omega_apply, omega_bound, omega_dominant, omega_gather, orbit_fill, sum_fraktur,
+                        t_word)
 from .root_system import (
     Coweight,
     RootSystem,
@@ -67,17 +82,42 @@ def theorem_lhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
     return sum_fraktur(eps, start).translated(negate_coweight(shift))
 
 
+def alternator_gather(eps: HeckeCharacter, lam: Coweight) -> tuple[dict[Coweight, QDict], int]:
+    """The alternator side's gathered Omega, {mu: E_mu} with
+    Omega(pi^{lambda+2rho_eps} D_(q)) = sum_mu E_mu chi_mu
+    (:func:`heckemod.operators.omega_gather`), and R = 2^{|Phi_-1^+|}
+    :func:`heckemod.operators.omega_bound`, which bounds every integer
+    coefficient of D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)): each factor
+    1 - q pi^{a^vee} at most doubles the largest coefficient."""
+    rs = eps.root_system
+    shift = eps.rho_eps
+    start = GroupRingElem.monomial(add_coweights(lam, add_coweights(shift, shift)))
+    gathered = omega_gather(rs, multiply_binomials(start, eps.q_coroots, 1))
+    return gathered, omega_bound(rs, gathered) << len(eps.minus_coroots)
+
+
+def alternator_at(eps: HeckeCharacter, gathered: dict[Coweight, QDict], q: int) -> dict[int, int]:
+    """D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)) at the integer q, as a packed
+    map (:func:`heckemod.algebra.encode_q`), from :func:`alternator_gather`'s
+    map: Omega accumulated on integers, filled over the orbits, then
+    multiplied by D_(-1) on integers."""
+    rs = eps.root_system
+    g = {pack(mu): c for mu, c in orbit_fill(rs, omega_dominant(rs, gathered, q)).items()}
+    return multiply_binomials_int(rs.rank, g, eps.minus_coroots, q)
+
+
 def theorem_rhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
-    """Alternator side of the identity, pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)).
+    """Alternator side of the identity, pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)):
+    :func:`alternator_at` at q = 2^B, with 2^(B-1) above
+    :func:`alternator_gather`'s bound R, then one balanced base-2^B decode.
 
     Its negative control, the global (-1)^{l(w0)} dropped, lives in
     :func:`heckemod.verify.verify_operator_identity`.
     """
-    rs = eps.root_system
-    shift = eps.rho_eps
-    start = GroupRingElem.monomial(add_coweights(lam, add_coweights(shift, shift)))
-    h = omega_apply(rs, multiply_binomials(start, eps.q_coroots, 1))
-    return multiply_binomials(h, eps.minus_coroots, 1).translated(negate_coweight(shift))
+    gathered, bound = alternator_gather(eps, lam)
+    bits = bound.bit_length() + 1
+    value = decode_q(eps.root_system.rank, alternator_at(eps, gathered, 1 << bits), bits)
+    return value.translated(negate_coweight(eps.rho_eps))
 
 
 def _w0_image(rs: RootSystem, lam: Coweight) -> Coweight:
@@ -149,12 +189,12 @@ def shalika(rs: RootSystem, lam: Coweight) -> ShalikaForms:
     long_coroots = eps.q_coroots  # q-class = long roots for this character
     first = theorem_rhs(eps, lam)
 
-    # q^{|long|} pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho} prod_long (1 - q^-1 pi^{-a^vee}))
+    # pi^{-rho_eps} D_(-1) Omega(q^{|long|} pi^{lambda+2rho} prod_long (1 - q^-1 pi^{-a^vee})):
+    # Omega is q-linear, and q^{|long|} makes its input a polynomial in q.
     start = GroupRingElem.monomial(add_coweights(lam, add_coweights(rho(rs), rho(rs))))
-    h = omega_apply(rs, multiply_binomials(start, [negate_coweight(v) for v in long_coroots], -1))
-    out = multiply_binomials(h, eps.minus_coroots, 1)
-    out = out.translated(negate_coweight(eps.rho_eps)).scale_q({len(long_coroots): 1})
-    return ShalikaForms(theorem_form=first, rewritten_form=out)
+    start = multiply_binomials(start, [negate_coweight(v) for v in long_coroots], -1).scale_q({len(long_coroots): 1})
+    out = multiply_binomials(omega_apply(rs, start), eps.minus_coroots, 1)
+    return ShalikaForms(theorem_form=first, rewritten_form=out.translated(negate_coweight(eps.rho_eps)))
 
 
 @dataclass

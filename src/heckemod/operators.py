@@ -62,17 +62,36 @@ Algebras and Representation Theory, section 24): A(pi^{w nu}) =
 (-1)^{l(w)} A(pi^nu), and A(pi^nu) = 0 when nu lies on a wall, so each
 monomial pi^mu of f contributes 0 or +-chi_lambda, where lambda + rho is the
 dominant conjugate of mu - rho and chi_lambda = A(pi^{lambda+rho}) / A(pi^rho)
-is the Weyl character. The coefficients are gathered per lambda and each
-character is expanded once. The dominant part of chi_lambda is memoized per
+is the Weyl character. Omega runs in three parts, one implementation for
+every caller:
+
+* the gather, :func:`omega_gather`, straightens each monomial and sums the
+  coefficients per lambda into the map {lambda: E_lambda(q)}, with
+  Omega(f) = sum_lambda E_lambda chi_lambda;
+* the accumulation, :func:`omega_dominant`, forms sum_lambda E_lambda
+  chi_lambda on the dominant weights at an integer q, each E_lambda one
+  integer (q-linearity: straightening ignores q, and the multiplicities are
+  integers);
+* the orbit fill, :func:`orbit_fill`, puts each dominant value at every
+  point of its orbit, one shared value per orbit.
+
+:func:`omega_apply` accumulates at q = 2^B and decodes only the dominant map
+before the fill. The decode is exact because every integer coefficient of
+sum_lambda E_lambda chi_lambda, sum_lambda E_lambda,k m_lambda(nu) at q^k
+pi^nu, is at most :func:`omega_bound` = sum_lambda ||E_lambda||_inf
+maxmult(chi_lambda) in size, and B is the least integer with 2^(B-1) above
+it. The alternator side of :mod:`heckemod.formulas` fills the integers
+instead and multiplies them by D_(-1) at the same q, so the identity's two
+sides meet as integer maps. The dominant part of chi_lambda is memoized per
 (root system, lambda) and filled by Freudenthal's multiplicity formula on the
 dual root system (Humphreys, section 22.3; Moody-Patera, Bull. AMS 6 (1982)):
 the roots are the positive coroots, rho = (1, ..., 1), and the W-invariant
-form is (x, y) = sum_{a>0} <a, x><a, y>. The fill walks no Weyl group, runs no
-alternator and divides no ring element; each multiplicity is an exact integer
-quotient. The memo holds plain integers, so no result depends on whether it
-is cold or warm. The alternator-side formulas are all built on
-:func:`omega_apply`. The negative control that drops the global (-1)^{l(w0)}
-lives in :func:`heckemod.verify.verify_operator_identity`.
+form is (x, y) = sum_{a>0} <a, x><a, y>. Filling the memo walks no Weyl
+group, runs no alternator and divides no ring element; each multiplicity is
+an exact integer quotient. The memo holds plain integers, so no result
+depends on whether it is cold or warm; maxmult(chi_lambda) is read off it.
+The negative control that drops the global (-1)^{l(w0)} lives in
+:func:`heckemod.verify.verify_operator_identity`.
 
 :func:`alternator`, the signed sum over W written out element by element,
 and :func:`divide_by_weyl_denominator` stay as the reference routes: the tests
@@ -92,8 +111,9 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import mul, sub
 
-from .algebra import (Q_ONE, GroupRingElem, QDict, decode_q, divide_by_binomials, encode_q, grsum, int_sum,
-                      multiply_binomials, q_value, qd_add, qd_neg, rank_one, rank_one_int, shift_keys, weyl_act)
+from .algebra import (Q_ONE, GroupRingElem, QDict, decode_digits, decode_q, divide_by_binomials, encode_q, grsum,
+                      int_sum, multiply_binomials, q_value, qd_add, qd_neg, rank_one, rank_one_int, shift_keys,
+                      weyl_act)
 from .characters import HeckeCharacter
 from .errors import NotDivisible
 from .root_system import (
@@ -196,12 +216,12 @@ def level_walk(eps: HeckeCharacter, q: int, f: GroupRingElem) -> dict[int, int]:
     return shift_keys(rs.rank, coeffs, eps.rho_eps)
 
 
-def walk_bits(eps: HeckeCharacter, f: GroupRingElem) -> int:
-    """The least B with 2^(B-1) > ||f|| * sum_w K^{l(w)}, which bounds every
-    coefficient of sum_w T_w f (module docstring). ||.|| is the sum of the
-    absolute values of all integer coefficients, K = max_i ||eps(T_{s_i})|| +
-    2P, and P = max |<a, x>| over the positive roots a and the points x of
-    pi^{-rho_eps} f, where the walk starts."""
+def walk_bound(eps: HeckeCharacter, f: GroupRingElem) -> int:
+    """||f|| * sum_w K^{l(w)}, which bounds every coefficient of sum_w T_w f
+    (module docstring). ||.|| is the sum of the absolute values of all
+    integer coefficients, K = max_i ||eps(T_{s_i})|| + 2P, and P = max |<a, x>|
+    over the positive roots a and the points x of pi^{-rho_eps} f, where the
+    walk starts."""
     rs = eps.root_system
     coeffs = f.coeffs
     points = [tuple(map(sub, mu, eps.rho_eps)) for mu in coeffs]
@@ -213,7 +233,12 @@ def walk_bits(eps: HeckeCharacter, f: GroupRingElem) -> int:
         for _, parent in level:
             depths.append(depths[parent] + 1)
         total *= sum(k ** d for d in depths)
-    return total.bit_length() + 1
+    return total
+
+
+def walk_bits(eps: HeckeCharacter, f: GroupRingElem) -> int:
+    """The least B with 2^(B-1) > :func:`walk_bound` (eps, f)."""
+    return walk_bound(eps, f).bit_length() + 1
 
 
 def sum_fraktur(eps: HeckeCharacter, f: GroupRingElem) -> GroupRingElem:
@@ -301,9 +326,10 @@ def _dominant_character(rs: RootSystem, lam: Coweight) -> tuple[tuple[Coweight, 
     return tuple(sorted(mult.items()))
 
 
-def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
-    """Apply the alternator-quotient operator Omega to f by straightening
-    (module docstring); equal to the full alternator divided by A(pi^rho)."""
+def omega_gather(rs: RootSystem, f: GroupRingElem) -> dict[Coweight, QDict]:
+    """Omega's gather: the map {lambda: E_lambda} with Omega(f) = sum_lambda
+    E_lambda chi_lambda, each monomial of f straightened to 0 or +-chi_lambda
+    and the global (-1)^{l(w0)} applied (module docstring). No E_lambda is 0."""
     # l(w0) is the number of positive roots.
     flip = len(rs.positive_roots) % 2
     by_lambda: dict[Coweight, QDict] = {}
@@ -315,15 +341,54 @@ def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
         if flip:
             sign = -sign
         by_lambda[lam] = qd_add(by_lambda.get(lam, {}), qd if sign > 0 else qd_neg(qd))
-    dominant: dict[Coweight, QDict] = {}
-    for lam, c in by_lambda.items():
-        if not c:
-            continue
+    return {lam: c for lam, c in by_lambda.items() if c}
+
+
+def omega_bound(rs: RootSystem, gathered: dict[Coweight, QDict]) -> int:
+    """sum_lambda ||E_lambda||_inf maxmult(chi_lambda), which bounds every
+    integer coefficient of sum_lambda E_lambda chi_lambda: its coefficient of
+    q^k pi^nu is sum_lambda E_lambda,k m_lambda(nu)."""
+    return sum(max(map(abs, c.values())) * max(m for _, m in _dominant_character(rs, lam))
+               for lam, c in gathered.items())
+
+
+def omega_dominant(rs: RootSystem, gathered: dict[Coweight, QDict], q: int) -> dict[Coweight, int]:
+    """Omega's accumulation at the integer q: sum_lambda E_lambda(q) chi_lambda
+    on the dominant weights, each E_lambda one integer (no negative power of q)."""
+    dominant: dict[Coweight, int] = {}
+    get = dominant.get
+    for lam, c in gathered.items():
+        e = q_value(c, q)
         for nu, m in _dominant_character(rs, lam):
-            dominant[nu] = qd_add(dominant.get(nu, {}), {e: m * v for e, v in c.items()})
-    out: dict[Coweight, QDict] = {}
-    for nu, c in dominant.items():
-        if c:
-            for mu in orbit(rs, nu):
-                out[mu] = c
-    return GroupRingElem(rs.rank, out)
+            dominant[nu] = get(nu, 0) + m * e
+    return dominant
+
+
+def orbit_fill(rs: RootSystem, dominant: dict) -> dict:
+    """The W-invariant map with the value ``dominant[nu]`` at every point of
+    the orbit of each dominant nu whose value is nonzero, one shared value per
+    orbit."""
+    return {mu: c for nu, c in dominant.items() if c for mu in orbit(rs, nu)}
+
+
+def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
+    """Apply the alternator-quotient operator Omega to f by straightening
+    (module docstring); equal to the full alternator divided by A(pi^rho).
+
+    It runs in three parts: :func:`omega_gather` gathers f into {lambda:
+    E_lambda}; :func:`omega_dominant` accumulates sum_lambda E_lambda
+    chi_lambda on the dominant weights at q = 2^B, one integer per weight,
+    with 2^(B-1) above :func:`omega_bound`; the dominant map is decoded
+    (:func:`heckemod.algebra.decode_digits`, exact under that bound) and
+    :func:`orbit_fill` puts each decoded map at every point of its orbit.
+    Laurent input is multiplied by q^k first, for q^-k the lowest power of q
+    in the E_lambda, and the decoded maps by q^-k: Omega is q-linear."""
+    gathered = omega_gather(rs, f)
+    k = -min((min(c) for c in gathered.values()), default=0)
+    if k > 0:
+        gathered = {lam: {e + k: v for e, v in c.items()} for lam, c in gathered.items()}
+    bits = omega_bound(rs, gathered).bit_length() + 1
+    dominant = decode_digits(omega_dominant(rs, gathered, 1 << bits), bits)
+    if k > 0:
+        dominant = {nu: {e - k: v for e, v in c.items()} for nu, c in dominant.items()}
+    return GroupRingElem(rs.rank, orbit_fill(rs, dominant))

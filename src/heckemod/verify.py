@@ -21,10 +21,12 @@ from functools import cache
 from itertools import groupby
 from typing import Callable, NamedTuple
 
-from .algebra import GroupRingElem, divide_by_binomials, from_integers, multiply_binomials, s_image
+from .algebra import GroupRingElem, decode_q, divide_by_binomials, from_integers, multiply_binomials, s_image
 from .characters import HeckeCharacter, character_by_name, characters
 from .errors import UnknownName
 from .formulas import (
+    alternator_at,
+    alternator_gather,
     casselman_shalika,
     demazure_character,
     dominant_coweights_up_to_height,
@@ -32,7 +34,6 @@ from .formulas import (
     macdonald,
     shalika,
     theorem_lhs,
-    theorem_rhs,
     value_at_zero,
     weyl_character,
 )
@@ -44,6 +45,7 @@ from .operators import (
     level_walk,
     sum_fraktur,
     t_act,
+    walk_bound,
 )
 from .root_system import (
     Coweight,
@@ -275,18 +277,36 @@ def verify_rho_pairing(eps: HeckeCharacter, mutate: str | None = None) -> Verify
 
 
 def verify_operator_identity(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:
-    """theorem_lhs(eps, mu) = theorem_rhs(eps, mu) on the test box. Omega is linear, so
-    ``drop-sign-correction``, dropping its global (-1)^{l(w0)}, negates the
-    right side when l(w0) = |Phi+| is odd."""
-    flip = mutate == "drop-sign-correction" and len(eps.root_system.positive_roots) % 2
+    """theorem_lhs(eps, mu) = theorem_rhs(eps, mu) on the test box, both sides
+    compared before their common pi^{-rho_eps} as integer maps at one
+    q = 2^B: the Hecke walk :func:`heckemod.operators.level_walk` and
+    :func:`heckemod.formulas.alternator_at`. The coefficients of the two
+    sides are at most L = :func:`heckemod.operators.walk_bound` and R, the
+    bound of :func:`heckemod.formulas.alternator_gather`, in size, so those
+    of their difference are at most L + R < 2^(B-1); such a nonzero
+    difference is nonzero at 2^B (:func:`heckemod.algebra.decode_digits`), so
+    equal maps are equal elements. Only a failing check decodes, for its
+    witness, exactly: each side's coefficients are below 2^(B-1) too. Omega is linear, so ``drop-sign-correction``, dropping its global
+    (-1)^{l(w0)}, negates the right side when l(w0) = |Phi+| is odd."""
+    rs = eps.root_system
+    shift = eps.rho_eps
+    flip = mutate == "drop-sign-correction" and len(rs.positive_roots) % 2
+
+    def decoded(coeffs: dict[int, int], bits: int) -> str:
+        return decode_q(rs.rank, coeffs, bits).translated(negate_coweight(shift)).to_str()
 
     def cases():
         for mu in monomials:
-            lhs = theorem_lhs(eps, mu)
-            rhs = -theorem_rhs(eps, mu) if flip else theorem_rhs(eps, mu)
-            yield lhs == rhs, lambda: {"lambda": list(mu), "lhs": lhs.to_str(), "rhs": rhs.to_str()}
+            start = GroupRingElem.monomial(add_coweights(mu, add_coweights(shift, shift)))
+            gathered, rhs_bound = alternator_gather(eps, mu)
+            bits = (walk_bound(eps, start) + rhs_bound).bit_length() + 1
+            lhs = level_walk(eps, 1 << bits, start)
+            rhs = alternator_at(eps, gathered, 1 << bits)
+            if flip:
+                rhs = {x: -c for x, c in rhs.items()}
+            yield lhs == rhs, lambda: {"lambda": list(mu), "lhs": decoded(lhs, bits), "rhs": decoded(rhs, bits)}
 
-    return _checks("operator-identity", eps.root_system, eps.name, cases())
+    return _checks("operator-identity", rs, eps.name, cases())
 
 
 def verify_intertwiner(eps: HeckeCharacter, monomials, mutate: str | None = None) -> VerifyResult:

@@ -1,12 +1,15 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckemod import formulas, operators, root_system
 from heckemod.algebra import GroupRingElem, divide_by_binomials, grsum, multiply_binomials, weyl_act
 from heckemod.characters import character_by_name, characters
 from heckemod.errors import NonDominant, NonReducedWord, WrongFamily
 from heckemod.formulas import (
+    alternator_gather,
     bessel_value,
     casselman_shalika,
     coset_measure,
@@ -21,9 +24,9 @@ from heckemod.formulas import (
     value_at_zero,
     weyl_character,
 )
-from heckemod.operators import sum_fraktur
-from heckemod.root_system import WeylElement, build_root_system, negate_coweight, rho, weyl_group
-from heckemod.verify import verify_operator_identity
+from heckemod.operators import omega_apply, sum_fraktur
+from heckemod.root_system import WeylElement, add_coweights, build_root_system, negate_coweight, rho, weyl_group
+from heckemod.verify import DEFAULT_TYPES, monomial_box, verify_operator_identity
 
 
 def pi(*coords, q=0, c=1):
@@ -44,6 +47,48 @@ def test_theorem_rhs_frozen_a1():
     assert theorem_rhs(sgn, (1,)).to_str() == "-pi^[-2] + (q - 1) + q*pi^[2]"
     trv = character_by_name(rs, "triv")
     assert theorem_rhs(trv, (0,)) == GroupRingElem.monomial((0,), {0: 1, 1: 1})
+
+
+def q_polynomial_theorem_rhs(eps, lam):
+    """The alternator side composed on q-polynomial coefficients, as written:
+    omega_apply on pi^{lambda+2rho_eps} D_(q), the product by D_(-1) with
+    multiply_binomials, then pi^{-rho_eps}. Its D_(-1) product runs on
+    q-polynomials after omega_apply's decode, where theorem_rhs multiplies on
+    integers at q = 2^B and decodes last."""
+    rs = eps.root_system
+    shift = eps.rho_eps
+    start = GroupRingElem.monomial(add_coweights(lam, add_coweights(shift, shift)))
+    h = omega_apply(rs, multiply_binomials(start, eps.q_coroots, 1))
+    return multiply_binomials(h, eps.minus_coroots, 1).translated(negate_coweight(shift))
+
+
+@pytest.mark.parametrize("name", DEFAULT_TYPES)
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_theorem_rhs_is_the_q_polynomial_composition(name, data):
+    rs = build_root_system(name)
+    lam = data.draw(st.tuples(*(st.integers(-3, 3),) * rs.rank))
+    for eps in characters(rs):
+        got, expected = theorem_rhs(eps, lam), q_polynomial_theorem_rhs(eps, lam)
+        assert got == expected, (eps.name, lam)
+        assert got.to_str() == expected.to_str()
+
+
+def test_theorem_rhs_coefficients_stay_below_its_bound():
+    # On the 292 operator-identity inputs of A3, G2 and B3 (box radius 2, cap
+    # 40), every coefficient of theorem_rhs is at most the bound R of
+    # alternator_gather, so below 2^(B-1) for theorem_rhs's B = R.bit_length() + 1.
+    inputs = 0
+    for type_name in ("A3", "G2", "B3"):
+        rs = build_root_system(type_name)
+        for eps in characters(rs):
+            for lam in monomial_box(rs.rank, 2, 40):
+                inputs += 1
+                bound = alternator_gather(eps, lam)[1]
+                value = theorem_rhs(eps, lam)
+                top = max((abs(c) for qd in value.coeffs.values() for c in qd.values()), default=0)
+                assert top <= bound < 1 << bound.bit_length(), (type_name, eps.name, lam)
+    assert inputs == 292
 
 
 def test_negative_control_uncorrected_sign_at_zero():

@@ -643,6 +643,24 @@ def test_multiply_binomials_matches_the_product(name, data):
     _assert_untouched(f, before, got)
 
 
+@pytest.mark.parametrize("name", KERNEL_TYPES)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_integer_binomial_product_is_the_product_at_q(name, data):
+    # multiply_binomials_int at an integer q is multiply_binomials read at q,
+    # for 1 - q^k pi^v with q^k = q, 1 and q^2; the input is moved into Z[q]
+    # by q^3, as the kernel inputs reach q^-3.
+    rs = build_root_system(name)
+    f = data.draw(kernel_inputs(rs)).scale_q({3: 1})
+    coroots = [rs.coroot_of[r] for r in rs.positive_roots]
+    vs = data.draw(st.lists(st.sampled_from(coroots + [negate_coweight(v) for v in coroots]), max_size=3))
+    q_exp = data.draw(st.integers(0, 2))
+    q = data.draw(st.sampled_from([0, 1, -2, 3, 1 << 20]))
+    got = algebra.multiply_binomials_int(rs.rank, encode_q(f, q), vs, q ** q_exp)
+    assert got == encode_q(multiply_binomials(f, vs, q_exp), q)
+    assert all(got.values())
+
+
 def test_no_operation_writes_into_its_operands():
     # Results may share q-coefficient maps with each other and with their
     # operands (GroupRingElem docstring), so no operation may write into an

@@ -1,5 +1,6 @@
 """The verification layer: suites pass on theorems, mutations must fail."""
 
+import hashlib
 import json
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from heckemod.characters import character_by_name, characters
 from heckemod.errors import HeckemodError, UnknownName
 from heckemod.operators import sum_fraktur, t_act, t_word
 from heckemod.root_system import build_root_system, negate_coweight, orbit, reflect, rho
-from heckemod.formulas import bessel_value
+from heckemod.formulas import alternator_gather, bessel_value
 from heckemod.verify import (
     DEFAULT_TYPES,
     MUTATION_SUITES,
@@ -434,6 +435,56 @@ def test_drop_sign_correction_witness_is_poincare_pair():
     assert not r.passed
     assert r.witness["lhs"] == "(q + 1)"
     assert r.witness["rhs"] == "(-q - 1)"
+
+
+def test_one_bit_below_the_combined_bound_two_elements_collide():
+    # verify_operator_identity compares at q = 2^B for the least B with
+    # 2^(B-1) > L + R, L the Hecke walk's bound and R the alternator side's.
+    # One bit lower, 2^(B-1) <= L + R, and two unequal elements whose
+    # coefficients are at most L + R in size, c and q - c for c = 2^(B-1),
+    # take the same value at 2^B; at the chosen B they do not.
+    rs = build_root_system("B3")
+    eps = character_by_name(rs, "triv")
+    lam = (1, 0, 1)
+    start = GroupRingElem.monomial(lam)  # rho_eps = 0 for triv
+    combined = operators.walk_bound(eps, start) + alternator_gather(eps, lam)[1]
+    bits = combined.bit_length() + 1
+    low = bits - 1
+    c = 1 << (low - 1)
+    assert c <= combined < 1 << (bits - 1)
+    g = GroupRingElem.monomial(lam, {0: c})
+    h = GroupRingElem.monomial(lam, {0: -c, 1: 1})
+    assert g != h
+    assert algebra.encode_q(g, 1 << low) == algebra.encode_q(h, 1 << low)
+    assert algebra.encode_q(g, 1 << bits) != algebra.encode_q(h, 1 << bits)
+
+
+def test_b3_drop_sign_correction_witness_golden(capsys):
+    # B3 has l(w0) = 9, odd, so the control fails on every character. The
+    # bytes were pinned from the q-polynomial comparison, which decoded both
+    # sides of every check; the integer comparison decodes only the witness
+    # and must write the same report. neg-short fails at a nonzero box point.
+    code = cli.main(["verify", "--type", "B3", "--suite", "operator-identity", "--mutate", "drop-sign-correction",
+                     "--box", "1", "--output", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "307362e02de5dcbe3345bfff786bf9882f776aa1828d65d13fe7311ad0a87517")
+    results = json.loads(out)["results"]
+    assert [(r["character"], r["checked"], r["witness"]["lambda"]) for r in results] == [
+        ("neg-long", 14, [0, 0, 0]), ("neg-short", 3, [-1, -1, 1]), ("sign", 14, [0, 0, 0]),
+        ("triv", 1, [-1, -1, -1])]
+    assert results[1]["witness"] == {
+        "lambda": [-1, -1, 1],
+        "lhs": "(q^7 + q^6 - q^4 - q^3)*pi^[-2,0,1] + (-q^6 - q^5 + q^3 + q^2)*pi^[-2,2,-1]"
+               " + (-q^6 - q^5 + q^3 + q^2)*pi^[0,-2,1] + (q^5 + q^4 - q^2 - q)*pi^[0,0,-1]"
+               " + (-q^8 - q^7 + q^5 + q^4)*pi^[0,0,1] + (q^7 + q^6 - q^4 - q^3)*pi^[0,2,-1]"
+               " + (q^7 + q^6 - q^4 - q^3)*pi^[2,-2,1] + (-q^6 - q^5 + q^3 + q^2)*pi^[2,0,-1]",
+        "rhs": "(-q^7 - q^6 + q^4 + q^3)*pi^[-2,0,1] + (q^6 + q^5 - q^3 - q^2)*pi^[-2,2,-1]"
+               " + (q^6 + q^5 - q^3 - q^2)*pi^[0,-2,1] + (-q^5 - q^4 + q^2 + q)*pi^[0,0,-1]"
+               " + (q^8 + q^7 - q^5 - q^4)*pi^[0,0,1] + (-q^7 - q^6 + q^4 + q^3)*pi^[0,2,-1]"
+               " + (-q^7 - q^6 + q^4 + q^3)*pi^[2,-2,1] + (q^6 + q^5 - q^3 - q^2)*pi^[2,0,-1]",
+    }
 
 
 def test_drop_sign_correction_fails_exactly_when_l_w0_is_odd():
