@@ -99,7 +99,7 @@ from operator import or_
 from typing import NamedTuple
 
 from .errors import CoweightOutOfRange, NotDivisible
-from .root_system import Coweight, RootSystem, WeylElement
+from .root_system import Coweight, RootSystem, WeylElement, orbit
 
 # A q-Laurent coefficient: {q_exponent: integer}, no zero values stored.
 QDict = dict[int, int]
@@ -761,6 +761,27 @@ def int_sum(maps) -> dict[int, int]:
         for k, c in m.items():
             acc[k] = get(k, 0) + c
     return {k: v for k, v in acc.items() if v}
+
+
+@cache
+def orbit_keys(rs: RootSystem, nu: Coweight) -> tuple[int, ...]:
+    """The packed keys of the W-orbit of the dominant nu, in
+    :func:`heckemod.root_system.orbit`'s order, memoized per root system and
+    nu. The table holds orbits, not characters: one key per orbit point."""
+    return tuple(map(pack, orbit(rs, nu)))
+
+
+def orbit_fill(rs: RootSystem, dominant: dict) -> dict:
+    """The W-invariant packed-key map with the value ``dominant[nu]`` at every
+    point of the orbit of each dominant nu whose value is nonzero, one shared
+    value per orbit, read off :func:`orbit_keys`."""
+    return {x: c for nu, c in dominant.items() if c for x in orbit_keys(rs, nu)}
+
+
+def orbit_element(rs: RootSystem, dominant: dict[Coweight, QDict]) -> GroupRingElem:
+    """sum_nu dominant[nu] m_nu, m_nu the sum of pi^mu over the orbit of nu:
+    :func:`orbit_fill` of q-coefficient maps, as an element."""
+    return from_packed(rs.rank, orbit_fill(rs, dominant))
 
 
 def grsum(rank: int, terms) -> GroupRingElem:

@@ -15,16 +15,22 @@ The two sides of the character-sum identity are exposed as
   image is skew.
 
 The alternator side runs on integer-coded coefficients, like the Hecke walk.
-:func:`alternator_gather` forms pi^{lambda+2rho_eps} D_(q) and gathers it
-into Omega's map {mu: E_mu}, and bounds the side's coefficients by
-R = 2^{|Phi_-1^+|} sum_mu ||E_mu||_inf maxmult(chi_mu): Omega's integer
-coefficients are at most the sum (:func:`heckemod.operators.omega_bound`),
-and each factor 1 - q pi^{a^vee} of D_(-1) at most doubles the largest one.
-:func:`alternator_at` then accumulates Omega at an integer q, fills the
-orbits and multiplies by D_(-1) there
-(:func:`heckemod.algebra.multiply_binomials_int`). :func:`theorem_rhs` runs it
-at q = 2^B with 2^(B-1) > R and decodes once; the operator-identity suite
-runs it at the q of the Hecke walk and compares the integers.
+The box gather :func:`alternator_gathers` takes a whole box of lambdas for
+one character. It expands D_(q) once into (offset, q-coefficient) pairs and
+gathers each pi^{lambda+2rho_eps} D_(q) into Omega's map {mu: E_mu}; each
+distinct monomial lambda + 2rho_eps + offset of the box is straightened once,
+through a table that lives only as long as the call. With each map it yields
+the bound R = 2^{|Phi_-1^+|} sum_mu ||E_mu||_inf maxmult(chi_mu) of the
+side's coefficients: Omega's integer coefficients are at most the sum
+(:func:`heckemod.operators.omega_bound`), and each factor 1 - q pi^{a^vee} of
+D_(-1) at most doubles the largest one. :func:`alternator_at` then
+accumulates Omega at an integer q, fills the orbits straight into packed
+keys and multiplies by D_(-1) there
+(:func:`heckemod.algebra.multiply_binomials_int`). :func:`theorem_rhs` gathers
+its one lambda the same way, runs :func:`alternator_at` at q = 2^B with
+2^(B-1) > R and decodes once; the operator-identity suite gathers its box in
+one call, runs :func:`alternator_at` at the q of the Hecke walk and compares
+the integers.
 
 The global (-1)^{l(w0)} makes lhs and rhs agree on the nose; with that
 convention the sign-character value also equals the classical Whittaker
@@ -46,12 +52,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import (GroupRingElem, QDict, decode_q, divide_by_binomials, multiply_binomials, multiply_binomials_int,
-                      pack)
+from .algebra import (GroupRingElem, QDict, check_key, decode_q, divide_by_binomials, multiply_binomials,
+                      multiply_binomials_int, orbit_fill, pack, pack_step, packing)
 from .characters import HeckeCharacter, character_by_name
 from .errors import NonDominant, NotDivisible, WrongFamily
-from .operators import (demazure_word, omega_apply, omega_bound, omega_dominant, omega_gather, orbit_fill, sum_fraktur,
-                        t_word)
+from .operators import demazure_word, omega_apply, omega_bound, omega_dominant, omega_gather, sum_fraktur, t_word
 from .root_system import (
     Coweight,
     RootSystem,
@@ -82,39 +87,59 @@ def theorem_lhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
     return sum_fraktur(eps, start).translated(negate_coweight(shift))
 
 
-def alternator_gather(eps: HeckeCharacter, lam: Coweight) -> tuple[dict[Coweight, QDict], int]:
-    """The alternator side's gathered Omega, {mu: E_mu} with
-    Omega(pi^{lambda+2rho_eps} D_(q)) = sum_mu E_mu chi_mu
-    (:func:`heckemod.operators.omega_gather`), and R = 2^{|Phi_-1^+|}
+def alternator_gathers(eps: HeckeCharacter, lams):
+    """For each lambda of ``lams`` in turn, the alternator side's gathered
+    Omega, {mu: E_mu} with Omega(pi^{lambda+2rho_eps} D_(q)) = sum_mu E_mu
+    chi_mu (:func:`heckemod.operators.omega_gather`), and R = 2^{|Phi_-1^+|}
     :func:`heckemod.operators.omega_bound`, which bounds every integer
     coefficient of D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)): each factor
-    1 - q pi^{a^vee} at most doubles the largest coefficient."""
+    1 - q pi^{a^vee} at most doubles the largest coefficient.
+
+    D_(q) is expanded once, into its (offset, q-coefficient) pairs, and each
+    distinct lambda + 2rho_eps + offset is straightened once, through a table
+    that lives as long as this generator. Like the element
+    pi^{lambda+2rho_eps} D_(q), a point outside the packing bound raises
+    :class:`heckemod.errors.CoweightOutOfRange`."""
     rs = eps.root_system
-    shift = eps.rho_eps
-    start = GroupRingElem.monomial(add_coweights(lam, add_coweights(shift, shift)))
-    gathered = omega_gather(rs, multiply_binomials(start, eps.q_coroots, 1))
-    return gathered, omega_bound(rs, gathered) << len(eps.minus_coroots)
+    doubled = add_coweights(eps.rho_eps, eps.rho_eps)
+    d_q = list(multiply_binomials(GroupRingElem.one(rs.rank), eps.q_coroots, 1).coeffs.items())
+    offsets = [off for off, _ in d_q]
+    # Each coordinate of an offset lies between those of low and high, so
+    # checking base + low and base + high checks every base + offset.
+    low = pack_step(tuple(map(min, zip(*offsets))))
+    high = pack_step(tuple(map(max, zip(*offsets))))
+    guard = packing(rs.rank).guard
+    straightened: dict = {}
+    for lam in lams:
+        base = add_coweights(lam, doubled)
+        key = pack(base)
+        check_key((key + low) | (key + high), guard)
+        gathered = omega_gather(rs, ((add_coweights(base, off), qd) for off, qd in d_q), straightened)
+        yield gathered, omega_bound(rs, gathered) << len(eps.minus_coroots)
 
 
 def alternator_at(eps: HeckeCharacter, gathered: dict[Coweight, QDict], q: int) -> dict[int, int]:
     """D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)) at the integer q, as a packed
-    map (:func:`heckemod.algebra.encode_q`), from :func:`alternator_gather`'s
-    map: Omega accumulated on integers, filled over the orbits, then
-    multiplied by D_(-1) on integers."""
+    map (:func:`heckemod.algebra.encode_q`), from one of
+    :func:`alternator_gathers`' maps: Omega accumulated on integers, filled
+    over the orbits straight into packed keys
+    (:func:`heckemod.algebra.orbit_fill`), then multiplied by D_(-1) on
+    integers."""
     rs = eps.root_system
-    g = {pack(mu): c for mu, c in orbit_fill(rs, omega_dominant(rs, gathered, q)).items()}
+    g = orbit_fill(rs, omega_dominant(rs, gathered, q))
     return multiply_binomials_int(rs.rank, g, eps.minus_coroots, q)
 
 
 def theorem_rhs(eps: HeckeCharacter, lam: Coweight) -> GroupRingElem:
     """Alternator side of the identity, pi^{-rho_eps} D_(-1) Omega(pi^{lambda+2rho_eps} D_(q)):
-    :func:`alternator_at` at q = 2^B, with 2^(B-1) above
-    :func:`alternator_gather`'s bound R, then one balanced base-2^B decode.
+    :func:`alternator_at` at q = 2^B, with 2^(B-1) above the bound R of
+    :func:`alternator_gathers` (called with lambda alone), then one balanced
+    base-2^B decode.
 
     Its negative control, the global (-1)^{l(w0)} dropped, lives in
     :func:`heckemod.verify.verify_operator_identity`.
     """
-    gathered, bound = alternator_gather(eps, lam)
+    (gathered, bound), = alternator_gathers(eps, [lam])
     bits = bound.bit_length() + 1
     value = decode_q(eps.root_system.rank, alternator_at(eps, gathered, 1 << bits), bits)
     return value.translated(negate_coweight(eps.rho_eps))

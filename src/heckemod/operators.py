@@ -67,13 +67,18 @@ every caller:
 
 * the gather, :func:`omega_gather`, straightens each monomial and sums the
   coefficients per lambda into the map {lambda: E_lambda(q)}, with
-  Omega(f) = sum_lambda E_lambda chi_lambda;
+  Omega(f) = sum_lambda E_lambda chi_lambda. Its caller owns the table of
+  straightenings, so a caller that gathers a whole box of inputs
+  (:func:`heckemod.formulas.alternator_gathers`) straightens each distinct
+  monomial once; no table outlives its caller;
 * the accumulation, :func:`omega_dominant`, forms sum_lambda E_lambda
   chi_lambda on the dominant weights at an integer q, each E_lambda one
   integer (q-linearity: straightening ignores q, and the multiplicities are
   integers);
-* the orbit fill, :func:`orbit_fill`, puts each dominant value at every
-  point of its orbit, one shared value per orbit.
+* the orbit fill, :func:`heckemod.algebra.orbit_fill`, puts each dominant
+  value at every point of its orbit, one shared value per orbit, straight
+  into packed keys: the ring layer memoizes the packed keys of each orbit
+  per root system (orbits, not characters).
 
 :func:`omega_apply` accumulates at q = 2^B and decodes only the dominant map
 before the fill. The decode is exact because every integer coefficient of
@@ -86,10 +91,13 @@ sides meet as integer maps. The dominant part of chi_lambda is memoized per
 (root system, lambda) and filled by Freudenthal's multiplicity formula on the
 dual root system (Humphreys, section 22.3; Moody-Patera, Bull. AMS 6 (1982)):
 the roots are the positive coroots, rho = (1, ..., 1), and the W-invariant
-form is (x, y) = sum_{a>0} <a, x><a, y>. Filling the memo walks no Weyl
-group, runs no alternator and divides no ring element; each multiplicity is
-an exact integer quotient. The memo holds plain integers, so no result
-depends on whether it is cold or warm; maxmult(chi_lambda) is read off it.
+form is (x, y) = sum_{a>0} <a, x><a, y>. The form's Gram matrix, the
+coroot strings with their pairings and 2rho are computed once per root
+system, and the dominant conjugate of each string point once per fill.
+Filling the memo walks no Weyl group, runs no alternator and divides no ring
+element; each multiplicity is an exact integer quotient. The memo holds
+plain integers, so no result depends on whether it is cold or warm;
+maxmult(chi_lambda) is read off it.
 The negative control that drops the global (-1)^{l(w0)} lives in
 :func:`heckemod.verify.verify_operator_identity`.
 
@@ -108,12 +116,11 @@ spherical sum.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import mul, sub
 
 from .algebra import (Q_ONE, GroupRingElem, QDict, decode_digits, decode_q, divide_by_binomials, encode_q, grsum,
-                      int_sum, multiply_binomials, q_value, qd_add, qd_neg, rank_one, rank_one_int, shift_keys,
-                      weyl_act)
+                      int_sum, multiply_binomials, orbit_element, q_value, rank_one, rank_one_int, shift_keys, weyl_act)
 from .characters import HeckeCharacter
 from .errors import NotDivisible
 from .root_system import (
@@ -122,7 +129,6 @@ from .root_system import (
     add_coweights,
     dominant_conjugate,
     negate_coweight,
-    orbit,
     parabolic_levels,
     require_reduced,
     require_walkable,
@@ -265,12 +271,30 @@ def divide_by_weyl_denominator(rs: RootSystem, f: GroupRingElem) -> GroupRingEle
 
 
 def _straighten(rs: RootSystem, mu: Coweight) -> tuple[int, Coweight] | None:
-    """(sign, lambda) with A(pi^{mu-rho}) = sign * A(pi^{lambda+rho}) and lambda
-    dominant, or None when mu - rho lies on a wall and A(pi^{mu-rho}) = 0."""
+    """(sign, lambda) with Omega(pi^mu) = sign * chi_lambda and lambda
+    dominant, or None when mu - rho lies on a wall and Omega(pi^mu) = 0:
+    A(pi^{mu-rho}) = (-1)^steps A(pi^{lambda+rho}), times Omega's global
+    (-1)^{l(w0)}."""
     nu, steps = dominant_conjugate(rs, tuple(c - 1 for c in mu))  # rho = (1, ..., 1)
     if 0 in nu:
         return None
-    return -1 if steps % 2 else 1, tuple(c - 1 for c in nu)
+    # l(w0) is the number of positive roots.
+    return -1 if (steps + len(rs.positive_roots)) % 2 else 1, tuple(c - 1 for c in nu)
+
+
+@cache
+def _freudenthal_constants(rs: RootSystem):
+    """What every Freudenthal fill on rs shares: the Gram matrix of the form
+    (x, y) = sum_{a>0} <a, x><a, y>, the coroot strings (a, ga, (a, a)) with
+    ga[i] = (omega_i^vee, a), so that (x, a) = x . ga, and 2rho = the sum of
+    the positive roots."""
+    roots = rs.positive_roots
+    gram = tuple(tuple(sum(r[i] * r[j] for r in roots) for j in range(rs.rank)) for i in range(rs.rank))
+    strings = []
+    for a in rs.positive_coroots:
+        ga = tuple(sum(map(mul, row, a)) for row in gram)
+        strings.append((a, ga, sum(map(mul, a, ga))))
+    return gram, tuple(strings), tuple(map(sum, zip(*roots)))
 
 
 @lru_cache(maxsize=None)
@@ -284,18 +308,16 @@ def _dominant_character(rs: RootSystem, lam: Coweight) -> tuple[tuple[Coweight, 
     with a over the positive coroots. The dominant weights are those reached
     from lambda by subtracting positive coroots while staying dominant. They
     are filled in decreasing order of <2rho, mu>, so each m(mu + k a) is
-    already known, read at the dominant conjugate; an a-string of weights is
-    unbroken, so it stops at its first non-weight. Each quotient is an exact
-    integer; a remainder raises :class:`NotDivisible`."""
-    roots = rs.positive_roots
+    already known, read at the dominant conjugate (computed once per string
+    point within the fill); an a-string of weights is unbroken, so it stops at
+    its first non-weight. Each quotient is an exact integer; a remainder
+    raises :class:`NotDivisible`."""
+    gram, strings, two_rho = _freudenthal_constants(rs)
 
-    def form(x: Coweight, y: Coweight) -> int:
-        """The W-invariant form sum_{r>0} <r, x><r, y>."""
-        return sum(sum(map(mul, r, x)) * sum(map(mul, r, y)) for r in roots)
+    def norm(x: Coweight) -> int:
+        """(x, x) through the Gram matrix."""
+        return sum(c * sum(map(mul, row, x)) for c, row in zip(x, gram))
 
-    basis = [tuple(int(i == j) for j in range(rs.rank)) for i in range(rs.rank)]
-    # (x, a) = x . ga, with ga[i] = (omega_i^vee, a).
-    strings = [(a, tuple(form(e, a) for e in basis), form(a, a)) for a in rs.positive_coroots]
     weights, seen = [lam], {lam}
     for nu in weights:
         for a, _, _ in strings:
@@ -303,45 +325,59 @@ def _dominant_character(rs: RootSystem, lam: Coweight) -> tuple[tuple[Coweight, 
             if min(below) >= 0 and below not in seen:
                 seen.add(below)
                 weights.append(below)
-    two_rho = tuple(map(sum, zip(*roots)))
     weights.sort(key=lambda nu: sum(map(mul, two_rho, nu)), reverse=True)
 
-    top = add_coweights(lam, rho(rs))
-    top_norm = form(top, top)
+    one = rho(rs)
+    top_norm = norm(add_coweights(lam, one))
     mult = {lam: 1}
+    conjugates: dict[Coweight, Coweight] = {}
     for mu in weights[1:]:
         total = 0
         for a, ga, aa in strings:
             nu = add_coweights(mu, a)
             pairing = sum(map(mul, nu, ga))
-            while (m := mult.get(dominant_conjugate(rs, nu)[0], 0)):
+            while True:
+                dom = conjugates.get(nu)
+                if dom is None:
+                    dom = conjugates[nu] = dominant_conjugate(rs, nu)[0]
+                m = mult.get(dom, 0)
+                if not m:
+                    break
                 total += pairing * m
                 nu = add_coweights(nu, a)
                 pairing += aa
-        shifted = add_coweights(mu, rho(rs))
-        m, rem = divmod(2 * total, top_norm - form(shifted, shifted))
+        m, rem = divmod(2 * total, top_norm - norm(add_coweights(mu, one)))
         if rem:
             raise NotDivisible(f"Freudenthal quotient at {mu} in chi_{lam} is not an integer")
         mult[mu] = m
     return tuple(sorted(mult.items()))
 
 
-def omega_gather(rs: RootSystem, f: GroupRingElem) -> dict[Coweight, QDict]:
-    """Omega's gather: the map {lambda: E_lambda} with Omega(f) = sum_lambda
-    E_lambda chi_lambda, each monomial of f straightened to 0 or +-chi_lambda
-    and the global (-1)^{l(w0)} applied (module docstring). No E_lambda is 0."""
-    # l(w0) is the number of positive roots.
-    flip = len(rs.positive_roots) % 2
+def omega_gather(rs: RootSystem, terms, straightened: dict) -> dict[Coweight, QDict]:
+    """Omega's gather of f = sum c pi^mu, given as its (mu, c) pairs ``terms``:
+    the map {lambda: E_lambda} with Omega(f) = sum_lambda E_lambda chi_lambda,
+    each monomial straightened to 0 or +-chi_lambda and the global
+    (-1)^{l(w0)} applied (module docstring). No E_lambda is 0.
+
+    ``straightened`` is the caller's table {mu: (sign, lambda) or None}:
+    each mu not in it is straightened once and added, so callers that gather
+    many inputs share their straightenings."""
     by_lambda: dict[Coweight, QDict] = {}
-    for mu, qd in f.coeffs.items():
-        straight = _straighten(rs, mu)
+    for mu, qd in terms:
+        straight = straightened.get(mu, False)
+        if straight is False:
+            straight = straightened[mu] = _straighten(rs, mu)
         if straight is None:
             continue
         sign, lam = straight
-        if flip:
-            sign = -sign
-        by_lambda[lam] = qd_add(by_lambda.get(lam, {}), qd if sign > 0 else qd_neg(qd))
-    return {lam: c for lam, c in by_lambda.items() if c}
+        acc = by_lambda.get(lam)
+        if acc is None:
+            by_lambda[lam] = {e: sign * c for e, c in qd.items()}
+        else:
+            for e, c in qd.items():
+                acc[e] = acc.get(e, 0) + sign * c
+    nonzero = ((lam, {e: c for e, c in acc.items() if c}) for lam, acc in by_lambda.items())
+    return {lam: c for lam, c in nonzero if c}
 
 
 def omega_bound(rs: RootSystem, gathered: dict[Coweight, QDict]) -> int:
@@ -364,13 +400,6 @@ def omega_dominant(rs: RootSystem, gathered: dict[Coweight, QDict], q: int) -> d
     return dominant
 
 
-def orbit_fill(rs: RootSystem, dominant: dict) -> dict:
-    """The W-invariant map with the value ``dominant[nu]`` at every point of
-    the orbit of each dominant nu whose value is nonzero, one shared value per
-    orbit."""
-    return {mu: c for nu, c in dominant.items() if c for mu in orbit(rs, nu)}
-
-
 def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
     """Apply the alternator-quotient operator Omega to f by straightening
     (module docstring); equal to the full alternator divided by A(pi^rho).
@@ -380,10 +409,11 @@ def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
     chi_lambda on the dominant weights at q = 2^B, one integer per weight,
     with 2^(B-1) above :func:`omega_bound`; the dominant map is decoded
     (:func:`heckemod.algebra.decode_digits`, exact under that bound) and
-    :func:`orbit_fill` puts each decoded map at every point of its orbit.
+    :func:`heckemod.algebra.orbit_element` puts each decoded map at every
+    point of its orbit.
     Laurent input is multiplied by q^k first, for q^-k the lowest power of q
     in the E_lambda, and the decoded maps by q^-k: Omega is q-linear."""
-    gathered = omega_gather(rs, f)
+    gathered = omega_gather(rs, f.coeffs.items(), {})
     k = -min((min(c) for c in gathered.values()), default=0)
     if k > 0:
         gathered = {lam: {e + k: v for e, v in c.items()} for lam, c in gathered.items()}
@@ -391,4 +421,4 @@ def omega_apply(rs: RootSystem, f: GroupRingElem) -> GroupRingElem:
     dominant = decode_digits(omega_dominant(rs, gathered, 1 << bits), bits)
     if k > 0:
         dominant = {nu: {e - k: v for e, v in c.items()} for nu, c in dominant.items()}
-    return GroupRingElem(rs.rank, orbit_fill(rs, dominant))
+    return orbit_element(rs, dominant)

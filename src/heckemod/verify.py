@@ -26,7 +26,7 @@ from .characters import HeckeCharacter, character_by_name, characters
 from .errors import UnknownName
 from .formulas import (
     alternator_at,
-    alternator_gather,
+    alternator_gathers,
     casselman_shalika,
     demazure_character,
     dominant_coweights_up_to_height,
@@ -280,14 +280,18 @@ def verify_operator_identity(eps: HeckeCharacter, monomials, mutate: str | None 
     """theorem_lhs(eps, mu) = theorem_rhs(eps, mu) on the test box, both sides
     compared before their common pi^{-rho_eps} as integer maps at one
     q = 2^B: the Hecke walk :func:`heckemod.operators.level_walk` and
-    :func:`heckemod.formulas.alternator_at`. The coefficients of the two
-    sides are at most L = :func:`heckemod.operators.walk_bound` and R, the
-    bound of :func:`heckemod.formulas.alternator_gather`, in size, so those
-    of their difference are at most L + R < 2^(B-1); such a nonzero
-    difference is nonzero at 2^B (:func:`heckemod.algebra.decode_digits`), so
-    equal maps are equal elements. Only a failing check decodes, for its
-    witness, exactly: each side's coefficients are below 2^(B-1) too. Omega is linear, so ``drop-sign-correction``, dropping its global
-    (-1)^{l(w0)}, negates the right side when l(w0) = |Phi+| is odd."""
+    :func:`heckemod.formulas.alternator_at`. The alternator side is gathered
+    once per box, by one :func:`heckemod.formulas.alternator_gathers` call
+    that yields each mu's map and bound R in turn.
+
+    The coefficients of the two sides are at most
+    L = :func:`heckemod.operators.walk_bound` and R in size, so those of
+    their difference are at most L + R < 2^(B-1); such a nonzero difference
+    is nonzero at 2^B (:func:`heckemod.algebra.decode_digits`), so equal maps
+    are equal elements. Only a failing check decodes, for its witness,
+    exactly: each side's coefficients are below 2^(B-1) too. Omega is
+    linear, so ``drop-sign-correction``, dropping its global (-1)^{l(w0)},
+    negates the right side when l(w0) = |Phi+| is odd."""
     rs = eps.root_system
     shift = eps.rho_eps
     flip = mutate == "drop-sign-correction" and len(rs.positive_roots) % 2
@@ -296,9 +300,8 @@ def verify_operator_identity(eps: HeckeCharacter, monomials, mutate: str | None 
         return decode_q(rs.rank, coeffs, bits).translated(negate_coweight(shift)).to_str()
 
     def cases():
-        for mu in monomials:
+        for mu, (gathered, rhs_bound) in zip(monomials, alternator_gathers(eps, monomials)):
             start = GroupRingElem.monomial(add_coweights(mu, add_coweights(shift, shift)))
-            gathered, rhs_bound = alternator_gather(eps, mu)
             bits = (walk_bound(eps, start) + rhs_bound).bit_length() + 1
             lhs = level_walk(eps, 1 << bits, start)
             rhs = alternator_at(eps, gathered, 1 << bits)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from heckemod import formulas, operators, root_system
 from heckemod.algebra import GroupRingElem, divide_by_binomials, grsum, multiply_binomials, weyl_act
 from heckemod.characters import character_by_name, characters
-from heckemod.errors import NonDominant, NonReducedWord, WrongFamily
+from heckemod.errors import CoweightOutOfRange, NonDominant, NonReducedWord, WrongFamily
 from heckemod.formulas import (
-    alternator_gather,
+    alternator_gathers,
     bessel_value,
     casselman_shalika,
     coset_measure,
@@ -77,18 +77,93 @@ def test_theorem_rhs_is_the_q_polynomial_composition(name, data):
 def test_theorem_rhs_coefficients_stay_below_its_bound():
     # On the 292 operator-identity inputs of A3, G2 and B3 (box radius 2, cap
     # 40), every coefficient of theorem_rhs is at most the bound R of
-    # alternator_gather, so below 2^(B-1) for theorem_rhs's B = R.bit_length() + 1.
+    # alternator_gathers, so below 2^(B-1) for theorem_rhs's B = R.bit_length() + 1.
     inputs = 0
     for type_name in ("A3", "G2", "B3"):
         rs = build_root_system(type_name)
+        box = monomial_box(rs.rank, 2, 40)
         for eps in characters(rs):
-            for lam in monomial_box(rs.rank, 2, 40):
+            for lam, (_, bound) in zip(box, alternator_gathers(eps, box)):
                 inputs += 1
-                bound = alternator_gather(eps, lam)[1]
                 value = theorem_rhs(eps, lam)
                 top = max((abs(c) for qd in value.coeffs.values() for c in qd.values()), default=0)
                 assert top <= bound < 1 << bound.bit_length(), (type_name, eps.name, lam)
     assert inputs == 292
+
+
+def _gather_reference(eps, lam):
+    """(gathered, R) for one lambda: pi^{lambda+2rho_eps} D_(q) through
+    multiply_binomials, each monomial pi^mu straightened on its own by
+    reflecting mu - rho into the dominant chamber, and R = 2^{|Phi_-1^+|}
+    omega_bound of the gathered map."""
+    rs = eps.root_system
+    start = GroupRingElem.monomial(add_coweights(lam, add_coweights(eps.rho_eps, eps.rho_eps)))
+    flip = (-1) ** len(rs.positive_roots)
+    sums = {}
+    for mu, qd in multiply_binomials(start, eps.q_coroots, 1).coeffs.items():
+        nu, steps = root_system.dominant_conjugate(rs, tuple(c - 1 for c in mu))
+        if 0 in nu:
+            continue
+        acc = sums.setdefault(tuple(c - 1 for c in nu), {})
+        for e, c in qd.items():
+            acc[e] = acc.get(e, 0) + flip * (-1) ** steps * c
+    gathered = {mu: {e: c for e, c in acc.items() if c} for mu, acc in sums.items()}
+    gathered = {mu: c for mu, c in gathered.items() if c}
+    return gathered, operators.omega_bound(rs, gathered) << len(eps.minus_coroots)
+
+
+def test_box_gather_matches_a_per_input_reference():
+    # On the 292 operator-identity inputs of A3, G2 and B3 (box radius 2, cap
+    # 40), one alternator_gathers call per character yields each input's
+    # (gathered, R) as the per-input reference computes it.
+    inputs = 0
+    for type_name in ("A3", "G2", "B3"):
+        rs = build_root_system(type_name)
+        box = monomial_box(rs.rank, 2, 40)
+        for eps in characters(rs):
+            got = list(formulas.alternator_gathers(eps, box))
+            assert len(got) == len(box)
+            for lam, pair in zip(box, got):
+                inputs += 1
+                assert pair == _gather_reference(eps, lam), (type_name, eps.name, lam)
+    assert inputs == 292
+
+
+def test_box_gather_straightens_each_distinct_monomial_once(monkeypatch):
+    # On B3 the box gather straightens each distinct monomial of the
+    # pi^{lambda+2rho_eps} D_(q) over the box once, not once per input.
+    calls = []
+    straighten = operators._straighten
+    monkeypatch.setattr(operators, "_straighten", lambda rs, mu: calls.append(mu) or straighten(rs, mu))
+    rs = build_root_system("B3")
+    box = monomial_box(rs.rank, 2, 40)
+    distinct = total = 0
+    for eps in characters(rs):
+        calls.clear()
+        for _ in formulas.alternator_gathers(eps, box):
+            pass
+        doubled = add_coweights(eps.rho_eps, eps.rho_eps)
+        points = [mu for lam in box
+                  for mu in multiply_binomials(GroupRingElem.monomial(add_coweights(lam, doubled)),
+                                               eps.q_coroots, 1).coeffs]
+        assert sorted(calls) == sorted(set(points)), eps.name
+        distinct += len(calls)
+        total += len(points)
+    assert distinct < total
+
+
+def test_box_gather_refuses_points_outside_the_packing_bound():
+    # As the element pi^{lambda+2rho_eps} D_(q) would: the start point itself
+    # (sign on A2: rho_eps = (1, 1)), or a point one offset away (triv:
+    # D_(q) runs over all of Phi+, whose coroots raise coordinate 2 by 2).
+    rs = build_root_system("A2")
+    lam = (0, 131070)
+    with pytest.raises(CoweightOutOfRange, match=r"coweight \[2, 131072\]"):
+        next(formulas.alternator_gathers(character_by_name(rs, "sign"), [lam]))
+    with pytest.raises(CoweightOutOfRange, match="a computed coweight"):
+        theorem_rhs(character_by_name(rs, "triv"), lam)
+    with pytest.raises(CoweightOutOfRange, match="a computed coweight"):
+        theorem_rhs(character_by_name(rs, "triv"), (-131072, 1))
 
 
 def test_negative_control_uncorrected_sign_at_zero():

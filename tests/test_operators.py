@@ -34,7 +34,7 @@ from heckemod.operators import (
     t_word,
 )
 from heckemod.root_system import add_coweights, build_root_system, negate_coweight, orbit, reflect, rho, weyl_group
-from heckemod.verify import BOX_CAP_DEFAULT, BOX_RADIUS_DEFAULT, DEFAULT_TYPES, monomial_box
+from heckemod.verify import BOX_CAP_DEFAULT, BOX_RADIUS_DEFAULT, DEFAULT_TYPES, monomial_box, verify_operator_identity
 from test_algebra import coeff, one_minus_pi, qexp, ring_elems
 
 
@@ -236,6 +236,43 @@ def test_omega_memo_cold_and_warm_agree(name):
     for qd in chi.coeffs.values():
         qd[0] = 99
     assert values() == cold
+
+
+def _clear_alternator_tables():
+    operators._freudenthal_constants.cache_clear()
+    operators._dominant_character.cache_clear()
+    algebra.orbit_keys.cache_clear()
+
+
+def _alternator_side_outputs(backwards=False):
+    """Operator-identity's results on B3 (box 1) and weyl_character up to
+    height 3 on G2 and B3, computed in that order, or with the types, the
+    characters and the lambdas each in reverse."""
+    out = {}
+    for type_name in ("B3", "G2") if backwards else ("G2", "B3"):
+        rs = build_root_system(type_name)
+        lams = dominant_coweights_up_to_height(rs, 3)
+        chars = characters(rs)
+        if backwards:
+            lams, chars = lams[::-1], chars[::-1]
+        out[type_name] = {lam: weyl_character(rs, lam).to_json_text() for lam in lams}
+        if type_name == "B3":
+            box = monomial_box(rs.rank, 1, BOX_CAP_DEFAULT)
+            out["identity"] = {eps.name: verify_operator_identity(eps, box) for eps in chars}
+    return {key: dict(sorted(value.items())) for key, value in out.items()}
+
+
+def test_alternator_side_ignores_table_state_and_call_order():
+    # The Freudenthal constants, the dominant-character memo and the packed
+    # orbit table hold plain integers and tuples: a cold, a warm and a
+    # reverse-order fill give the same results.
+    _clear_alternator_tables()
+    cold = _alternator_side_outputs()
+    assert all(r.passed and r.checked == 27 for r in cold["identity"].values())
+    assert _alternator_side_outputs() == cold
+    _clear_alternator_tables()
+    assert _alternator_side_outputs(backwards=True) == cold
+    assert _alternator_side_outputs() == cold
 
 
 def test_omega_uncorrected_flips_sign_in_odd_rank():

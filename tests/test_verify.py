@@ -15,7 +15,7 @@ from heckemod.characters import character_by_name, characters
 from heckemod.errors import HeckemodError, UnknownName
 from heckemod.operators import sum_fraktur, t_act, t_word
 from heckemod.root_system import build_root_system, negate_coweight, orbit, reflect, rho
-from heckemod.formulas import alternator_gather, bessel_value
+from heckemod.formulas import alternator_gathers, bessel_value
 from heckemod.verify import (
     DEFAULT_TYPES,
     MUTATION_SUITES,
@@ -447,7 +447,8 @@ def test_one_bit_below_the_combined_bound_two_elements_collide():
     eps = character_by_name(rs, "triv")
     lam = (1, 0, 1)
     start = GroupRingElem.monomial(lam)  # rho_eps = 0 for triv
-    combined = operators.walk_bound(eps, start) + alternator_gather(eps, lam)[1]
+    (_, rhs_bound), = alternator_gathers(eps, [lam])
+    combined = operators.walk_bound(eps, start) + rhs_bound
     bits = combined.bit_length() + 1
     low = bits - 1
     c = 1 << (low - 1)
